@@ -8,7 +8,6 @@ from .core import (
     Sample,
     StreamConfig,
     chunks,
-    minmax_scale,
 )
 from .datagen import HyperplaneConfig, SeaConfig, gen_hyperplane, gen_sea, load_csv
 from .ensemble import (
@@ -30,9 +29,8 @@ from .rules import (
     FuzzyRule,
     GrowPruneParams,
     RdeState,
+    RuleBank,
     RuleClassifier,
-    fire,
-    rule_volume,
     weighted_rls_update,
 )
 from .selection import (

@@ -134,15 +134,7 @@ def _cmd_gen(args) -> int:
         n = write_csv(stream, args.out)
         print(f"wrote {n} samples to {args.out}")
     else:
-        import csv as _csv
-
-        writer = _csv.writer(sys.stdout)
-        header_done = False
-        for s in stream:
-            if not header_done:
-                writer.writerow([f"x{i + 1}" for i in range(len(s.x))] + ["class"])
-                header_done = True
-            writer.writerow([repr(float(v)) for v in s.x] + [int(s.label)])
+        write_csv(stream, sys.stdout)
     return 0
 
 
@@ -165,24 +157,21 @@ def _make_stream(args):
 def _cmd_run(args) -> int:
     stream, u, o = _make_stream(args)
     chunk = args.chunk if args.chunk is not None else args.train
-    try:
-        cfg = StreamConfig(
-            n_features=u,
-            n_classes=o,
-            chunk_size=chunk,
-            theta=args.theta,
-            delta_rel=args.delta_rel,
-            delta_abs=args.delta_abs,
-            alpha_warn=args.alpha_warn,
-            alpha_drift=args.alpha_drift,
-            penalty=args.p,
-            ofs_b=args.ofs_b,
-            seed=args.seed,
-            base_kind=_BASE_KINDS[args.base],
-            al_conjunction=args.al_conjunction,
-        )
-    except ConfigError:
-        raise
+    cfg = StreamConfig(
+        n_features=u,
+        n_classes=o,
+        chunk_size=chunk,
+        theta=args.theta,
+        delta_rel=args.delta_rel,
+        delta_abs=args.delta_abs,
+        alpha_warn=args.alpha_warn,
+        alpha_drift=args.alpha_drift,
+        penalty=args.p,
+        ofs_b=args.ofs_b,
+        seed=args.seed,
+        base_kind=_BASE_KINDS[args.base],
+        al_conjunction=args.al_conjunction,
+    )
     if args.mode == "holdout":
         protocol = EvalProtocol(
             mode="holdout",

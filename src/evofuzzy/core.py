@@ -29,15 +29,10 @@ class DataError(ValueError):
 
 @dataclass(eq=False)
 class Sample:
-    """One observation: feature vector, optional 1-based class label.
-
-    ``weight_mask`` is the active-feature mask assigned by the online
-    feature selection step; ``None`` means all features active.
-    """
+    """One observation: feature vector, optional 1-based class label."""
 
     x: np.ndarray
     label: Optional[int] = None
-    weight_mask: Optional[np.ndarray] = None
 
 
 @dataclass
@@ -85,9 +80,6 @@ class StreamConfig:
     ofs_reg: float = 0.01
     # drift-detector horizon, in chunks
     detector_chunks: int = 4
-    # unsupported acceptance variants, kept as explicit stubs
-    al_budget: Optional[int] = None
-    al_imbalance: bool = False
 
     def __post_init__(self):
         if self.n_features < 1:
@@ -110,10 +102,6 @@ class StreamConfig:
             raise ConfigError("ofs_b must be in [1, n_features]")
         if self.base_kind not in ("axis_parallel", "multivariate"):
             raise ConfigError("base_kind must be axis_parallel or multivariate")
-        if self.al_budget is not None:
-            raise ConfigError("budget-capped active learning is not implemented")
-        if self.al_imbalance:
-            raise ConfigError("imbalance-aware active learning is not implemented")
 
 
 class RunningStandardizer:
@@ -149,11 +137,7 @@ class RunningStandardizer:
         return np.sqrt(self.var)
 
     def update(self, x: np.ndarray) -> None:
-        x = self._check(x)
-        self.count += 1
-        delta = x - self.mean
-        self.mean += delta / self.count
-        self.m2 += delta * (x - self.mean)
+        self._absorb(self._check(x))
 
     def transform(self, x: np.ndarray) -> np.ndarray:
         """Scale against current statistics without updating them.
@@ -162,15 +146,24 @@ class RunningStandardizer:
         yet; the vector is centered but left unscaled rather than divided
         by the floor.
         """
-        x = self._check(x)
-        if self.count < 2:
-            return x - self.mean
-        return (x - self.mean) / np.maximum(self.std, STD_FLOOR)
+        return self._scale(self._check(x))
 
     def fit_transform(self, x: np.ndarray) -> np.ndarray:
         """Absorb one sample, then scale it (the training-path step)."""
-        self.update(x)
-        return self.transform(x)
+        x = self._check(x)
+        self._absorb(x)
+        return self._scale(x)
+
+    def _absorb(self, x: np.ndarray) -> None:
+        self.count += 1
+        delta = x - self.mean
+        self.mean += delta / self.count
+        self.m2 += delta * (x - self.mean)
+
+    def _scale(self, x: np.ndarray) -> np.ndarray:
+        if self.count < 2:
+            return x - self.mean
+        return (x - self.mean) / np.maximum(self.std, STD_FLOOR)
 
     def snapshot(self) -> dict:
         return {
@@ -193,6 +186,8 @@ class RunningStandardizer:
             raise DataError(
                 f"expected vector of length {self.n_features}, got shape {x.shape}"
             )
+        if not np.isfinite(x).all():
+            raise DataError("feature values must be finite")
         return x
 
 
@@ -214,23 +209,6 @@ def chunks(source: Iterable[Sample], size: int) -> Iterator[DataChunk]:
             index += 1
     if buf:
         yield DataChunk(buf, index)
-
-
-def minmax_scale(X: np.ndarray, lo: float = 0.1, hi: float = 0.9) -> np.ndarray:
-    """Map each column's [min, max] affinely onto [lo, hi].
-
-    Constant columns map to the midpoint (lo + hi) / 2.
-    """
-    X = np.asarray(X, dtype=float)
-    if not np.all(np.isfinite(X)):
-        raise DataError("minmax_scale requires finite input")
-    mn = X.min(axis=0)
-    mx = X.max(axis=0)
-    span = mx - mn
-    out = np.full_like(X, (lo + hi) / 2.0)
-    nz = span > 0
-    out[:, nz] = lo + (X[:, nz] - mn[nz]) * (hi - lo) / span[nz]
-    return out
 
 
 def onehot(label: int, n_classes: int) -> np.ndarray:

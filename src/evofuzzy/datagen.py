@@ -9,6 +9,7 @@ values 1..O.
 from __future__ import annotations
 
 import csv
+from contextlib import nullcontext
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional
 
@@ -146,10 +147,12 @@ def gen_hyperplane(cfg: HyperplaneConfig) -> Iterator[Sample]:
 def write_csv(samples: Iterable[Sample], path) -> int:
     """Write samples in the CSV contract; returns the number written.
 
+    ``path`` is a file name or an open text file such as sys.stdout.
     Floats are written with repr precision so a round trip is exact.
     """
     n = 0
-    with open(path, "w", newline="") as fh:
+    opened = nullcontext(path) if hasattr(path, "write") else open(path, "w", newline="")
+    with opened as fh:
         writer = csv.writer(fh)
         header = None
         for s in samples:
@@ -168,8 +171,8 @@ def write_csv(samples: Iterable[Sample], path) -> int:
 def load_csv(path, n_classes: Optional[int] = None) -> Iterator[Sample]:
     """Stream samples from a CSV file in constant memory.
 
-    Labels must be integers >= 1 (and <= n_classes when given).  A
-    malformed row raises DataError naming the line.
+    Labels must be integers >= 1 (and <= n_classes when given) and
+    features finite.  A malformed row raises DataError naming the line.
     """
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
@@ -192,6 +195,8 @@ def load_csv(path, n_classes: Optional[int] = None) -> Iterator[Sample]:
                 label = int(row[-1])
             except ValueError as exc:
                 raise DataError(f"{path}:{lineno}: {exc}") from None
+            if not np.isfinite(x).all():
+                raise DataError(f"{path}:{lineno}: non-finite feature value")
             if label < 1 or (n_classes is not None and label > n_classes):
                 raise DataError(f"{path}:{lineno}: unknown class value {row[-1]}")
             yield Sample(x, label)

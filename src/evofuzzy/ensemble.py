@@ -494,7 +494,6 @@ class Ensemble:
         for s in chunk.samples:
             z = self.standardizer.fit_transform(s.x)
             mask = selectors.mask.active if selectors.ofs_enabled else None
-            s.weight_mask = mask
             sigma, cls, member_scores = self.predict(z, mask)
             rep.seen += 1
             if s.label is not None and cls == s.label:
@@ -552,7 +551,7 @@ class Ensemble:
                         selectors.ofs_rate,
                         selectors.ofs_reg,
                     )
-                    if vm.rules:
+                    if vm.models:
                         vm.sgd_step(z, t, mask=mask)
                 selectors.refresh_mask([m.model for m in self.members])
         for m in self.members:

@@ -101,6 +101,68 @@ def _take(it, n: int, what: str, stamp: int) -> list:
     return block
 
 
+def _train_and_score(ens, sel, cfg, train, test, audit_purity: bool, where: str):
+    """Train on one block, then score another against the frozen model.
+
+    Returns (chunk reports, correct test predictions, seconds of learning
+    plus scoring).  With audit_purity, scoring must leave the snapshot
+    hash unchanged.
+    """
+    t0 = time.perf_counter()
+    reports = [ens.train_chunk(ch, sel) for ch in chunks(train, cfg.chunk_size)]
+    seconds = time.perf_counter() - t0
+    mask = sel.mask.active if sel.ofs_enabled else None
+    before = ens.snapshot_hash() if audit_purity else None
+    t0 = time.perf_counter()
+    correct = sum(1 for s in test if ens.score_sample(s.x, mask)[1] == s.label)
+    seconds += time.perf_counter() - t0
+    if audit_purity and ens.snapshot_hash() != before:
+        raise RuntimeError(f"{where} mutated the model")
+    return reports, correct, seconds
+
+
+def _record(n: int, ens, sel, cfg, reports, cr: float, rt: float) -> dict:
+    """The metrics record of one hold-out stamp or CV fold."""
+    return {
+        "n": n,
+        "cr": cr,
+        "fr": ens.total_rules,
+        "bc": len(ens.members),
+        "np": count_parameters(ens),
+        "ts": sum(r.accepted for r in reports),
+        "rt": rt,
+        "drifts": sum(r.drifts for r in reports),
+        "warnings": sum(r.warnings for r in reports),
+        "merges": sum(r.merges for r in reports),
+        "theta": sel.al.theta,
+        "mask": [int(v) for v in sel.mask.active],
+        "mask_activations": [
+            int(v) for v in np.sum([r.mask_activations for r in reports], axis=0)
+        ]
+        if any(r.mask_activations for r in reports)
+        else [0] * cfg.n_features,
+    }
+
+
+def _summarize(series: list, offered: int, rt: float) -> RunMetrics:
+    crs, frs, bcs, nps = ([rec[k] for rec in series] for k in ("cr", "fr", "bc", "np"))
+    return RunMetrics(
+        cr=mean(crs),
+        fr=mean(frs),
+        bc=mean(bcs),
+        np=mean(nps),
+        ts=sum(rec["ts"] for rec in series),
+        rt=rt,
+        cr_std=pstdev(crs),
+        fr_std=pstdev([float(v) for v in frs]),
+        bc_std=pstdev([float(v) for v in bcs]),
+        np_std=pstdev([float(v) for v in nps]),
+        stamps=len(series),
+        offered=offered,
+        series=series,
+    )
+
+
 def run_holdout(
     stream: Iterable,
     cfg: StreamConfig,
@@ -117,71 +179,17 @@ def run_holdout(
     it = iter(stream)
     ens = learner if learner is not None else Ensemble(cfg)
     sel = selectors if selectors is not None else Selectors(cfg)
-    crs, frs, bcs, nps = [], [], [], []
     series = []
-    accepted_total = 0
     rt = 0.0
     for stamp in range(protocol.stamps):
         train = _take(it, protocol.train_per_stamp, "train", stamp)
-        t0 = time.perf_counter()
-        reports = [ens.train_chunk(ch, sel) for ch in chunks(train, cfg.chunk_size)]
-        rt += time.perf_counter() - t0
         test = _take(it, protocol.test_per_stamp, "test", stamp)
-        mask = sel.mask.active if sel.ofs_enabled else None
-        before = ens.snapshot_hash() if audit_purity else None
-        t0 = time.perf_counter()
-        correct = 0
-        for s in test:
-            _, cls = ens.score_sample(s.x, mask)
-            if cls == s.label:
-                correct += 1
-        rt += time.perf_counter() - t0
-        if audit_purity and ens.snapshot_hash() != before:
-            raise RuntimeError(f"test block of stamp {stamp} mutated the model")
-        accepted = sum(r.accepted for r in reports)
-        accepted_total += accepted
-        crs.append(correct / len(test))
-        frs.append(ens.total_rules)
-        bcs.append(len(ens.members))
-        nps.append(count_parameters(ens))
-        series.append(
-            {
-                "n": stamp,
-                "cr": crs[-1],
-                "fr": frs[-1],
-                "bc": bcs[-1],
-                "np": nps[-1],
-                "ts": accepted,
-                "rt": rt,
-                "drifts": sum(r.drifts for r in reports),
-                "warnings": sum(r.warnings for r in reports),
-                "merges": sum(r.merges for r in reports),
-                "theta": sel.al.theta,
-                "mask": [int(v) for v in sel.mask.active],
-                "mask_activations": [
-                    int(v)
-                    for v in np.sum([r.mask_activations for r in reports], axis=0)
-                ]
-                if any(r.mask_activations for r in reports)
-                else [0] * cfg.n_features,
-            }
+        reports, correct, seconds = _train_and_score(
+            ens, sel, cfg, train, test, audit_purity, f"test block of stamp {stamp}"
         )
-    metrics = RunMetrics(
-        cr=mean(crs),
-        fr=mean(frs),
-        bc=mean(bcs),
-        np=mean(nps),
-        ts=accepted_total,
-        rt=rt,
-        cr_std=pstdev(crs),
-        fr_std=pstdev([float(v) for v in frs]),
-        bc_std=pstdev([float(v) for v in bcs]),
-        np_std=pstdev([float(v) for v in nps]),
-        stamps=protocol.stamps,
-        offered=protocol.stamps * protocol.train_per_stamp,
-        series=series,
-    )
-    return metrics, ens
+        rt += seconds
+        series.append(_record(stamp, ens, sel, cfg, reports, correct / len(test), rt))
+    return _summarize(series, protocol.stamps * protocol.train_per_stamp, rt), ens
 
 
 def run_cv(dataset, cfg: StreamConfig, folds: int = 10, audit_purity: bool = True):
@@ -194,9 +202,7 @@ def run_cv(dataset, cfg: StreamConfig, folds: int = 10, audit_purity: bool = Tru
     if len(samples) < folds:
         raise DataError(f"need at least {folds} samples for {folds} folds")
     bins = np.array_split(np.arange(len(samples)), folds)
-    crs, frs, bcs, nps = [], [], [], []
     series = []
-    accepted_total = 0
     offered = 0
     rt = 0.0
     ens = None
@@ -206,61 +212,13 @@ def run_cv(dataset, cfg: StreamConfig, folds: int = 10, audit_purity: bool = Tru
         test = [samples[i] for i in bins[f]]
         ens = Ensemble(cfg)
         sel = Selectors(cfg)
-        t0 = time.perf_counter()
-        reports = [ens.train_chunk(ch, sel) for ch in chunks(train, cfg.chunk_size)]
-        rt += time.perf_counter() - t0
-        mask = sel.mask.active if sel.ofs_enabled else None
-        before = ens.snapshot_hash() if audit_purity else None
-        t0 = time.perf_counter()
-        correct = sum(1 for s in test if ens.score_sample(s.x, mask)[1] == s.label)
-        rt += time.perf_counter() - t0
-        if audit_purity and ens.snapshot_hash() != before:
-            raise RuntimeError(f"test bin {f} mutated the model")
-        accepted = sum(r.accepted for r in reports)
-        accepted_total += accepted
-        offered += len(train)
-        crs.append(correct / len(test))
-        frs.append(ens.total_rules)
-        bcs.append(len(ens.members))
-        nps.append(count_parameters(ens))
-        series.append(
-            {
-                "n": f,
-                "cr": crs[-1],
-                "fr": frs[-1],
-                "bc": bcs[-1],
-                "np": nps[-1],
-                "ts": accepted,
-                "rt": rt,
-                "drifts": sum(r.drifts for r in reports),
-                "warnings": sum(r.warnings for r in reports),
-                "merges": sum(r.merges for r in reports),
-                "theta": sel.al.theta,
-                "mask": [int(v) for v in sel.mask.active],
-                "mask_activations": [
-                    int(v)
-                    for v in np.sum([r.mask_activations for r in reports], axis=0)
-                ]
-                if any(r.mask_activations for r in reports)
-                else [0] * cfg.n_features,
-            }
+        reports, correct, seconds = _train_and_score(
+            ens, sel, cfg, train, test, audit_purity, f"test bin {f}"
         )
-    metrics = RunMetrics(
-        cr=mean(crs),
-        fr=mean(frs),
-        bc=mean(bcs),
-        np=mean(nps),
-        ts=accepted_total,
-        rt=rt,
-        cr_std=pstdev(crs),
-        fr_std=pstdev([float(v) for v in frs]),
-        bc_std=pstdev([float(v) for v in bcs]),
-        np_std=pstdev([float(v) for v in nps]),
-        stamps=folds,
-        offered=offered,
-        series=series,
-    )
-    return metrics, ens
+        rt += seconds
+        offered += len(train)
+        series.append(_record(f, ens, sel, cfg, reports, correct / len(test), rt))
+    return _summarize(series, offered, rt), ens
 
 
 def write_metrics(path, metrics: RunMetrics) -> None:

@@ -4,7 +4,8 @@ A classifier is a set of Gaussian rules.  Each rule has a center and an
 inverse dispersion matrix (diagonal for the axis-parallel variant, full
 for the multivariate one), per-class support counts, and a first-order
 consequent fitted online by firing-weighted recursive least squares with
-a quadratic weight-decay term.
+a quadratic weight-decay term.  A classifier stores its rules, and its
+archive, as stacked arrays (RuleBank) that are updated in place.
 
 Structure evolves per sample: rules are grown when a sample is erroneous,
 novel by a chi-square Mahalanobis gate, and sits in a low-density region
@@ -17,11 +18,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from functools import lru_cache
+from functools import cache
 from typing import Optional
 
 import numpy as np
-from scipy.stats import chi2
+from scipy.special import gammaincinv
 
 from .core import DataError, onehot
 
@@ -126,7 +127,7 @@ class RdeState:
         self.count += 1
         self.mean += (x - self.mean) / self.count
         self.sq_norm_mean += (float(x @ x) - self.sq_norm_mean) / self.count
-        d = self.density(x)
+        d = self.potential(x)
         self.dens_count += 1
         if self.dens_count == 1:
             self.dens_mean = d
@@ -137,9 +138,6 @@ class RdeState:
             self.dens_mean += a * delta
             self.dens_var = (1.0 - a) * (self.dens_var + a * delta * delta)
         return d
-
-    def density(self, x: np.ndarray) -> float:
-        return self.potential(x)
 
     def potential(self, point: np.ndarray) -> float:
         if self.count == 0:
@@ -177,6 +175,9 @@ class RdeState:
 
 @dataclass(eq=False)
 class FuzzyRule:
+    """One rule as a record: what a RuleBank accepts and returns, and the
+    snapshot schema.  A classifier keeps its rules in RuleBank arrays."""
+
     center: np.ndarray          # (u,)
     inv_cov: np.ndarray         # (u, u), symmetric positive definite
     support: int                # total samples absorbed
@@ -215,29 +216,119 @@ class FuzzyRule:
         )
 
 
-def fire(rule: FuzzyRule, x: np.ndarray, mask: Optional[np.ndarray] = None) -> float:
-    """Gaussian membership exp(-d) with d the squared Mahalanobis distance.
+class RuleBank:
+    """Rules as stacked arrays, one row per rule, changed in place.
 
-    Equals 1 exactly when x sits on the rule center.  Masked-out features
-    contribute zero to the distance.
+    centers         (R, u)
+    inv             inverse dispersions: (R, u) diagonals for axis-parallel
+                    rules, (R, u, u) matrices for multivariate ones
+    volumes         (R,) det(Sigma), kept in step with inv by set_inv
+    weights         (R, u+1, O) consequents
+    rls_cov         (R, u+1, u+1) consequent covariances
+    class_support   (R, O) counts; a rule's support is its row sum
+    activity, peak_potential, age   (R,)
+
+    Adding and removing rules reallocates every array, so a reference to
+    one is only good until the next append or pop.
     """
-    diff = x - rule.center
-    if mask is not None:
-        diff = diff * mask
-    d = float(diff @ rule.inv_cov @ diff)
-    return math.exp(-d)
 
+    FIELDS = (
+        "centers", "inv", "volumes", "weights", "rls_cov",
+        "class_support", "activity", "peak_potential", "age",
+    )
 
-def rule_volume(rule: FuzzyRule) -> float:
-    """det(Sigma) = 1 / det(inv_cov); positive for a valid rule."""
-    det_inv = float(np.linalg.det(rule.inv_cov))
-    if det_inv <= 0:
-        raise FloatingPointError("rule dispersion lost positive definiteness")
-    return 1.0 / det_inv
+    def __init__(self, n_features: int, n_classes: int, diagonal: bool):
+        u, o = n_features, n_classes
+        self.diagonal = diagonal
+        self.centers = np.empty((0, u))
+        self.inv = np.empty((0, u) if diagonal else (0, u, u))
+        self.volumes = np.empty(0)
+        self.weights = np.empty((0, u + 1, o))
+        self.rls_cov = np.empty((0, u + 1, u + 1))
+        self.class_support = np.empty((0, o), dtype=np.int64)
+        self.activity = np.empty(0)
+        self.peak_potential = np.empty(0)
+        self.age = np.empty(0, dtype=np.int64)
+
+    def __len__(self) -> int:
+        return len(self.centers)
+
+    @property
+    def supports(self) -> np.ndarray:
+        return self.class_support.sum(axis=1)
+
+    def volume(self, inv: np.ndarray) -> float:
+        """det(Sigma) = 1 / det(inv); positive for a valid rule."""
+        det = np.prod(inv) if self.diagonal else np.linalg.det(inv)
+        if not det > 0:
+            raise FloatingPointError("rule dispersion lost positive definiteness")
+        return 1.0 / det
+
+    def set_inv(self, i: int, inv: np.ndarray) -> None:
+        """Store rule i's inverse dispersion and its volume."""
+        self.volumes[i] = self.volume(inv)
+        self.inv[i] = inv
+
+    def append(self, rule: FuzzyRule) -> int:
+        """Add a rule as the last row; returns its index."""
+        if int(rule.class_support.sum()) != rule.support:
+            raise ValueError("class supports must sum to the support")
+        inv = np.diag(rule.inv_cov) if self.diagonal else rule.inv_cov
+        if self.diagonal and np.any(rule.inv_cov != np.diag(inv)):
+            raise ValueError("an axis-parallel rule needs a diagonal dispersion")
+        row = {
+            "centers": rule.center, "inv": inv, "volumes": self.volume(inv),
+            "weights": rule.weights, "rls_cov": rule.rls_cov,
+            "class_support": rule.class_support, "activity": rule.activity,
+            "peak_potential": rule.peak_potential, "age": rule.age,
+        }
+        for name in self.FIELDS:
+            old = getattr(self, name)
+            new = np.asarray(row[name], dtype=old.dtype)[None]
+            setattr(self, name, np.concatenate([old, new]))
+        return len(self) - 1
+
+    def pop(self, i: int) -> FuzzyRule:
+        """Remove rule i; returns it as a record."""
+        rule = self.record(i)
+        for name in self.FIELDS:
+            setattr(self, name, np.delete(getattr(self, name), i, axis=0))
+        return rule
+
+    def record(self, i: int) -> FuzzyRule:
+        """A copy of rule i as a record; writes to it do not reach the bank."""
+        inv = self.inv[i]
+        return FuzzyRule(
+            center=self.centers[i].copy(),
+            inv_cov=np.diag(inv) if self.diagonal else inv.copy(),
+            support=int(self.class_support[i].sum()),
+            class_support=self.class_support[i].copy(),
+            weights=self.weights[i].copy(),
+            rls_cov=self.rls_cov[i].copy(),
+            activity=float(self.activity[i]),
+            peak_potential=float(self.peak_potential[i]),
+            age=int(self.age[i]),
+        )
+
+    def snapshot(self) -> list:
+        return [self.record(i).snapshot() for i in range(len(self))]
+
+    def mahalanobis_sq(self, x: np.ndarray, mask: Optional[np.ndarray] = None) -> np.ndarray:
+        """Squared Mahalanobis distance from x to every rule center.
+
+        Masked-out features contribute zero to the distance.
+        """
+        diff = x[None, :] - self.centers
+        if mask is not None:
+            diff = diff * mask
+        if self.diagonal:
+            return np.einsum("rj,rj->r", diff * diff, self.inv)
+        return np.einsum("ri,rij,rj->r", diff, self.inv, diff)
 
 
 def weighted_rls_update(
-    rule: FuzzyRule,
+    psi: np.ndarray,
+    weights: np.ndarray,
     lam: float,
     x_e: np.ndarray,
     target: np.ndarray,
@@ -245,28 +336,30 @@ def weighted_rls_update(
 ) -> None:
     """One firing-weighted recursive least squares step with weight decay.
 
+    Updates the consequent covariance psi and the weights in place:
+
     K    = P x / (1/lam + x P x')
     P    <- P - K x P
     W    <- W + K (t - x W) - 2 c P W      (quadratic decay, gradient 2W)
     """
-    psi = rule.rls_cov
     v = psi @ x_e
     denom = 1.0 / lam + float(x_e @ v)
     if denom <= 0:
         raise FloatingPointError("consequent covariance lost positive definiteness")
     k = v / denom
-    psi = psi - np.outer(k, v)
-    psi = 0.5 * (psi + psi.T)
-    rule.rls_cov = psi
-    err = target - x_e @ rule.weights
-    rule.weights = rule.weights + np.outer(k, err)
+    p = psi - np.outer(k, v)
+    psi[...] = 0.5 * (p + p.T)
+    err = target - x_e @ weights
+    weights += np.outer(k, err)
     if decay_strength > 0.0:
-        rule.weights -= (2.0 * decay_strength) * (psi @ rule.weights)
+        weights -= (2.0 * decay_strength) * (psi @ weights)
 
 
-@lru_cache(maxsize=64)
+@cache
 def _chi2_quantile(q: float, df: int) -> float:
-    return float(chi2.ppf(q, df))
+    """Chi-square quantile: twice the inverse regularized lower incomplete
+    gamma function at df / 2, the same expression as chi2.ppf."""
+    return float(2.0 * gammaincinv(df / 2.0, q))
 
 
 def _repair_spd(m: np.ndarray) -> np.ndarray:
@@ -279,7 +372,7 @@ def _repair_spd(m: np.ndarray) -> np.ndarray:
 
 
 class RuleClassifier:
-    """An evolving set of fuzzy rules plus an archive of pruned rules.
+    """An evolving bank of fuzzy rules plus a bank of pruned (archived) ones.
 
     One trainer mutates a classifier; inference on a snapshot is pure.
     """
@@ -297,59 +390,21 @@ class RuleClassifier:
         self.n_classes = n_classes
         self.hyper = hyper if hyper is not None else GrowPruneParams()
         self.kind = kind
-        self.rules: list[FuzzyRule] = []
-        self.archive: list[FuzzyRule] = []
+        diagonal = kind == "axis_parallel"
+        self.rules = RuleBank(n_features, n_classes, diagonal)
+        self.archive = RuleBank(n_features, n_classes, diagonal)
         self.rde = RdeState(n_features, decay=self.hyper.decay)
-        self._version = 0
-        self._cache_version = -1
-        self._cache: dict = {}
 
-    # -- cached per-rule arrays ------------------------------------------
-
-    def _arrays(self) -> dict:
-        if self._cache_version != self._version:
-            R = len(self.rules)
-            u = self.n_features
-            c = {
-                "centers": np.array([r.center for r in self.rules]).reshape(R, u),
-                "weights": np.array([r.weights for r in self.rules]).reshape(
-                    R, u + 1, self.n_classes
-                ),
-                "supports": np.array([r.support for r in self.rules], dtype=float),
-                "class_support": np.array(
-                    [r.class_support for r in self.rules], dtype=float
-                ).reshape(R, self.n_classes),
-            }
-            if self.kind == "axis_parallel":
-                c["inv_diag"] = np.array(
-                    [np.diag(r.inv_cov) for r in self.rules]
-                ).reshape(R, u)
-                c["volumes"] = 1.0 / np.prod(c["inv_diag"], axis=1)
-            else:
-                c["inv_full"] = np.array([r.inv_cov for r in self.rules]).reshape(
-                    R, u, u
-                )
-                c["volumes"] = np.array(
-                    [1.0 / np.linalg.det(r.inv_cov) for r in self.rules]
-                )
-            self._cache = c
-            self._cache_version = self._version
-        return self._cache
-
-    def _touch(self) -> None:
-        self._version += 1
+    @property
+    def volume_cap(self) -> float:
+        """Largest rule volume before growth is forced."""
+        return self.hyper.volume_cap * 6.0 ** self.n_features
 
     # -- inference -------------------------------------------------------
 
     def mahalanobis_sq(self, x: np.ndarray, mask: Optional[np.ndarray] = None) -> np.ndarray:
         """Squared Mahalanobis distance from x to every rule center."""
-        c = self._arrays()
-        diff = x[None, :] - c["centers"]
-        if mask is not None:
-            diff = diff * mask
-        if self.kind == "axis_parallel":
-            return np.einsum("rj,rj->r", diff * diff, c["inv_diag"])
-        return np.einsum("ri,rij,rj->r", diff, c["inv_full"], diff)
+        return self.rules.mahalanobis_sq(x, mask)
 
     def norm_firings(self, x: np.ndarray, mask: Optional[np.ndarray] = None) -> np.ndarray:
         """Normalized firing strengths; always sum to 1 over rules."""
@@ -367,7 +422,7 @@ class RuleClassifier:
             raise EmptyModelError("classifier has no rules")
         lam = self.norm_firings(x, mask)
         x_e = extended_input(x, mask)
-        per_rule = np.einsum("e,reo->ro", x_e, self._arrays()["weights"])
+        per_rule = np.einsum("e,reo->ro", x_e, self.rules.weights)
         scores = lam @ per_rule
         return scores, int(np.argmax(scores)) + 1
 
@@ -381,14 +436,13 @@ class RuleClassifier:
         firing everywhere keeps absorbing samples and the forced growth that
         is supposed to relieve it never hands the region to the new rules.
         """
-        c = self._arrays()
+        b = self.rules
         d2 = self.mahalanobis_sq(x, mask)
-        log_prior = np.log(c["supports"] / c["supports"].sum())
-        purity = (c["class_support"][:, label - 1] + 1.0) / (
-            c["supports"] + self.n_classes
-        )
+        supports = b.supports
+        log_prior = np.log(supports / supports.sum())
+        purity = (b.class_support[:, label - 1] + 1.0) / (supports + self.n_classes)
         score = -d2 + log_prior + np.log(purity)
-        legal = c["volumes"] <= self.hyper.volume_cap * (6.0 ** self.n_features)
+        legal = b.volumes <= self.volume_cap
         if legal.any() and not legal.all():
             score = np.where(legal, score, -np.inf)
         return int(np.argmax(score))
@@ -415,13 +469,12 @@ class RuleClassifier:
         sparse = False
         if self.rde.dens_count >= 2:
             sparse = (
-                self.rde.density(x)
+                self.rde.potential(x)
                 < self.rde.dens_mean - self.hyper.density_sigmas * self.rde.dens_std
             )
         if err > self.hyper.err_grow and novel and sparse:
             return GrowDecision.GROW
-        cap = self.hyper.volume_cap * (6.0 ** self.n_features)
-        if rule_volume(self.rules[win]) > cap:
+        if self.rules.volumes[win] > self.volume_cap:
             return GrowDecision.VOLUME_FORCED
         return GrowDecision.UPDATE
 
@@ -443,11 +496,11 @@ class RuleClassifier:
         # isotropic spread that keeps a fresh rule's volume at or below the
         # growth cap; without it a rule born far from the others instantly
         # violates the volume check and forces growth on every sample after
-        sigma_cap = (self.hyper.volume_cap * 6.0 ** u) ** (1.0 / (2.0 * u))
+        sigma_cap = self.volume_cap ** (1.0 / (2.0 * u))
         if self.rules:
             win = self._winner_index(x, label, mask)
-            w0 = self.rules[win].weights.copy()
-            diff = self._arrays()["centers"] - x[None, :]
+            w0 = self.rules.weights[win].copy()
+            diff = self.rules.centers - x[None, :]
             if mask is not None:
                 diff = diff * mask
             nearest = float(np.sqrt((diff * diff).sum(axis=1).min()))
@@ -457,19 +510,18 @@ class RuleClassifier:
             sigma0 = min(self.hyper.init_spread, sigma_cap)
         cs = np.zeros(self.n_classes, dtype=np.int64)
         cs[label - 1] = 1
-        rule = FuzzyRule(
-            center=x.copy(),
-            inv_cov=np.eye(u) / (sigma0 * sigma0),
-            support=1,
-            class_support=cs,
-            weights=w0,
-            rls_cov=self.hyper.rls_init * np.eye(u + 1),
-            age=0,
+        return self.rules.append(
+            FuzzyRule(
+                center=x.copy(),
+                inv_cov=np.eye(u) / (sigma0 * sigma0),
+                support=1,
+                class_support=cs,
+                weights=w0,
+                rls_cov=self.hyper.rls_init * np.eye(u + 1),
+                activity=1.0 / (len(self.rules) + 1),
+                age=0,
+            )
         )
-        self.rules.append(rule)
-        rule.activity = 1.0 / len(self.rules)
-        self._touch()
-        return len(self.rules) - 1
 
     def recall_check(self, x: np.ndarray, mask: Optional[np.ndarray] = None) -> Optional[FuzzyRule]:
         """Reactivate the best-firing archived rule if it beats a fresh one.
@@ -480,18 +532,17 @@ class RuleClassifier:
         """
         if not self.archive:
             return None
-        fires = [fire(r, x, mask) for r in self.archive]
+        fires = np.exp(-self.archive.mahalanobis_sq(x, mask))
         best = int(np.argmax(fires))
         handicap = math.exp(-self.hyper.novelty_q * self.n_features / 2.0)
         if fires[best] > handicap:
             rule = self.archive.pop(best)
-            self.rules.append(rule)
-            rule.activity = 1.0 / len(self.rules)
+            rule.activity = 1.0 / (len(self.rules) + 1)
             # restart the pruning baseline, otherwise the staleness that
             # archived the rule still holds and it bounces straight back
             rule.age = 0
             rule.peak_potential = self.rde.potential(rule.center)
-            self._touch()
+            self.rules.append(rule)
             return rule
         return None
 
@@ -505,22 +556,21 @@ class RuleClassifier:
         masked features stay frozen.
         """
         win = self._winner_index(x, label, mask)
-        r = self.rules[win]
-        r.support += 1
-        r.class_support[label - 1] += 1
-        n = r.support
-        d_old = x - r.center
+        b = self.rules
+        b.class_support[win, label - 1] += 1
+        n = int(b.class_support[win].sum())
+        d_old = x - b.centers[win]
         if mask is not None:
             d_old = d_old * mask
-        r.center = r.center + d_old / n
+        b.centers[win] += d_old / n
         # x - C_new = d_old * (n-1)/n, so the cross outer product stays symmetric
-        if self.kind == "axis_parallel":
+        if b.diagonal:
             live = d_old != 0.0
             if np.any(live):
-                var = 1.0 / np.diag(r.inv_cov).copy()
+                var = 1.0 / b.inv[win]
                 upd = ((n - 1) * var[live] + d_old[live] ** 2 * (n - 1) / n) / n
                 var[live] = np.maximum(upd, EIG_FLOOR)
-                r.inv_cov = np.diag(1.0 / var)
+                b.set_inv(win, 1.0 / var)
         else:
             if np.any(d_old != 0.0):
                 active = (
@@ -528,14 +578,13 @@ class RuleClassifier:
                     if mask is None
                     else mask > 0
                 )
-                cov = np.linalg.inv(r.inv_cov)
+                cov = np.linalg.inv(b.inv[win])
                 sub = cov[np.ix_(active, active)]
                 d = d_old[active]
                 sub = ((n - 1) * sub + np.outer(d, d) * (n - 1) / n) / n
                 cov[np.ix_(active, active)] = sub
                 inv = np.linalg.inv(_repair_spd(cov))
-                r.inv_cov = _repair_spd(inv)
-        self._touch()
+                b.set_inv(win, _repair_spd(inv))
         return win
 
     def prune_check(self, lam: np.ndarray) -> list:
@@ -547,31 +596,27 @@ class RuleClassifier:
         peak.  Flagged rules move to the archive; the last rule is never
         pruned.
         """
+        b = self.rules
         g = self.hyper.decay
-        potentials = []
-        for i, r in enumerate(self.rules):
-            r.activity = g * r.activity + (1.0 - g) * float(lam[i])
-            p = self.rde.potential(r.center)
-            r.peak_potential = max(r.peak_potential, p)
-            potentials.append(p)
-        if len(self.rules) < 2:
+        b.activity[:] = g * b.activity + (1.0 - g) * lam
+        potentials = np.array([self.rde.potential(c) for c in b.centers])
+        np.maximum(b.peak_potential, potentials, out=b.peak_potential)
+        if len(b) < 2:
             return []
-        mean_act = float(np.mean([r.activity for r in self.rules]))
+        mean_act = float(np.mean(b.activity))
         flagged = []
-        for i, r in enumerate(self.rules):
-            if r.age < self.hyper.age_min:
+        for i in range(len(b)):
+            if b.age[i] < self.hyper.age_min:
                 continue
-            if r.activity < self.hyper.prune_frac * mean_act:
+            if b.activity[i] < self.hyper.prune_frac * mean_act:
                 flagged.append((i, "inactive"))
-            elif potentials[i] < self.hyper.potential_frac * r.peak_potential:
+            elif potentials[i] < self.hyper.potential_frac * b.peak_potential[i]:
                 flagged.append((i, "stale"))
-        if len(flagged) == len(self.rules):
-            keep = max(range(len(self.rules)), key=lambda i: self.rules[i].activity)
+        if len(flagged) == len(b):
+            keep = int(np.argmax(b.activity))
             flagged = [(i, why) for i, why in flagged if i != keep]
         for i, _ in sorted(flagged, reverse=True):
-            self.archive.append(self.rules.pop(i))
-        if flagged:
-            self._touch()
+            self.archive.append(b.pop(i))
         return flagged
 
     def train_sample(self, x: np.ndarray, label: int, mask: Optional[np.ndarray] = None) -> None:
@@ -591,14 +636,13 @@ class RuleClassifier:
             self.update_winner(x, label, mask)
         lam = self.norm_firings(x, mask)
         x_e = extended_input(x, mask)
+        b = self.rules
         for i in np.nonzero(lam > FIRING_EPS)[0]:
             weighted_rls_update(
-                self.rules[i], float(lam[i]), x_e, t, self.hyper.decay_strength
+                b.rls_cov[i], b.weights[i], float(lam[i]), x_e, t, self.hyper.decay_strength
             )
-        self._touch()
         self.prune_check(lam)
-        for r in self.rules:
-            r.age += 1
+        self.rules.age += 1
 
     # -- serialization -----------------------------------------------------
 
@@ -611,8 +655,8 @@ class RuleClassifier:
                 k: getattr(self.hyper, k) for k in GrowPruneParams.__dataclass_fields__
             },
             "rde": self.rde.snapshot(),
-            "rules": [r.snapshot() for r in self.rules],
-            "archive": [r.snapshot() for r in self.archive],
+            "rules": self.rules.snapshot(),
+            "archive": self.archive.snapshot(),
         }
 
     @classmethod
@@ -624,20 +668,19 @@ class RuleClassifier:
             kind=state["kind"],
         )
         model.rde = RdeState.from_snapshot(state["rde"])
-        model.rules = [FuzzyRule.from_snapshot(r) for r in state["rules"]]
-        model.archive = [FuzzyRule.from_snapshot(r) for r in state["archive"]]
-        model._touch()
+        for bank, key in ((model.rules, "rules"), (model.archive, "archive")):
+            for r in state[key]:
+                bank.append(FuzzyRule.from_snapshot(r))
         return model
 
     def check_invariants(self, tol: float = 1e-10) -> None:
         """Raise AssertionError if any structural invariant is violated."""
-        for r in self.rules + self.archive:
-            assert int(r.class_support.sum()) == r.support
-            assert np.linalg.eigvalsh(0.5 * (r.inv_cov + r.inv_cov.T))[0] > -tol
-            assert np.linalg.eigvalsh(0.5 * (r.rls_cov + r.rls_cov.T))[0] > -tol
-            if self.kind == "axis_parallel":
-                off = r.inv_cov - np.diag(np.diag(r.inv_cov))
-                assert np.all(off == 0.0)
+        for b in (self.rules, self.archive):
+            assert np.all(b.class_support >= 0) and np.all(b.supports >= 1)
+            for inv, psi in zip(b.inv, b.rls_cov):
+                eig = inv if b.diagonal else np.linalg.eigvalsh(0.5 * (inv + inv.T))
+                assert eig.min() > -tol
+                assert np.linalg.eigvalsh(0.5 * (psi + psi.T))[0] > -tol
 
 
 def extended_input(x: np.ndarray, mask: Optional[np.ndarray] = None) -> np.ndarray:

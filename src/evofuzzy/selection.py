@@ -122,17 +122,16 @@ def conflict_input(
     purity = []
     total_support = 0.0
     for m in models:
-        if not m.rules:
+        b = m.rules
+        if not b:
             continue
-        c = m._arrays()
         d2 = m.mahalanobis_sq(x, mask)
+        supports = b.supports
         with np.errstate(under="ignore"):
-            likes.append(np.exp(-d2) / np.sqrt(2.0 * math.pi * c["volumes"]))
-        priors.append(c["supports"])
-        purity.append(
-            (c["class_support"] + 1.0) / (c["supports"][:, None] + n_classes)
-        )
-        total_support += c["supports"].sum()
+            likes.append(np.exp(-d2) / np.sqrt(2.0 * math.pi * b.volumes))
+        priors.append(supports)
+        purity.append((b.class_support + 1.0) / (supports[:, None] + n_classes))
+        total_support += supports.sum()
     if not likes:
         return 1.0 / n_classes
     like = np.concatenate(likes)
@@ -164,16 +163,15 @@ def conflict_output(sigma: np.ndarray) -> float:
 class VirtualConsequentModel:
     """All rules of all members viewed as one flat consequent model.
 
-    Writes go through to the owning rules, so the feature-selection
-    gradient steps and the per-member least-squares updates share the
-    same parameters.
+    The gradient steps write straight into each member's consequent
+    array, so the feature-selection steps and the per-member
+    least-squares updates share the same parameters.
     """
 
     def __init__(self, models: Sequence[RuleClassifier], rate: float, reg: float):
         if rate <= 0 or reg <= 0:
             raise ValueError("rate and reg must be > 0")
         self.models = [m for m in models if m.rules]
-        self.rules = [r for m in self.models for r in m.rules]
         self.rate = rate
         self.reg = reg
 
@@ -187,11 +185,14 @@ class VirtualConsequentModel:
         return f / f.sum()
 
     def predict(self, x: np.ndarray, mask: Optional[np.ndarray] = None) -> np.ndarray:
-        lam = self.norm_firings(x, mask)
-        x_e = extended_input(x, mask)
-        scores = np.zeros(self.rules[0].weights.shape[1])
-        for w, r in zip(lam, self.rules):
-            scores += w * (x_e @ r.weights)
+        return self._scores(self.norm_firings(x, mask), extended_input(x, mask))
+
+    def _scores(self, lam: np.ndarray, x_e: np.ndarray) -> np.ndarray:
+        # accumulated rule by rule, in the flat order of the firings
+        weights = (w for m in self.models for w in m.rules.weights)
+        scores = np.zeros(self.models[0].n_classes)
+        for f, w in zip(lam, weights):
+            scores += f * (x_e @ w)
         return scores
 
     def gradients(
@@ -201,13 +202,15 @@ class VirtualConsequentModel:
         y_hat: Optional[np.ndarray] = None,
         mask: Optional[np.ndarray] = None,
     ) -> list:
-        """Per-rule gradient of E = 0.5 ||t - y||^2: lam_i outer(x_e, y - t)."""
+        """Gradient of E = 0.5 ||t - y||^2, lam_i outer(x_e, y - t) for
+        rule i: one (R, u+1, O) array per model, in the order of models."""
         lam = self.norm_firings(x, mask)
         x_e = extended_input(x, mask)
         if y_hat is None:
-            y_hat = self.predict(x, mask)
-        resid = y_hat - t_onehot
-        return [w * np.outer(x_e, resid) for w in lam]
+            y_hat = self._scores(lam, x_e)
+        g = np.outer(x_e, y_hat - t_onehot)
+        splits = np.cumsum([len(m.rules) for m in self.models])[:-1]
+        return [f[:, None, None] * g for f in np.split(lam, splits)]
 
     def sgd_step(
         self,
@@ -220,21 +223,20 @@ class VirtualConsequentModel:
 
         Each consequent takes the L2-regularized step
         W <- (1 - rate*reg) W - rate dE/dW and is then projected onto the
-        ball of radius 1/sqrt(reg).  Writes go through to the owning rules.
+        ball of radius 1/sqrt(reg).  Writes go to the models' arrays.
         """
-        grads = self.gradients(x, t_onehot, y_hat, mask)
         shrink = 1.0 - self.rate * self.reg
-        for g, r in zip(grads, self.rules):
-            r.weights *= shrink
-            r.weights -= self.rate * g
-            norm = float(np.linalg.norm(r.weights))
-            if norm > self.radius:
-                r.weights *= self.radius / norm
-        for m in self.models:
-            m._touch()
+        for m, g in zip(self.models, self.gradients(x, t_onehot, y_hat, mask)):
+            weights = m.rules.weights
+            weights *= shrink
+            weights -= self.rate * g
+            for w in weights:
+                norm = float(np.linalg.norm(w))
+                if norm > self.radius:
+                    w *= self.radius / norm
 
 
-def feature_scores(rules, n_features: int) -> np.ndarray:
+def feature_scores(models: Sequence[RuleClassifier], n_features: int) -> np.ndarray:
     """Per-feature sensitivity from consequent weight magnitudes.
 
     Absolute values prevent sign cancellation across rules and outputs;
@@ -242,8 +244,9 @@ def feature_scores(rules, n_features: int) -> np.ndarray:
     vector.
     """
     total = np.zeros(n_features)
-    for r in rules:
-        total += np.abs(r.weights[1:, :]).sum(axis=1)
+    for m in models:
+        for w in m.rules.weights:
+            total += np.abs(w[1:, :]).sum(axis=1)
     z = total.sum()
     if z <= 0.0:
         return np.full(n_features, 1.0 / n_features)
@@ -284,10 +287,8 @@ class Selectors:
     def ofs_enabled(self) -> bool:
         return self.ofs_b < self.n_features
 
-    def refresh_mask(self, models) -> None:
-        rules = [r for m in models for r in m.rules]
-        scores = feature_scores(rules, self.n_features)
-        self.mask = apply_mask(scores, self.ofs_b)
+    def refresh_mask(self, models: Sequence[RuleClassifier]) -> None:
+        self.mask = apply_mask(feature_scores(models, self.n_features), self.ofs_b)
 
     def snapshot(self) -> dict:
         return {

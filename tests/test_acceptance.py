@@ -235,23 +235,27 @@ class TestCriterion07ConsequentLearner:
         X = rng.normal(size=(n, u))
         X_e = np.hstack([np.ones((n, 1)), X])
         T = X_e @ rng.normal(size=(u + 1, o))
-        rule = FuzzyRule(
-            center=np.zeros(u),
-            inv_cov=np.eye(u),
-            support=1,
-            class_support=np.array([1, 0], dtype=np.int64),
-            weights=np.zeros((u + 1, o)),
-            rls_cov=1e8 * np.eye(u + 1),
+        model = RuleClassifier(u, o)
+        model.rules.append(
+            FuzzyRule(
+                center=np.zeros(u),
+                inv_cov=np.eye(u),
+                support=1,
+                class_support=np.array([1, 0], dtype=np.int64),
+                weights=np.zeros((u + 1, o)),
+                rls_cov=1e8 * np.eye(u + 1),
+            )
         )
+        rls_cov, weights = model.rules.rls_cov[0], model.rules.weights[0]
         for xe, t in zip(X_e, T):
-            weighted_rls_update(rule, 1.0, xe, t, 0.0)
+            weighted_rls_update(rls_cov, weights, 1.0, xe, t, 0.0)
         w_ls = np.linalg.lstsq(X_e, T, rcond=None)[0]
-        gap = float(np.max(np.abs(rule.weights - w_ls)))
+        gap = float(np.max(np.abs(weights - w_ls)))
         x_e = X_e[0]
-        t = x_e @ rule.weights
-        before = np.linalg.norm(rule.weights)
-        weighted_rls_update(rule, 1.0, x_e, t, 1e-7)
-        shrink = np.linalg.norm(rule.weights) < before
+        t = x_e @ weights
+        before = np.linalg.norm(weights)
+        weighted_rls_update(rls_cov, weights, 1.0, x_e, t, 1e-7)
+        shrink = np.linalg.norm(weights) < before
         ok = gap <= 1e-6 and shrink
         detail = (
             f"consequent learner: |W - lstsq| = {gap:.2e} (<=1e-6), "
@@ -279,7 +283,6 @@ class TestCriterion08FeatureSelectionGradient:
                         rls_cov=np.eye(4),
                     )
                 )
-                m._touch()
                 models.append(m)
             vm = VirtualConsequentModel(models, rate=0.05, reg=0.01)
             x = rng.normal(size=3)
@@ -295,16 +298,16 @@ class TestCriterion08FeatureSelectionGradient:
             grads = vm.gradients(x, t)
             h = 1e-6
             fds = []
-            for rule in vm.rules:
-                fd = np.zeros_like(rule.weights)
+            for w in (w for m in vm.models for w in m.rules.weights):
+                fd = np.zeros_like(w)
                 for i in range(4):
                     for j in range(2):
-                        orig = rule.weights[i, j]
-                        rule.weights[i, j] = orig + h
+                        orig = w[i, j]
+                        w[i, j] = orig + h
                         up = loss()
-                        rule.weights[i, j] = orig - h
+                        w[i, j] = orig - h
                         down = loss()
-                        rule.weights[i, j] = orig
+                        w[i, j] = orig
                         fd[i, j] = (up - down) / (2 * h)
                 fds.append(fd)
             g_all = np.concatenate([g.ravel() for g in grads])
@@ -324,10 +327,9 @@ class TestCriterion08FeatureSelectionGradient:
                     rls_cov=np.eye(4),
                 )
             )
-            m._touch()
             vm = VirtualConsequentModel([m], rate=0.5, reg=0.01)
             vm.sgd_step(rng.normal(size=3), np.array([0.0, 1.0]))
-            if np.linalg.norm(m.rules[0].weights) > vm.radius + 1e-12:
+            if np.linalg.norm(m.rules.weights[0]) > vm.radius + 1e-12:
                 bound_ok = False
         ok = worst_rel <= 1e-4 and bound_ok
         detail = (

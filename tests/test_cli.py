@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from evofuzzy.cli import main
 from evofuzzy.datagen import csv_dims, load_csv
 from evofuzzy.evaluate import read_metrics
@@ -74,6 +76,22 @@ class TestRun:
 
     def test_data_error_exit_code(self, tmp_path):
         assert run_cli("run", "--data", str(tmp_path / "missing.csv")) == 3
+
+    @pytest.mark.parametrize("bad", ["nan", "inf"])
+    def test_nonfinite_csv_value_is_data_error(self, tmp_path, capsys, bad):
+        data = tmp_path / "sea.csv"
+        run_cli("gen", "sea", "--n", "1000", "--seed", "2", "--out", str(data))
+        lines = data.read_text().splitlines()
+        fields = lines[100].split(",")
+        fields[1] = bad
+        lines[100] = ",".join(fields)
+        data.write_text("\n".join(lines) + "\n")
+        code = run_cli(
+            "run", "--data", str(data), "--stamps", "2", "--train", "250",
+            "--test", "250",
+        )
+        assert code == 3
+        assert f"{data}:101:" in capsys.readouterr().err
 
     def test_exhausted_stream_is_data_error(self):
         assert (

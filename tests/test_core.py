@@ -10,7 +10,6 @@ from evofuzzy.core import (
     Sample,
     StreamConfig,
     chunks,
-    minmax_scale,
     onehot,
 )
 
@@ -46,6 +45,16 @@ class TestRunningStandardizer:
         s = RunningStandardizer(3)
         with pytest.raises(DataError):
             s.fit_transform(np.array([1.0, 2.0]))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_nonfinite_rejected_without_update(self, bad):
+        s = RunningStandardizer(2)
+        s.fit_transform(np.array([1.0, 2.0]))
+        before = s.snapshot()
+        for step in (s.fit_transform, s.update, s.transform):
+            with pytest.raises(DataError):
+                step(np.array([0.5, bad]))
+        assert s.snapshot() == before
 
     @given(
         st.lists(
@@ -111,24 +120,6 @@ class TestChunks:
         assert all(a is b for a, b in zip(flat, samples))
 
 
-class TestMinmaxScale:
-    def test_endpoints(self):
-        out = minmax_scale(np.array([[0.0], [10.0]]))
-        assert np.allclose(out[:, 0], [0.1, 0.9])
-
-    def test_constant_column_maps_to_midpoint(self):
-        out = minmax_scale(np.array([[5.0], [5.0]]))
-        assert np.allclose(out[:, 0], [0.5, 0.5])
-
-    def test_affine_map(self):
-        out = minmax_scale(np.array([[0.0], [5.0], [10.0]]))
-        assert np.allclose(out[:, 0], [0.1, 0.5, 0.9])
-
-    def test_nonfinite_rejected(self):
-        with pytest.raises(DataError):
-            minmax_scale(np.array([[np.nan], [1.0]]))
-
-
 class TestStreamConfig:
     def test_alpha_ordering_enforced(self):
         with pytest.raises(ConfigError):
@@ -141,12 +132,6 @@ class TestStreamConfig:
     def test_ofs_b_range(self):
         with pytest.raises(ConfigError):
             StreamConfig(n_features=3, n_classes=2, ofs_b=5)
-
-    def test_unsupported_variants_error(self):
-        with pytest.raises(ConfigError):
-            StreamConfig(n_features=2, n_classes=2, al_budget=100)
-        with pytest.raises(ConfigError):
-            StreamConfig(n_features=2, n_classes=2, al_imbalance=True)
 
 
 class TestOnehot:

@@ -134,6 +134,13 @@ class TestCsv:
         with pytest.raises(DataError, match=":2:"):
             list(load_csv(path))
 
+    @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+    def test_nonfinite_feature_names_line(self, tmp_path, bad):
+        path = tmp_path / "bad.csv"
+        path.write_text(f"x1,x2,class\n0.5,1.5,1\n2.0,{bad},2\n")
+        with pytest.raises(DataError, match=":3: non-finite"):
+            list(load_csv(path))
+
     def test_header_contract_enforced(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("x1,x2,target\n1.0,2.0,1\n")

@@ -34,7 +34,6 @@ def constant_member(ens, scores):
             rls_cov=np.eye(u + 1),
         )
     )
-    m.model._touch()
     return m
 
 

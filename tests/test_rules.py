@@ -13,9 +13,8 @@ from evofuzzy.rules import (
     GrowDecision,
     GrowPruneParams,
     RuleClassifier,
+    _chi2_quantile,
     extended_input,
-    fire,
-    rule_volume,
     weighted_rls_update,
 )
 
@@ -38,34 +37,126 @@ def make_rule(center, inv_cov, weights=None, support=1, class_support=None, n_cl
     )
 
 
+def one_rule_model(center, inv_cov, kind="axis_parallel", **kw):
+    model = RuleClassifier(len(center), 2, kind=kind)
+    model.rules.append(make_rule(center, inv_cov, **kw))
+    return model
+
+
+KINDS = ("axis_parallel", "multivariate")
+
+
 class TestFire:
+    """Firing exp(-d) of a one-rule model, d from mahalanobis_sq, for
+    both kinds of dispersion."""
+
     def test_unit_at_center(self):
-        r = make_rule([1.0, -2.0], np.eye(2))
-        assert fire(r, np.array([1.0, -2.0])) == 1.0
+        for kind in KINDS:
+            model = one_rule_model([1.0, -2.0], np.eye(2), kind)
+            assert math.exp(-model.mahalanobis_sq(np.array([1.0, -2.0]))[0]) == 1.0
 
     def test_identity_dispersion_basis_vector(self):
-        r = make_rule([0.0, 0.0], np.eye(2))
-        assert fire(r, np.array([1.0, 0.0])) == pytest.approx(math.exp(-1.0), rel=1e-12)
+        for kind in KINDS:
+            model = one_rule_model([0.0, 0.0], np.eye(2), kind)
+            d2 = model.mahalanobis_sq(np.array([1.0, 0.0]))[0]
+            assert math.exp(-d2) == pytest.approx(math.exp(-1.0), rel=1e-12)
 
     def test_diagonal_dispersion(self):
-        r = make_rule([0.0, 0.0], np.diag([4.0, 1.0]))
-        assert fire(r, np.array([0.5, 0.0])) == pytest.approx(math.exp(-1.0), rel=1e-12)
+        for kind in KINDS:
+            model = one_rule_model([0.0, 0.0], np.diag([4.0, 1.0]), kind)
+            d2 = model.mahalanobis_sq(np.array([0.5, 0.0]))[0]
+            assert math.exp(-d2) == pytest.approx(math.exp(-1.0), rel=1e-12)
 
     def test_mask_zeroes_contribution(self):
-        r = make_rule([0.0, 0.0], np.eye(2))
         mask = np.array([1.0, 0.0])
-        assert fire(r, np.array([0.0, 9.0]), mask) == 1.0
+        for kind in KINDS:
+            model = one_rule_model([0.0, 0.0], np.eye(2), kind)
+            assert math.exp(-model.mahalanobis_sq(np.array([0.0, 9.0]), mask)[0]) == 1.0
 
 
 class TestRuleVolume:
+    """The stored volume det(Sigma) of a one-rule model."""
+
     def test_identity(self):
-        assert rule_volume(make_rule([0, 0], np.eye(2))) == pytest.approx(1.0)
+        for kind in KINDS:
+            model = one_rule_model([0, 0], np.eye(2), kind)
+            assert model.rules.volumes[0] == pytest.approx(1.0)
 
     def test_tight_rule(self):
-        assert rule_volume(make_rule([0, 0], np.diag([4.0, 4.0]))) == pytest.approx(1 / 16)
+        for kind in KINDS:
+            model = one_rule_model([0, 0], np.diag([4.0, 4.0]), kind)
+            assert model.rules.volumes[0] == pytest.approx(1 / 16)
 
     def test_wide_rule(self):
-        assert rule_volume(make_rule([0, 0], np.diag([0.25, 1.0]))) == pytest.approx(4.0)
+        for kind in KINDS:
+            model = one_rule_model([0, 0], np.diag([0.25, 1.0]), kind)
+            assert model.rules.volumes[0] == pytest.approx(4.0)
+
+    def test_volume_follows_dispersion_updates(self):
+        rng = np.random.default_rng(1)
+        for kind in KINDS:
+            model = RuleClassifier(3, 2, kind=kind)
+            for _ in range(40):
+                model.train_sample(rng.normal(size=3), int(rng.integers(1, 3)))
+            for i in range(len(model.rules)):
+                det = np.linalg.det(model.rules.record(i).inv_cov)
+                assert model.rules.volumes[i] == pytest.approx(1.0 / det, rel=1e-12)
+
+
+class TestRuleBank:
+    def test_axis_parallel_bank_rejects_full_dispersion(self):
+        model = RuleClassifier(2, 2)
+        with pytest.raises(ValueError):
+            model.rules.append(make_rule([0.0, 0.0], [[1.0, 0.5], [0.5, 1.0]]))
+        assert len(model.rules) == 0
+
+    def test_indefinite_dispersion_rejected(self):
+        for kind in KINDS:
+            model = RuleClassifier(2, 2, kind=kind)
+            with pytest.raises(FloatingPointError):
+                model.rules.append(make_rule([0.0, 0.0], np.diag([1.0, -1.0])))
+            assert len(model.rules) == 0
+
+    def test_support_must_match_class_supports(self):
+        model = RuleClassifier(2, 2)
+        with pytest.raises(ValueError):
+            model.rules.append(make_rule([0.0, 0.0], np.eye(2), support=3, class_support=[1, 1]))
+
+    def test_pop_returns_the_record_it_was_given(self):
+        model = RuleClassifier(2, 2, kind="multivariate")
+        rules = [
+            make_rule([float(i), 1.0], np.eye(2) * (i + 1), weights=np.full((3, 2), float(i)))
+            for i in range(3)
+        ]
+        for r in rules:
+            model.rules.append(r)
+        got = model.rules.pop(1)
+        assert json.dumps(got.snapshot()) == json.dumps(rules[1].snapshot())
+        assert [model.rules.record(i).snapshot() for i in range(2)] == [
+            rules[0].snapshot(), rules[2].snapshot()
+        ]
+
+
+class TestChi2Quantile:
+    def test_matches_scipy_stats_exactly(self):
+        for q in (0.5, 0.9, 0.95, 0.99, 0.999):
+            for df in range(1, 60):
+                assert _chi2_quantile(q, df) == float(chi2.ppf(q, df))
+
+    def test_package_import_leaves_scipy_stats_out(self):
+        import os
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        import evofuzzy
+
+        env = dict(os.environ, PYTHONPATH=str(Path(evofuzzy.__file__).parents[1]))
+        code = "import sys, evofuzzy; print('scipy.stats' in sys.modules)"
+        out = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env
+        )
+        assert out.stdout.strip() == "False"
 
 
 class TestInfer:
@@ -73,7 +164,6 @@ class TestInfer:
         model = RuleClassifier(2, 2)
         w = np.array([[0.2, 0.8], [1.0, -1.0], [0.5, 0.0]])
         model.rules.append(make_rule([0.0, 0.0], np.eye(2), weights=w))
-        model._touch()
         x = np.array([0.3, -0.7])
         scores, cls = model.infer(x)
         expected = extended_input(x) @ w
@@ -84,11 +174,9 @@ class TestInfer:
         w = np.array([[0.2, 0.8], [1.0, -1.0], [0.5, 0.0]])
         single = RuleClassifier(2, 2)
         single.rules.append(make_rule([0.0, 0.0], np.eye(2), weights=w))
-        single._touch()
         double = RuleClassifier(2, 2)
         double.rules.append(make_rule([0.0, 0.0], np.eye(2), weights=w))
         double.rules.append(make_rule([0.0, 0.0], np.eye(2), weights=w))
-        double._touch()
         x = np.array([0.4, 0.1])
         assert np.allclose(single.infer(x)[0], double.infer(x)[0], rtol=1e-12)
 
@@ -98,7 +186,6 @@ class TestInfer:
         model = RuleClassifier(2, 2)
         model.rules.append(make_rule([0.0, 0.0], np.eye(2), weights=wa))
         model.rules.append(make_rule([2.0, 0.0], np.eye(2), weights=wb))
-        model._touch()
         x = np.array([0.0, 0.0])  # at rule A's center
         fa, fb = 1.0, math.exp(-4.0)
         la, lb = fa / (fa + fb), fb / (fa + fb)
@@ -117,7 +204,6 @@ class TestInfer:
         model.rules.append(make_rule([0.0, 0.0], np.eye(2)))
         model.rules.append(make_rule([3.0, -1.0], np.diag([2.0, 0.5])))
         model.rules.append(make_rule([-40.0, 40.0], np.eye(2)))
-        model._touch()
         lam = model.norm_firings(np.array(xs))
         assert lam.sum() == pytest.approx(1.0, abs=1e-12)
         assert np.all(lam >= 0)
@@ -133,7 +219,6 @@ class TestGrowCheck:
         w = np.zeros((3, 2))
         w[0] = [1.0, 0.0]  # predicts class 1 exactly at the center
         model.rules.append(make_rule([0.0, 0.0], np.eye(2), weights=w, support=5))
-        model._touch()
         d = model.grow_check(np.zeros(2), np.array([1.0, 0.0]))
         assert d is GrowDecision.UPDATE
 
@@ -142,7 +227,6 @@ class TestGrowCheck:
         w = np.zeros((3, 2))
         w[0] = [1.0, 0.0]
         model.rules.append(make_rule([0.0, 0.0], np.eye(2), weights=w, support=30))
-        model._touch()
         rng = np.random.default_rng(0)
         history = [rng.normal(0.0, 0.5, size=2) for _ in range(30)]
         for h in history:
@@ -179,7 +263,6 @@ class TestGrowCheck:
         w[0] = [1.0, 0.0]
         # volume = 1/det = 1e4 > 0.25 * 6^2 = 9
         model.rules.append(make_rule([0.0, 0.0], np.diag([0.01, 0.01]), weights=w))
-        model._touch()
         d = model.grow_check(np.zeros(2), np.array([1.0, 0.0]))
         assert d is GrowDecision.VOLUME_FORCED
         assert d.grows
@@ -189,7 +272,7 @@ class TestAddRule:
     def test_first_rule_fields(self):
         model = RuleClassifier(2, 2)
         model.add_rule(np.array([0.0, 0.0]), np.array([1.0, 0.0]))
-        r = model.rules[0]
+        r = model.rules.record(0)
         assert np.array_equal(r.center, [0.0, 0.0])
         assert np.array_equal(r.inv_cov, np.eye(2))
         assert r.support == 1
@@ -203,41 +286,40 @@ class TestAddRule:
         model.add_rule(np.array([0.0, 0.0]), np.array([1.0, 0.0]))
         model.add_rule(np.array([2.0, 0.0]), np.array([0.0, 1.0]))
         # distance 2 -> sigma0 = 1 -> identity dispersion
-        assert np.allclose(model.rules[1].inv_cov, np.eye(2))
+        assert np.allclose(model.rules.record(1).inv_cov, np.eye(2))
 
     def test_spread_floor(self):
         model = RuleClassifier(2, 2)
         model.add_rule(np.array([0.0, 0.0]), np.array([1.0, 0.0]))
         model.add_rule(np.array([0.05, 0.0]), np.array([0.0, 1.0]))
         # sigma0 floored at 0.1 -> inv_cov = 100 I
-        assert np.allclose(model.rules[1].inv_cov, 100.0 * np.eye(2))
+        assert np.allclose(model.rules.record(1).inv_cov, 100.0 * np.eye(2))
 
     def test_consequent_copied_from_winner(self):
         model = RuleClassifier(2, 2)
         model.add_rule(np.array([0.0, 0.0]), np.array([1.0, 0.0]))
-        model.rules[0].weights[:] = 7.0
-        model._touch()
+        model.rules.weights[0] = 7.0
         model.add_rule(np.array([2.0, 0.0]), np.array([0.0, 1.0]))
-        assert np.all(model.rules[1].weights == 7.0)
+        assert np.all(model.rules.weights[1] == 7.0)
 
 
 class TestUpdateWinner:
     def test_center_hit_is_noop_on_geometry(self):
         model = RuleClassifier(2, 2)
         model.add_rule(np.array([1.0, 1.0]), np.array([1.0, 0.0]))
-        before_c = model.rules[0].center.copy()
-        before_s = model.rules[0].inv_cov.copy()
+        before_c = model.rules.record(0).center.copy()
+        before_s = model.rules.record(0).inv_cov.copy()
         model.update_winner(np.array([1.0, 1.0]), 1)
-        assert np.array_equal(model.rules[0].center, before_c)
-        assert np.array_equal(model.rules[0].inv_cov, before_s)
-        assert model.rules[0].support == 2
+        assert np.array_equal(model.rules.record(0).center, before_c)
+        assert np.array_equal(model.rules.record(0).inv_cov, before_s)
+        assert model.rules.record(0).support == 2
 
     def test_class_support_tracks_labels(self):
         model = RuleClassifier(2, 2)
         model.add_rule(np.array([0.0, 0.0]), np.array([1.0, 0.0]))
         for label in (1, 2, 2, 1, 1):
             model.update_winner(np.array([0.1, -0.1]), label)
-        r = model.rules[0]
+        r = model.rules.record(0)
         assert r.support == 6
         assert np.array_equal(r.class_support, [4, 2])
 
@@ -250,7 +332,7 @@ class TestUpdateWinner:
         model.add_rule(xs[0], np.array([1.0, 0.0]))
         for x in xs[1:]:
             model.update_winner(x, 1)
-        r = model.rules[0]
+        r = model.rules.record(0)
         # center is the exact running mean of all absorbed samples
         assert np.allclose(r.center, xs.mean(axis=0), rtol=1e-9, atol=1e-9)
         se = np.sqrt(np.diag(true_cov) / len(xs))
@@ -265,18 +347,18 @@ class TestUpdateWinner:
         model.add_rule(rng.normal(size=2), np.array([1.0, 0.0]))
         for _ in range(50):
             model.update_winner(rng.normal(size=2), int(rng.integers(1, 3)))
-        off = model.rules[0].inv_cov - np.diag(np.diag(model.rules[0].inv_cov))
+        off = model.rules.record(0).inv_cov - np.diag(np.diag(model.rules.record(0).inv_cov))
         assert np.all(off == 0.0)
 
     def test_masked_features_stay_frozen(self):
         model = RuleClassifier(2, 2, kind="axis_parallel")
         model.add_rule(np.array([0.0, 5.0]), np.array([1.0, 0.0]))
         mask = np.array([1.0, 0.0])
-        before = model.rules[0].inv_cov[1, 1]
+        before = model.rules.record(0).inv_cov[1, 1]
         for x in ([1.0, -3.0], [0.5, 8.0], [-0.7, 0.0]):
             model.update_winner(np.array(x), 1, mask)
-        assert model.rules[0].center[1] == 5.0
-        assert model.rules[0].inv_cov[1, 1] == before
+        assert model.rules.record(0).center[1] == 5.0
+        assert model.rules.record(0).inv_cov[1, 1] == before
 
 
 class TestWeightedRls:
@@ -290,7 +372,7 @@ class TestWeightedRls:
         rule = make_rule(np.zeros(u), np.eye(u), weights=np.zeros((u + 1, o)))
         rule.rls_cov = 1e8 * np.eye(u + 1)
         for xe, t in zip(X_e, T):
-            weighted_rls_update(rule, 1.0, xe, t, 0.0)
+            weighted_rls_update(rule.rls_cov, rule.weights, 1.0, xe, t, 0.0)
         w_ls = np.linalg.lstsq(X_e, T, rcond=None)[0]
         assert np.max(np.abs(rule.weights - w_ls)) <= 1e-6
 
@@ -299,7 +381,7 @@ class TestWeightedRls:
         x_e = np.array([1.0, 0.5])
         t = x_e @ rule.weights  # exactly on the model
         before = rule.weights.copy()
-        weighted_rls_update(rule, 1.0, x_e, t, 0.0)
+        weighted_rls_update(rule.rls_cov, rule.weights, 1.0, x_e, t, 0.0)
         assert np.array_equal(rule.weights, before)
 
     def test_decay_strictly_shrinks_on_zero_error(self):
@@ -307,7 +389,7 @@ class TestWeightedRls:
         x_e = np.array([1.0, 0.5])
         t = x_e @ rule.weights
         before = np.linalg.norm(rule.weights)
-        weighted_rls_update(rule, 1.0, x_e, t, 1e-7)
+        weighted_rls_update(rule.rls_cov, rule.weights, 1.0, x_e, t, 1e-7)
         assert np.linalg.norm(rule.weights) < before
 
 
@@ -317,9 +399,8 @@ class TestPrune:
         model = RuleClassifier(2, 2, hyper=hyper)
         model.add_rule(np.array([0.0, 0.0]), np.array([1.0, 0.0]))
         model.add_rule(np.array([8.0, 8.0]), np.array([0.0, 1.0]))
-        for r in model.rules:
-            r.age = age
-            r.activity = 0.5
+        model.rules.age[:] = age
+        model.rules.activity[:] = 0.5
         return model
 
     def test_inactive_rule_pruned_per_recurrence_oracle(self):
@@ -345,8 +426,7 @@ class TestPrune:
         model = RuleClassifier(2, 2, hyper=hyper)
         model.add_rule(np.array([0.0, 0.0]), np.array([1.0, 0.0]))
         model.add_rule(np.array([10.0, 10.0]), np.array([0.0, 1.0]))
-        for r in model.rules:
-            r.age = 100
+        model.rules.age[:] = 100
         rng = np.random.default_rng(5)
         for _ in range(30):  # stream near the first rule: builds its peak
             model.rde.update(rng.normal(0.0, 0.3, 2))
@@ -361,13 +441,13 @@ class TestPrune:
                 pruned = True
                 break
         assert pruned
-        assert np.array_equal(model.rules[0].center, [10.0, 10.0])
+        assert np.array_equal(model.rules.record(0).center, [10.0, 10.0])
 
     def test_last_rule_never_pruned(self):
         model = RuleClassifier(2, 2)
         model.add_rule(np.array([0.0, 0.0]), np.array([1.0, 0.0]))
-        model.rules[0].age = 10_000
-        model.rules[0].activity = 0.0
+        model.rules.age[0] = 10_000
+        model.rules.activity[0] = 0.0
         assert model.prune_check(np.array([0.0])) == []
         assert len(model.rules) == 1
 
@@ -382,13 +462,14 @@ class TestRecall:
         model.add_rule(np.array([5.0, 5.0]), np.array([1.0, 0.0]))
         archived = make_rule([0.0, 0.0], np.eye(2), weights=np.full((3, 2), 3.0))
         model.archive.append(archived)
-        w_before = archived.weights.copy()
         got = model.recall_check(np.array([0.0, 0.0]))
-        assert got is archived
-        assert archived in model.rules
-        assert model.archive == []
+        assert got is not None
+        assert len(model.rules) == 2
+        assert np.array_equal(model.rules.centers[1], [0.0, 0.0])
+        assert len(model.archive) == 0
         # consequent survives recall bit-exactly
-        assert np.array_equal(archived.weights, w_before)
+        assert np.array_equal(got.weights, archived.weights)
+        assert np.array_equal(model.rules.weights[1], archived.weights)
 
     def test_weak_archived_rule_stays_archived(self):
         model = RuleClassifier(2, 2)
@@ -418,13 +499,15 @@ class TestRecall:
                     model.train_sample(x, label)
 
             phase([0.0, 0.0], 1, 150, 0.6)
-            a_rules = set(id(r) for r in model.rules)
+            # rules have no identity beyond their arrays: an archived rule
+            # keeps its center, and only a recall takes it out of the archive
+            a_rules = set(map(tuple, model.rules.centers))
             phase([12.0, 12.0], 2, 400, 0.6)
-            archived_a = set(id(r) for r in model.archive) & a_rules
+            archived_a = set(map(tuple, model.archive.centers)) & a_rules
             if not archived_a:
                 continue
             phase([0.0, 0.0], 1, 100, 0.25)
-            if set(id(r) for r in model.rules) & archived_a:
+            if archived_a - set(map(tuple, model.archive.centers)):
                 hits += 1
         assert hits >= len(seeds) / 2
 
@@ -498,14 +581,31 @@ class TestSnapshot:
         blob = json.dumps(model.snapshot())
         clone = RuleClassifier.from_snapshot(json.loads(blob))
         assert len(clone.rules) == len(model.rules)
-        for a, b in zip(model.rules, clone.rules):
-            assert np.array_equal(a.center, b.center)
-            assert np.array_equal(a.inv_cov, b.inv_cov)
-            assert np.array_equal(a.weights, b.weights)
-            assert np.array_equal(a.rls_cov, b.rls_cov)
-            assert a.support == b.support
+        for name in ("centers", "inv", "volumes", "weights", "rls_cov", "class_support"):
+            assert np.array_equal(getattr(model.rules, name), getattr(clone.rules, name))
         x = rng.normal(size=2)
         assert np.array_equal(model.infer(x)[0], clone.infer(x)[0])
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_roundtrip_with_archive_stays_in_step(self, kind):
+        rng = np.random.default_rng(12)
+        hyper = GrowPruneParams(age_min=30, potential_frac=0.6, density_sigmas=1.0)
+        model = RuleClassifier(2, 2, hyper=hyper, kind=kind)
+
+        def phase(models, center, label, n, spread):
+            for _ in range(n):
+                x = np.asarray(center) + rng.normal(0.0, spread, 2)
+                for m in models:
+                    m.train_sample(x, label)
+
+        phase([model], [0.0, 0.0], 1, 150, 0.6)
+        phase([model], [12.0, 12.0], 2, 400, 0.6)
+        assert len(model.archive) > 0
+        blob = json.dumps(model.snapshot())
+        clone = RuleClassifier.from_snapshot(json.loads(blob))
+        assert json.dumps(clone.snapshot()) == blob
+        phase([model, clone], [0.0, 0.0], 1, 100, 0.25)
+        assert json.dumps(clone.snapshot()) == json.dumps(model.snapshot())
 
     def test_infer_is_pure(self):
         model = RuleClassifier(2, 2)

@@ -34,7 +34,6 @@ def model_with_rules(specs, n_classes=2, u=2):
                 rls_cov=np.eye(u + 1),
             )
         )
-    m._touch()
     return m
 
 
@@ -162,13 +161,12 @@ class TestVirtualModel:
     def test_zero_error_only_shrinks_weights(self):
         m = model_with_rules([([0.0, 0.0], [1.0, 1.0], [1, 0], None)])
         w0 = np.array([[1.0, 0.0], [0.4, -0.2], [0.1, 0.3]])
-        m.rules[0].weights = w0.copy()
-        m._touch()
+        m.rules.weights[0] = w0
         vm = VirtualConsequentModel([m], rate=0.05, reg=0.01)
         x = np.zeros(2)  # x_e = (1, 0, 0): prediction is the intercept row
         t = w0[0].copy()
         vm.sgd_step(x, t)
-        assert np.allclose(m.rules[0].weights, (1 - 0.05 * 0.01) * w0, rtol=1e-12)
+        assert np.allclose(m.rules.weights[0], (1 - 0.05 * 0.01) * w0, rtol=1e-12)
 
     def test_projection_scale(self):
         # reg = 0.01 -> radius 10; a weight matrix of norm 20 lands exactly
@@ -176,12 +174,11 @@ class TestVirtualModel:
         m = model_with_rules([([0.0, 0.0], [1.0, 1.0], [1, 0], None)])
         w0 = np.zeros((3, 2))
         w0[0, 0] = 20.0
-        m.rules[0].weights = w0.copy()
-        m._touch()
+        m.rules.weights[0] = w0
         vm = VirtualConsequentModel([m], rate=0.05, reg=0.01)
         x = np.zeros(2)
         vm.sgd_step(x, t_onehot=np.array([w0[0, 0] * (1 - 0.05 * 0.01), 0.0]))
-        assert np.allclose(m.rules[0].weights, 0.5 * w0, rtol=1e-12)
+        assert np.allclose(m.rules.weights[0], 0.5 * w0, rtol=1e-12)
 
     def test_gradient_matches_central_differences(self):
         rng = np.random.default_rng(2)
@@ -201,17 +198,19 @@ class TestVirtualModel:
 
         grads = vm.gradients(x, t)
         h = 1e-6
-        for rule, g in zip(vm.rules, grads):
-            for i in range(rule.weights.shape[0]):
-                for j in range(rule.weights.shape[1]):
-                    orig = rule.weights[i, j]
-                    rule.weights[i, j] = orig + h
-                    up = loss()
-                    rule.weights[i, j] = orig - h
-                    down = loss()
-                    rule.weights[i, j] = orig
-                    fd = (up - down) / (2 * h)
-                    assert g[i, j] == pytest.approx(fd, rel=1e-4, abs=1e-8)
+        assert len(grads) == len(vm.models)
+        for m, g in zip(vm.models, grads):
+            w = m.rules.weights
+            assert g.shape == w.shape
+            for idx in np.ndindex(w.shape):
+                orig = w[idx]
+                w[idx] = orig + h
+                up = loss()
+                w[idx] = orig - h
+                down = loss()
+                w[idx] = orig
+                fd = (up - down) / (2 * h)
+                assert g[idx] == pytest.approx(fd, rel=1e-4, abs=1e-8)
 
     @given(st.integers(0, 2**32 - 1))
     @settings(max_examples=25, deadline=None)
@@ -226,27 +225,27 @@ class TestVirtualModel:
         vm = VirtualConsequentModel([m], rate=0.5, reg=0.01)
         for _ in range(5):
             vm.sgd_step(rng.normal(size=2), np.array([1.0, 0.0]))
-        for r in m.rules:
-            assert np.linalg.norm(r.weights) <= vm.radius + 1e-12
+        for w in m.rules.weights:
+            assert np.linalg.norm(w) <= vm.radius + 1e-12
 
 
 class TestFeatureScores:
     def test_direct_evaluation(self):
         m = model_with_rules([([0.0, 0.0], [1.0, 1.0], [1, 0], None)])
-        m.rules[0].weights = np.array([[9.0, 0.0], [2.0, 0.0], [1.0, 0.0]])
-        scores = feature_scores(m.rules, 2)
+        m.rules.weights[0] = [[9.0, 0.0], [2.0, 0.0], [1.0, 0.0]]
+        scores = feature_scores([m], 2)
         assert np.allclose(scores, [2 / 3, 1 / 3])
 
     def test_absolute_values_prevent_cancellation(self):
         m = model_with_rules([([0.0, 0.0], [1.0, 1.0], [1, 0], None)])
-        m.rules[0].weights = np.array([[0.0, 0.0], [2.0, 0.0], [-2.0, 0.0]])
-        assert np.allclose(feature_scores(m.rules, 2), [0.5, 0.5])
-        m.rules[0].weights = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 0.0]])
-        assert np.allclose(feature_scores(m.rules, 2), [0.5, 0.5])
+        m.rules.weights[0] = [[0.0, 0.0], [2.0, 0.0], [-2.0, 0.0]]
+        assert np.allclose(feature_scores([m], 2), [0.5, 0.5])
+        m.rules.weights[0] = [[0.0, 0.0], [1.0, 0.0], [1.0, 0.0]]
+        assert np.allclose(feature_scores([m], 2), [0.5, 0.5])
 
     def test_all_zero_weights_uniform(self):
         m = model_with_rules([([0.0, 0.0], [1.0, 1.0], [1, 0], None)])
-        assert np.allclose(feature_scores(m.rules, 2), [0.5, 0.5])
+        assert np.allclose(feature_scores([m], 2), [0.5, 0.5])
 
     @given(st.integers(0, 2**32 - 1))
     @settings(max_examples=30)
@@ -255,7 +254,7 @@ class TestFeatureScores:
         m = model_with_rules(
             [([0.0, 0.0], [1.0, 1.0], [1, 0], rng.normal(size=(3, 2)))]
         )
-        s = feature_scores(m.rules, 2)
+        s = feature_scores([m], 2)
         assert np.all(s >= 0)
         assert s.sum() == pytest.approx(1.0)
 
