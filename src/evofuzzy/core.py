@@ -155,10 +155,14 @@ class RunningStandardizer:
         return self._scale(x)
 
     def _absorb(self, x: np.ndarray) -> None:
-        self.count += 1
-        delta = x - self.mean
-        self.mean += delta / self.count
-        self.m2 += delta * (x - self.mean)
+        count = self.count + 1
+        with np.errstate(over="ignore", invalid="ignore"):
+            delta = x - self.mean
+            mean = self.mean + delta / count
+            m2 = self.m2 + delta * (x - mean)
+        if not np.isfinite(m2).all():
+            raise DataError("feature values overflow the running statistics")
+        self.count, self.mean, self.m2 = count, mean, m2
 
     def _scale(self, x: np.ndarray) -> np.ndarray:
         if self.count < 2:

@@ -297,9 +297,6 @@ class ChunkReport:
     feature_scores: list = field(default_factory=list)
     betas: list = field(default_factory=list)
 
-    def to_dict(self) -> dict:
-        return asdict(self)
-
 
 # A fresh drift member must absorb at least this many accepted samples
 # before it votes; otherwise it keeps training through the next chunk.
@@ -357,9 +354,10 @@ class Ensemble:
 
     # -- prediction ---------------------------------------------------------
 
-    def predict(self, z: np.ndarray, mask: Optional[np.ndarray] = None):
+    def predict(self, z: np.ndarray, d2s: dict, mask: Optional[np.ndarray] = None):
         """Weighted vote sigma_o = sum_i beta_i y_io over mature members.
 
+        d2s maps each voter to mahalanobis_sq(z, mask) on its rules.
         Returns (global scores, predicted class, per-voter score list).
         Members without rules contribute zero.
         """
@@ -369,7 +367,7 @@ class Ensemble:
         member_scores = []
         for m in self.voters():
             if m.model.rules:
-                s, _ = m.model.infer(z, mask)
+                s, _ = m.model.infer(z, d2s[m], mask)
             else:
                 s = np.zeros(self.cfg.n_classes)
             member_scores.append(s)
@@ -379,7 +377,8 @@ class Ensemble:
     def score_sample(self, x_raw: np.ndarray, mask: Optional[np.ndarray] = None):
         """Frozen scoring for test blocks: no statistics are updated."""
         z = self.standardizer.transform(np.asarray(x_raw, dtype=float))
-        sigma, cls, _ = self.predict(z, mask)
+        d2s = {m: m.model.mahalanobis_sq(z, mask) for m in self.voters()}
+        sigma, cls, _ = self.predict(z, d2s, mask)
         return sigma, cls
 
     # -- weight adaptation ----------------------------------------------------
@@ -481,7 +480,8 @@ class Ensemble:
         Rejected samples receive a prediction only.  Accepted samples feed
         the weight update, the pairwise output moments, and the drift
         detector; the phase decides the structural action.  Each sample is
-        touched exactly once.
+        touched exactly once, and its distances to each member's rules are
+        computed once per rule state and passed to every step that reads them.
         """
         if len(chunk) == 0:
             raise DataError("empty chunk")
@@ -494,7 +494,8 @@ class Ensemble:
         for s in chunk.samples:
             z = self.standardizer.fit_transform(s.x)
             mask = selectors.mask.active if selectors.ofs_enabled else None
-            sigma, cls, member_scores = self.predict(z, mask)
+            d2s = {m: m.model.mahalanobis_sq(z, mask) for m in self.members}
+            sigma, cls, member_scores = self.predict(z, d2s, mask)
             rep.seen += 1
             if s.label is not None and cls == s.label:
                 rep.correct += 1
@@ -504,11 +505,7 @@ class Ensemble:
                 # the selector starts filtering
                 take = True
             else:
-                models = [m.model for m in self.members if m.model.rules]
-                if models:
-                    p_in = conflict_input(models, z, mask)
-                else:
-                    p_in = 1.0 / self.cfg.n_classes
+                p_in = conflict_input([m.model for m in d2s], list(d2s.values()))
                 p_out = conflict_output(sigma)
                 take = selectors.al.decide(
                     ConflictScores(p_in, p_out), selectors.conjunction
@@ -533,26 +530,24 @@ class Ensemble:
             phase = self.detector.step(0.0 if cls == label else 1.0)
             if phase == "drift":
                 rep.drifts += 1
-                self._new_member(bootstrapping=True)
+                m = self._new_member(bootstrapping=True)
+                d2s[m] = m.model.mahalanobis_sq(z, mask)
             elif phase == "warning":
                 rep.warnings += 1
             else:
-                widx = self.select_winner()
-                self.members[widx].model.train_sample(z, label, mask)
+                m = self.members[self.select_winner()]
+                d2s[m] = m.model.train_sample(z, label, d2s[m], mask)
             for m in self.members:
                 if m.bootstrapping:
-                    m.model.train_sample(z, label, mask)
+                    d2s[m] = m.model.train_sample(z, label, d2s[m], mask)
                     m.bootstrap_count += 1
             if selectors.ofs_enabled:
                 activations += selectors.mask.active
                 if cls != label:
                     vm = VirtualConsequentModel(
-                        [m.model for m in self.members],
-                        selectors.ofs_rate,
-                        selectors.ofs_reg,
+                        [m.model for m in d2s], selectors.ofs_rate, selectors.ofs_reg
                     )
-                    if vm.models:
-                        vm.sgd_step(z, t, mask=mask)
+                    vm.sgd_step(z, t, list(d2s.values()), mask)
                 selectors.refresh_mask([m.model for m in self.members])
         for m in self.members:
             if m.bootstrapping:

@@ -375,6 +375,8 @@ class RuleClassifier:
     """An evolving bank of fuzzy rules plus a bank of pruned (archived) ones.
 
     One trainer mutates a classifier; inference on a snapshot is pure.
+    An argument d2 is mahalanobis_sq(x, mask) on the rules as they stand and
+    win the winner on them (None without rules), so each is computed once.
     """
 
     def __init__(
@@ -406,13 +408,7 @@ class RuleClassifier:
         """Squared Mahalanobis distance from x to every rule center."""
         return self.rules.mahalanobis_sq(x, mask)
 
-    def norm_firings(self, x: np.ndarray, mask: Optional[np.ndarray] = None) -> np.ndarray:
-        """Normalized firing strengths; always sum to 1 over rules."""
-        d2 = self.mahalanobis_sq(x, mask)
-        f = np.exp(-(d2 - d2.min()))  # shift-invariant, avoids underflow
-        return f / f.sum()
-
-    def infer(self, x: np.ndarray, mask: Optional[np.ndarray] = None):
+    def infer(self, x: np.ndarray, d2: np.ndarray, mask: Optional[np.ndarray] = None):
         """Weighted-consequent scores and the predicted class.
 
         scores_o = sum_i lam_i * (x_e @ W_i)_o; the predicted class is the
@@ -420,7 +416,7 @@ class RuleClassifier:
         """
         if not self.rules:
             raise EmptyModelError("classifier has no rules")
-        lam = self.norm_firings(x, mask)
+        lam = firings(d2)
         x_e = extended_input(x, mask)
         per_rule = np.einsum("e,reo->ro", x_e, self.rules.weights)
         scores = lam @ per_rule
@@ -428,7 +424,7 @@ class RuleClassifier:
 
     # -- structure learning ----------------------------------------------
 
-    def _winner_index(self, x: np.ndarray, label: int, mask: Optional[np.ndarray]) -> int:
+    def winner(self, d2: np.ndarray, label: int) -> int:
         """Log-softened winner: firing, prior, and class purity combined.
 
         Rules whose volume already exceeds the growth cap are skipped while
@@ -437,7 +433,6 @@ class RuleClassifier:
         is supposed to relieve it never hands the region to the new rules.
         """
         b = self.rules
-        d2 = self.mahalanobis_sq(x, mask)
         supports = b.supports
         log_prior = np.log(supports / supports.sum())
         purity = (b.class_support[:, label - 1] + 1.0) / (supports + self.n_classes)
@@ -448,7 +443,12 @@ class RuleClassifier:
         return int(np.argmax(score))
 
     def grow_check(
-        self, x: np.ndarray, t_onehot: np.ndarray, mask: Optional[np.ndarray] = None
+        self,
+        x: np.ndarray,
+        t_onehot: np.ndarray,
+        d2: np.ndarray,
+        win: Optional[int],
+        mask: Optional[np.ndarray] = None,
     ) -> GrowDecision:
         """Decide between growing a rule and updating the winner.
 
@@ -459,13 +459,10 @@ class RuleClassifier:
         """
         if not self.rules:
             return GrowDecision.GROW
-        label = int(np.argmax(t_onehot)) + 1
-        win = self._winner_index(x, label, mask)
-        scores, _ = self.infer(x, mask)
+        scores, _ = self.infer(x, d2, mask)
         err = float(np.linalg.norm(t_onehot - scores))
         active = self.n_features if mask is None else int(np.count_nonzero(mask))
-        d2_win = float(self.mahalanobis_sq(x, mask)[win])
-        novel = d2_win > _chi2_quantile(self.hyper.novelty_q, max(active, 1))
+        novel = d2[win] > _chi2_quantile(self.hyper.novelty_q, max(active, 1))
         sparse = False
         if self.rde.dens_count >= 2:
             sparse = (
@@ -482,6 +479,7 @@ class RuleClassifier:
         self,
         x: np.ndarray,
         t_onehot: np.ndarray,
+        win: Optional[int],
         mask: Optional[np.ndarray] = None,
     ) -> int:
         """Create a rule at x.
@@ -498,7 +496,6 @@ class RuleClassifier:
         # violates the volume check and forces growth on every sample after
         sigma_cap = self.volume_cap ** (1.0 / (2.0 * u))
         if self.rules:
-            win = self._winner_index(x, label, mask)
             w0 = self.rules.weights[win].copy()
             diff = self.rules.centers - x[None, :]
             if mask is not None:
@@ -546,7 +543,7 @@ class RuleClassifier:
             return rule
         return None
 
-    def update_winner(self, x: np.ndarray, label: int, mask: Optional[np.ndarray] = None) -> int:
+    def update_winner(self, x: np.ndarray, label: int, win: int, mask: Optional[np.ndarray] = None):
         """Absorb a sample into the winning rule (support, center, dispersion).
 
         The dispersion follows the incremental covariance recurrence
@@ -555,7 +552,6 @@ class RuleClassifier:
         skipped so an exact center hit leaves the dispersion untouched, and
         masked features stay frozen.
         """
-        win = self._winner_index(x, label, mask)
         b = self.rules
         b.class_support[win, label - 1] += 1
         n = int(b.class_support[win].sum())
@@ -585,7 +581,6 @@ class RuleClassifier:
                 cov[np.ix_(active, active)] = sub
                 inv = np.linalg.inv(_repair_spd(cov))
                 b.set_inv(win, _repair_spd(inv))
-        return win
 
     def prune_check(self, lam: np.ndarray) -> list:
         """Update activity/potential statistics, then prune flagged rules.
@@ -619,30 +614,37 @@ class RuleClassifier:
             self.archive.append(b.pop(i))
         return flagged
 
-    def train_sample(self, x: np.ndarray, label: int, mask: Optional[np.ndarray] = None) -> None:
-        """One supervised training step: grow/recall/update, fit, prune."""
+    def train_sample(
+        self, x: np.ndarray, label: int, d2: np.ndarray, mask: Optional[np.ndarray] = None
+    ) -> np.ndarray:
+        """One supervised training step: grow/recall/update, fit, prune.
+        Returns d2 on the rules as the step leaves them."""
         x = np.asarray(x, dtype=float)
         if x.shape != (self.n_features,):
             raise DataError(f"expected {self.n_features} features, got {x.shape}")
         t = onehot(label, self.n_classes)
         self.rde.update(x)
-        decision = self.grow_check(x, t, mask)
-        if decision.grows:
-            if self.recall_check(x, mask) is None:
-                self.add_rule(x, t, mask)
-            else:
-                self.update_winner(x, label, mask)
+        win = self.winner(d2, label) if self.rules else None
+        if not self.grow_check(x, t, d2, win, mask).grows:
+            self.update_winner(x, label, win, mask)
+        elif self.recall_check(x, mask) is None:
+            self.add_rule(x, t, win, mask)
         else:
-            self.update_winner(x, label, mask)
-        lam = self.norm_firings(x, mask)
+            d2 = self.mahalanobis_sq(x, mask)
+            self.update_winner(x, label, self.winner(d2, label), mask)
+        d2 = self.mahalanobis_sq(x, mask)
+        lam = firings(d2)
         x_e = extended_input(x, mask)
         b = self.rules
         for i in np.nonzero(lam > FIRING_EPS)[0]:
             weighted_rls_update(
                 b.rls_cov[i], b.weights[i], float(lam[i]), x_e, t, self.hyper.decay_strength
             )
-        self.prune_check(lam)
+        pruned = self.prune_check(lam)
         self.rules.age += 1
+        if pruned:
+            d2 = np.delete(d2, [i for i, _ in pruned])
+        return d2
 
     # -- serialization -----------------------------------------------------
 
@@ -681,6 +683,12 @@ class RuleClassifier:
                 eig = inv if b.diagonal else np.linalg.eigvalsh(0.5 * (inv + inv.T))
                 assert eig.min() > -tol
                 assert np.linalg.eigvalsh(0.5 * (psi + psi.T))[0] > -tol
+
+
+def firings(d2: np.ndarray) -> np.ndarray:
+    """Normalized firing strengths from squared distances; sum to 1."""
+    f = np.exp(-(d2 - d2.min()))  # shift-invariant, avoids underflow
+    return f / f.sum()
 
 
 def extended_input(x: np.ndarray, mask: Optional[np.ndarray] = None) -> np.ndarray:

@@ -23,7 +23,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .core import StreamConfig
-from .rules import RuleClassifier, extended_input
+from .rules import RuleClassifier, extended_input, firings
 
 
 @dataclass
@@ -103,17 +103,14 @@ def accepts(theta: float, p_input: float, p_output: float, conjunction: bool = F
     return p_input <= theta or p_output <= theta
 
 
-def conflict_input(
-    models: Sequence[RuleClassifier],
-    x: np.ndarray,
-    mask: Optional[np.ndarray] = None,
-) -> float:
+def conflict_input(models: Sequence[RuleClassifier], d2s: Sequence[np.ndarray]) -> float:
     """Winning-class posterior over the flattened rule set.
 
-    For each class o the evidence is sum_i P(o | R_i) P(x | R_i) P(R_i)
-    with P(R_i) the support prior, P(o | R_i) the Laplace-smoothed class
-    share, and P(x | R_i) the Gaussian likelihood with the (2 pi V)^-1/2
-    volume normalizer.  Returns the largest normalized posterior; if all
+    d2s holds each model's mahalanobis_sq of the sample.  For each class o
+    the evidence is sum_i P(o | R_i) P(x | R_i) P(R_i) with P(R_i) the
+    support prior, P(o | R_i) the Laplace-smoothed class share, and
+    P(x | R_i) the Gaussian likelihood with the (2 pi V)^-1/2 volume
+    normalizer.  Returns the largest normalized posterior; if all
     likelihoods underflow the posterior is uninformative, 1 / n_classes.
     """
     n_classes = models[0].n_classes
@@ -121,19 +118,14 @@ def conflict_input(
     priors = []
     purity = []
     total_support = 0.0
-    for m in models:
+    for m, d2 in zip(models, d2s):
         b = m.rules
-        if not b:
-            continue
-        d2 = m.mahalanobis_sq(x, mask)
         supports = b.supports
         with np.errstate(under="ignore"):
             likes.append(np.exp(-d2) / np.sqrt(2.0 * math.pi * b.volumes))
         priors.append(supports)
         purity.append((b.class_support + 1.0) / (supports[:, None] + n_classes))
         total_support += supports.sum()
-    if not likes:
-        return 1.0 / n_classes
     like = np.concatenate(likes)
     prior = np.concatenate(priors) / total_support
     pur = np.concatenate(purity, axis=0)
@@ -165,13 +157,14 @@ class VirtualConsequentModel:
 
     The gradient steps write straight into each member's consequent
     array, so the feature-selection steps and the per-member
-    least-squares updates share the same parameters.
+    least-squares updates share the same parameters.  d2s holds each
+    model's mahalanobis_sq of x, in the order of models.
     """
 
     def __init__(self, models: Sequence[RuleClassifier], rate: float, reg: float):
         if rate <= 0 or reg <= 0:
             raise ValueError("rate and reg must be > 0")
-        self.models = [m for m in models if m.rules]
+        self.models = list(models)
         self.rate = rate
         self.reg = reg
 
@@ -179,13 +172,8 @@ class VirtualConsequentModel:
     def radius(self) -> float:
         return 1.0 / math.sqrt(self.reg)
 
-    def norm_firings(self, x: np.ndarray, mask: Optional[np.ndarray]) -> np.ndarray:
-        d2 = np.concatenate([m.mahalanobis_sq(x, mask) for m in self.models])
-        f = np.exp(-(d2 - d2.min()))
-        return f / f.sum()
-
-    def predict(self, x: np.ndarray, mask: Optional[np.ndarray] = None) -> np.ndarray:
-        return self._scores(self.norm_firings(x, mask), extended_input(x, mask))
+    def predict(self, x: np.ndarray, d2s: Sequence[np.ndarray], mask: Optional[np.ndarray] = None):
+        return self._scores(firings(np.concatenate(d2s)), extended_input(x, mask))
 
     def _scores(self, lam: np.ndarray, x_e: np.ndarray) -> np.ndarray:
         # accumulated rule by rule, in the flat order of the firings
@@ -199,16 +187,14 @@ class VirtualConsequentModel:
         self,
         x: np.ndarray,
         t_onehot: np.ndarray,
-        y_hat: Optional[np.ndarray] = None,
+        d2s: Sequence[np.ndarray],
         mask: Optional[np.ndarray] = None,
     ) -> list:
         """Gradient of E = 0.5 ||t - y||^2, lam_i outer(x_e, y - t) for
         rule i: one (R, u+1, O) array per model, in the order of models."""
-        lam = self.norm_firings(x, mask)
+        lam = firings(np.concatenate(d2s))
         x_e = extended_input(x, mask)
-        if y_hat is None:
-            y_hat = self._scores(lam, x_e)
-        g = np.outer(x_e, y_hat - t_onehot)
+        g = np.outer(x_e, self._scores(lam, x_e) - t_onehot)
         splits = np.cumsum([len(m.rules) for m in self.models])[:-1]
         return [f[:, None, None] * g for f in np.split(lam, splits)]
 
@@ -216,7 +202,7 @@ class VirtualConsequentModel:
         self,
         x: np.ndarray,
         t_onehot: np.ndarray,
-        y_hat: Optional[np.ndarray] = None,
+        d2s: Sequence[np.ndarray],
         mask: Optional[np.ndarray] = None,
     ) -> None:
         """Projected SGD step on the squared error.
@@ -226,7 +212,7 @@ class VirtualConsequentModel:
         ball of radius 1/sqrt(reg).  Writes go to the models' arrays.
         """
         shrink = 1.0 - self.rate * self.reg
-        for m, g in zip(self.models, self.gradients(x, t_onehot, y_hat, mask)):
+        for m, g in zip(self.models, self.gradients(x, t_onehot, d2s, mask)):
             weights = m.rules.weights
             weights *= shrink
             weights -= self.rate * g
@@ -268,6 +254,8 @@ def apply_mask(scores: np.ndarray, b: int) -> FeatureMask:
 class Selectors:
     """Bundle of selection state carried across chunks by the trainer."""
 
+    SETTINGS = ("conjunction", "ofs_b", "ofs_rate", "ofs_reg", "n_features")
+
     def __init__(self, cfg: StreamConfig):
         self.al = ActiveLearnState(
             cfg.theta, cfg.theta_step, cfg.theta_min, cfg.theta_max
@@ -293,11 +281,16 @@ class Selectors:
     def snapshot(self) -> dict:
         return {
             "al": self.al.snapshot(),
-            "conjunction": self.conjunction,
-            "ofs_b": self.ofs_b,
-            "ofs_rate": self.ofs_rate,
-            "ofs_reg": self.ofs_reg,
-            "n_features": self.n_features,
+            **{key: getattr(self, key) for key in self.SETTINGS},
             "mask_active": self.mask.active.tolist(),
             "mask_scores": self.mask.scores.tolist(),
         }
+
+    @classmethod
+    def from_snapshot(cls, state: dict) -> "Selectors":
+        s = cls.__new__(cls)
+        s.__dict__.update({key: state[key] for key in cls.SETTINGS})
+        s.al = ActiveLearnState.from_snapshot(state["al"])
+        active, scores = (np.asarray(state[k], dtype=float) for k in ("mask_active", "mask_scores"))
+        s.mask = FeatureMask(active=active, scores=scores, b=s.ofs_b)
+        return s

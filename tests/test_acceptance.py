@@ -287,15 +287,16 @@ class TestCriterion08FeatureSelectionGradient:
             vm = VirtualConsequentModel(models, rate=0.05, reg=0.01)
             x = rng.normal(size=3)
             t = np.array([1.0, 0.0])
+            d2s = [m.mahalanobis_sq(x) for m in vm.models]
 
             def loss():
-                y = vm.predict(x)
+                y = vm.predict(x, d2s)
                 return 0.5 * float((t - y) @ (t - y))
 
             # the full-model gradient is what the update consumes; compare
             # it as one vector so vanishing-firing rules do not reduce the
             # check to finite-difference roundoff dust
-            grads = vm.gradients(x, t)
+            grads = vm.gradients(x, t, d2s)
             h = 1e-6
             fds = []
             for w in (w for m in vm.models for w in m.rules.weights):
@@ -328,7 +329,8 @@ class TestCriterion08FeatureSelectionGradient:
                 )
             )
             vm = VirtualConsequentModel([m], rate=0.5, reg=0.01)
-            vm.sgd_step(rng.normal(size=3), np.array([0.0, 1.0]))
+            x = rng.normal(size=3)
+            vm.sgd_step(x, np.array([0.0, 1.0]), [m.mahalanobis_sq(x)])
             if np.linalg.norm(m.rules.weights[0]) > vm.radius + 1e-12:
                 bound_ok = False
         ok = worst_rel <= 1e-4 and bound_ok

@@ -1,4 +1,7 @@
 import json
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -93,6 +96,22 @@ class TestRun:
         assert code == 3
         assert f"{data}:101:" in capsys.readouterr().err
 
+    def test_overflowing_csv_value_is_data_error(self, tmp_path, capsys):
+        # finite, so load_csv accepts it; the running statistics overflow
+        data = tmp_path / "sea.csv"
+        run_cli("gen", "sea", "--n", "1000", "--seed", "2", "--out", str(data))
+        lines = data.read_text().splitlines()
+        fields = lines[100].split(",")
+        fields[0] = "1e200"
+        lines[100] = ",".join(fields)
+        data.write_text("\n".join(lines) + "\n")
+        code = run_cli(
+            "run", "--data", str(data), "--stamps", "2", "--train", "250",
+            "--test", "250",
+        )
+        assert code == 3
+        assert "overflow" in capsys.readouterr().err
+
     def test_exhausted_stream_is_data_error(self):
         assert (
             run_cli("run", "--gen", "sea", "--n", "400", "--stamps", "2",
@@ -147,3 +166,27 @@ class TestReport:
 
     def test_missing_metrics_file(self, tmp_path):
         assert run_cli("report", "--metrics", str(tmp_path / "nope.jsonl")) == 3
+
+
+class TestSameMetrics:
+    SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "same_metrics.py"
+
+    def compare(self, a, b):
+        return subprocess.run(
+            [sys.executable, str(self.SCRIPT), str(a), str(b)], capture_output=True, text=True
+        )
+
+    def test_rt_is_ignored_and_other_fields_are_not(self, tmp_path):
+        recs = [{"record": "chunk", "n": 0, "cr": 0.5, "rt": 1.0}, {"record": "summary", "rt": 2.0}]
+        a, b = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
+        a.write_text("".join(json.dumps(r) + "\n" for r in recs))
+        recs[0]["rt"], recs[1]["rt"] = 9.0, 9.5
+        b.write_text("".join(json.dumps(r) + "\n" for r in recs))
+        assert self.compare(a, b).returncode == 0
+        recs[1]["cr"] = 0.7
+        b.write_text("".join(json.dumps(r) + "\n" for r in recs))
+        out = self.compare(a, b)
+        assert out.returncode == 1
+        assert "record 2" in out.stdout
+        b.write_text(json.dumps(recs[0]) + "\n")
+        assert self.compare(a, b).returncode == 1

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -54,6 +56,18 @@ class TestRunningStandardizer:
         for step in (s.fit_transform, s.update, s.transform):
             with pytest.raises(DataError):
                 step(np.array([0.5, bad]))
+        assert s.snapshot() == before
+
+    def test_overflow_rejected_without_update(self):
+        s = RunningStandardizer(2)
+        for v in ([1.0, 2.0], [3.0, -1.0]):
+            s.fit_transform(np.array(v))
+        before = s.snapshot()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for step in (s.fit_transform, s.update):
+                with pytest.raises(DataError, match="overflow"):
+                    step(np.array([1e200, 0.0]))
         assert s.snapshot() == before
 
     @given(

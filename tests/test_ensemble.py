@@ -1,11 +1,12 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from evofuzzy.core import DataChunk, StreamConfig, chunks
+from evofuzzy.core import DataChunk, Sample, StreamConfig, chunks
 from evofuzzy.datagen import SeaConfig, gen_sea
 from evofuzzy.ensemble import (
     DriftDetector,
@@ -14,7 +15,7 @@ from evofuzzy.ensemble import (
     PairStats,
     compression_index,
 )
-from evofuzzy.rules import FuzzyRule
+from evofuzzy.rules import FuzzyRule, GrowPruneParams, RuleClassifier
 from evofuzzy.selection import Selectors
 
 
@@ -37,6 +38,11 @@ def constant_member(ens, scores):
     return m
 
 
+def vote(ens, z):
+    """Ensemble.predict with the distance pass made here."""
+    return ens.predict(z, {m: m.model.mahalanobis_sq(z) for m in ens.members})
+
+
 def base_cfg(**kw):
     kw.setdefault("n_features", 2)
     kw.setdefault("n_classes", 2)
@@ -49,7 +55,7 @@ class TestPredict:
         ens = Ensemble(base_cfg())
         constant_member(ens, [0.2, 0.9])
         ens.members[0].beta = 0.123
-        _, cls, _ = ens.predict(np.zeros(2))
+        _, cls, _ = vote(ens, np.zeros(2))
         assert cls == 2
 
     def test_heavy_member_dominates(self):
@@ -57,7 +63,7 @@ class TestPredict:
         constant_member(ens, [1.0, 0.0])
         constant_member(ens, [0.0, 1.0])
         ens.members[0].beta, ens.members[1].beta = 0.9, 0.1
-        sigma, cls, _ = ens.predict(np.zeros(2))
+        sigma, cls, _ = vote(ens, np.zeros(2))
         assert cls == 1
         assert np.allclose(sigma, [0.9, 0.1])
 
@@ -69,7 +75,7 @@ class TestPredict:
             constant_member(ens, s)
         for m, b in zip(ens.members, betas):
             m.beta = b
-        sigma, cls, per = ens.predict(np.zeros(2))
+        sigma, cls, per = vote(ens, np.zeros(2))
         expected = sum(b * s for b, s in zip(betas, scores))
         assert np.allclose(sigma, expected, rtol=1e-12)
         assert cls == int(np.argmax(expected)) + 1
@@ -80,9 +86,9 @@ class TestPredict:
         constant_member(ens, [0.7, 0.1])
         constant_member(ens, [0.2, 0.5])
         ens.members[0].beta, ens.members[1].beta = 0.6, 0.4
-        _, cls, _ = ens.predict(np.zeros(2))
+        _, cls, _ = vote(ens, np.zeros(2))
         ens.members[0].beta, ens.members[1].beta = 6.0, 4.0
-        _, cls2, _ = ens.predict(np.zeros(2))
+        _, cls2, _ = vote(ens, np.zeros(2))
         assert cls == cls2
 
 
@@ -511,3 +517,96 @@ class TestEnsembleSnapshot:
         for v in np.linspace(0.0, 10.0, 20):
             ens.score_sample(np.array([v, v, v]))
         assert ens.snapshot_hash() == before
+
+
+def two_region_stream(rng, u, lengths, far=6.0):
+    """Alternating regions: near the origin the label is the sign of
+    x1 + x2; at (far, ..., far) it is flipped, so each switch is a drift."""
+    out = []
+    for k, n in enumerate(lengths):
+        center = np.full(u, far if k % 2 else 0.0)
+        for _ in range(n):
+            x = center + rng.normal(size=u)
+            label = 1 if x[0] - center[0] + x[1] - center[1] > 0 else 2
+            out.append(Sample(x, 3 - label if k % 2 else label))
+    return out
+
+
+class TestDistancePasses:
+    def test_one_pass_per_member_state_and_sample(self, monkeypatch):
+        """Every mahalanobis_sq call sees a (rules, sample, mask) key no
+        earlier call saw, on a stream with a drift member, a recall, feature
+        selection and frozen scoring."""
+        keys, banks, recalls = [], [], [0]
+        inner = RuleClassifier.mahalanobis_sq
+        inner_recall = RuleClassifier.recall_check
+
+        def counted(self, x, mask=None):
+            b = self.rules
+            banks.append(b)  # keeps every id() in the keys unique
+            m = b"" if mask is None else mask.tobytes()
+            keys.append((id(b), b.centers.tobytes(), b.inv.tobytes(), x.tobytes(), m))
+            return inner(self, x, mask)
+
+        def recall(self, x, mask=None):
+            got = inner_recall(self, x, mask)
+            recalls[0] += got is not None
+            return got
+
+        monkeypatch.setattr(RuleClassifier, "mahalanobis_sq", counted)
+        monkeypatch.setattr(RuleClassifier, "recall_check", recall)
+        cfg = StreamConfig(n_features=3, n_classes=2, chunk_size=100, ofs_b=2,
+                           al_conjunction=False)
+        hyper = GrowPruneParams(age_min=30, potential_frac=0.6, density_sigmas=1.0)
+        ens = Ensemble(cfg, hyper=hyper)
+        sel = Selectors(cfg)
+        rng = np.random.default_rng(1)
+        drifts = 0
+        for ch in chunks(two_region_stream(rng, 3, (300, 1500, 500)), cfg.chunk_size):
+            drifts += ens.train_chunk(ch, sel).drifts
+            for x in np.random.default_rng(ch.index).normal(0.0, 3.0, size=(5, 3)):
+                ens.score_sample(x, sel.mask.active)
+        assert drifts >= 1 and recalls[0] >= 1
+        assert len(keys) == len(set(keys))
+
+
+DEGENERATE = st.sampled_from(["none", "constant", "duplicate", "all_constant", "burst"])
+
+
+class TestDegenerateStreams:
+    @given(
+        u=st.integers(1, 4),
+        n_classes=st.sampled_from([2, 5]),
+        shape=DEGENERATE,
+        kind=st.sampled_from(["axis_parallel", "multivariate"]),
+        ofs=st.booleans(),
+        seed=st.integers(0, 2**16),
+    )
+    @settings(max_examples=25, deadline=None)
+    def test_invariants_weights_and_finite_scores(self, u, n_classes, shape, kind, ofs, seed):
+        rng = np.random.default_rng(seed)
+        n = 600
+        x = rng.normal(size=(n, u))
+        y = rng.integers(1, n_classes + 1, size=n)
+        if shape == "constant":
+            x[:, 0] = 3.0
+        elif shape == "duplicate" and u > 1:
+            x[:, 1] = x[:, 0]
+        elif shape == "all_constant":
+            x[:] = 1.5
+        elif shape == "burst":
+            y[150:450] = 1
+        cfg = StreamConfig(n_features=u, n_classes=n_classes, chunk_size=100,
+                           base_kind=kind, ofs_b=u - 1 if ofs and u > 1 else None)
+        ens = Ensemble(cfg)
+        sel = Selectors(cfg)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            for ch in chunks([Sample(a, int(b)) for a, b in zip(x, y)], cfg.chunk_size):
+                ens.train_chunk(ch, sel)
+                for m in ens.members:
+                    m.model.check_invariants()
+                assert sum(m.beta for m in ens.members) == pytest.approx(1.0, abs=1e-12)
+            mask = sel.mask.active if sel.ofs_enabled else None
+            for v in rng.normal(size=(20, u)):
+                assert np.all(np.isfinite(ens.score_sample(v, mask)[0]))

@@ -1,8 +1,10 @@
+import json
+
 import numpy as np
 import pytest
 
 from evofuzzy.core import DataError, Sample, StreamConfig
-from evofuzzy.datagen import SeaConfig, gen_sea
+from evofuzzy.datagen import HyperplaneConfig, SeaConfig, gen_hyperplane, gen_sea
 from evofuzzy.ensemble import ChunkReport, Ensemble
 from evofuzzy.evaluate import (
     EvalProtocol,
@@ -12,6 +14,7 @@ from evofuzzy.evaluate import (
     run_holdout,
     write_metrics,
 )
+from evofuzzy.selection import Selectors
 
 
 class CountingStream:
@@ -140,7 +143,7 @@ class TestCountParameters:
         cfg = StreamConfig(n_features=2, n_classes=2, chunk_size=10)
         ens = Ensemble(cfg)
         m = ens._new_member()
-        m.model.add_rule(np.zeros(2), np.array([1.0, 0.0]))
+        m.model.add_rule(np.zeros(2), np.array([1.0, 0.0]), None)
         # u + u + (u+1)*O + one beta = 2 + 2 + 6 + 1
         assert count_parameters(ens) == 11
 
@@ -148,7 +151,7 @@ class TestCountParameters:
         cfg = StreamConfig(n_features=2, n_classes=2, chunk_size=10, base_kind="multivariate")
         ens = Ensemble(cfg)
         m = ens._new_member()
-        m.model.add_rule(np.zeros(2), np.array([1.0, 0.0]))
+        m.model.add_rule(np.zeros(2), np.array([1.0, 0.0]), None)
         # u + u(u+1)/2 + (u+1)*O + one beta = 2 + 3 + 6 + 1
         assert count_parameters(ens) == 12
 
@@ -187,3 +190,60 @@ class TestPurity:
             stream, small_cfg(chunk_size=200), proto, audit_purity=True
         )
         assert metrics.stamps == 3
+
+
+def channel_stream(n, change, seed):
+    """12 channels; the label is the sign of the sum of channels 6-8, then
+    of channels 9-11 from sample ``change`` on."""
+    rng = np.random.default_rng(seed)
+    x = rng.normal(size=(n, 12))
+    out = []
+    for i, row in enumerate(x):
+        subset = slice(6, 9) if i < change else slice(9, 12)
+        out.append(Sample(row, 1 if row[subset].sum() > 0 else 2))
+    return out
+
+
+RESUME_CASES = {
+    "sea-axis": (
+        lambda: gen_sea(SeaConfig(n_total=4000, seed=1)),
+        dict(n_features=3, chunk_size=250),
+        (250, 250, 8, 3),
+    ),
+    "hyperplane-multivariate": (
+        lambda: gen_hyperplane(HyperplaneConfig(n_total=6000, drift_start=3000, seed=2)),
+        dict(n_features=4, chunk_size=500, base_kind="multivariate", delta_rel=0.5),
+        (500, 250, 8, 4),
+    ),
+    "channels-ofs": (
+        lambda: channel_stream(2400, 1200, seed=3),
+        dict(n_features=12, chunk_size=100, ofs_b=6),
+        (200, 100, 8, 5),
+    ),
+}
+
+
+class TestResume:
+    @pytest.mark.parametrize("case", sorted(RESUME_CASES))
+    def test_restored_run_writes_the_same_records(self, case):
+        """k stamps, a JSON round trip of learner and selectors, then the
+        rest: the records equal an uninterrupted run's (rt and n aside).
+        Nothing else, such as a sample's rule distances, carries over."""
+        make_stream, cfg_kw, (train, test, stamps, k) = RESUME_CASES[case]
+        cfg = StreamConfig(n_classes=2, **cfg_kw)
+
+        def proto(n):
+            return EvalProtocol("holdout", train_per_stamp=train, test_per_stamp=test, stamps=n)
+
+        whole, _ = run_holdout(make_stream(), cfg, proto(stamps))
+        it = iter(make_stream())
+        sel = Selectors(cfg)
+        head, ens = run_holdout(it, cfg, proto(k), selectors=sel)
+        ens = Ensemble.from_snapshot(json.loads(json.dumps(ens.snapshot())))
+        sel = Selectors.from_snapshot(json.loads(json.dumps(sel.snapshot())))
+        tail, _ = run_holdout(it, cfg, proto(stamps - k), learner=ens, selectors=sel)
+
+        def strip(series):
+            return [{key: v for key, v in rec.items() if key not in ("rt", "n")} for rec in series]
+
+        assert strip(head.series + tail.series) == strip(whole.series)

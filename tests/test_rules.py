@@ -15,6 +15,7 @@ from evofuzzy.rules import (
     RuleClassifier,
     _chi2_quantile,
     extended_input,
+    firings,
     weighted_rls_update,
 )
 
@@ -44,6 +45,16 @@ def one_rule_model(center, inv_cov, kind="axis_parallel", **kw):
 
 
 KINDS = ("axis_parallel", "multivariate")
+
+
+def train(model, x, label):
+    """One training step, with the distance pass a caller of train_sample makes."""
+    x = np.asarray(x, dtype=float)
+    return model.train_sample(x, label, model.mahalanobis_sq(x))
+
+
+def infer(model, x):
+    return model.infer(x, model.mahalanobis_sq(x))
 
 
 class TestFire:
@@ -97,7 +108,7 @@ class TestRuleVolume:
         for kind in KINDS:
             model = RuleClassifier(3, 2, kind=kind)
             for _ in range(40):
-                model.train_sample(rng.normal(size=3), int(rng.integers(1, 3)))
+                train(model, rng.normal(size=3), int(rng.integers(1, 3)))
             for i in range(len(model.rules)):
                 det = np.linalg.det(model.rules.record(i).inv_cov)
                 assert model.rules.volumes[i] == pytest.approx(1.0 / det, rel=1e-12)
@@ -165,7 +176,7 @@ class TestInfer:
         w = np.array([[0.2, 0.8], [1.0, -1.0], [0.5, 0.0]])
         model.rules.append(make_rule([0.0, 0.0], np.eye(2), weights=w))
         x = np.array([0.3, -0.7])
-        scores, cls = model.infer(x)
+        scores, cls = infer(model, x)
         expected = extended_input(x) @ w
         assert np.allclose(scores, expected, rtol=1e-12)
         assert cls == int(np.argmax(expected)) + 1
@@ -178,7 +189,7 @@ class TestInfer:
         double.rules.append(make_rule([0.0, 0.0], np.eye(2), weights=w))
         double.rules.append(make_rule([0.0, 0.0], np.eye(2), weights=w))
         x = np.array([0.4, 0.1])
-        assert np.allclose(single.infer(x)[0], double.infer(x)[0], rtol=1e-12)
+        assert np.allclose(infer(single, x)[0], infer(double, x)[0], rtol=1e-12)
 
     def test_two_rules_hand_computed(self):
         wa = np.array([[1.0, 0.0], [0.0, 0.0], [0.0, 0.0]])
@@ -189,13 +200,13 @@ class TestInfer:
         x = np.array([0.0, 0.0])  # at rule A's center
         fa, fb = 1.0, math.exp(-4.0)
         la, lb = fa / (fa + fb), fb / (fa + fb)
-        scores, cls = model.infer(x)
+        scores, cls = infer(model, x)
         assert np.allclose(scores, [la, lb], rtol=1e-12)
         assert cls == 1
 
     def test_empty_model_raises(self):
         with pytest.raises(EmptyModelError):
-            RuleClassifier(2, 2).infer(np.zeros(2))
+            infer(RuleClassifier(2, 2), np.zeros(2))
 
     @given(st.lists(st.floats(-5, 5), min_size=2, max_size=2))
     @settings(max_examples=50)
@@ -204,7 +215,7 @@ class TestInfer:
         model.rules.append(make_rule([0.0, 0.0], np.eye(2)))
         model.rules.append(make_rule([3.0, -1.0], np.diag([2.0, 0.5])))
         model.rules.append(make_rule([-40.0, 40.0], np.eye(2)))
-        lam = model.norm_firings(np.array(xs))
+        lam = firings(model.mahalanobis_sq(np.array(xs)))
         assert lam.sum() == pytest.approx(1.0, abs=1e-12)
         assert np.all(lam >= 0)
 
@@ -212,14 +223,17 @@ class TestInfer:
 class TestGrowCheck:
     def test_empty_model_always_grows(self):
         model = RuleClassifier(2, 2)
-        assert model.grow_check(np.zeros(2), np.array([1.0, 0.0])) is GrowDecision.GROW
+        x = np.zeros(2)
+        d = model.grow_check(x, np.array([1.0, 0.0]), model.mahalanobis_sq(x), None)
+        assert d is GrowDecision.GROW
 
     def test_center_hit_with_correct_prediction_updates(self):
         model = RuleClassifier(2, 2)
         w = np.zeros((3, 2))
         w[0] = [1.0, 0.0]  # predicts class 1 exactly at the center
         model.rules.append(make_rule([0.0, 0.0], np.eye(2), weights=w, support=5))
-        d = model.grow_check(np.zeros(2), np.array([1.0, 0.0]))
+        x = np.zeros(2)
+        d = model.grow_check(x, np.array([1.0, 0.0]), model.mahalanobis_sq(x), 0)
         assert d is GrowDecision.UPDATE
 
     def test_far_wrong_sample_grows_against_predicate_oracle(self):
@@ -255,7 +269,7 @@ class TestGrowCheck:
             dvar = (1.0 - a) * (dvar + a * delta * delta)
         density_gate = densities[-1] < dmean - model.hyper.density_sigmas * math.sqrt(dvar)
         assert err_gate and novelty_gate and density_gate
-        assert model.grow_check(x, t) is GrowDecision.GROW
+        assert model.grow_check(x, t, model.mahalanobis_sq(x), 0) is GrowDecision.GROW
 
     def test_oversized_winner_forces_growth(self):
         model = RuleClassifier(2, 2)
@@ -263,7 +277,8 @@ class TestGrowCheck:
         w[0] = [1.0, 0.0]
         # volume = 1/det = 1e4 > 0.25 * 6^2 = 9
         model.rules.append(make_rule([0.0, 0.0], np.diag([0.01, 0.01]), weights=w))
-        d = model.grow_check(np.zeros(2), np.array([1.0, 0.0]))
+        x = np.zeros(2)
+        d = model.grow_check(x, np.array([1.0, 0.0]), model.mahalanobis_sq(x), 0)
         assert d is GrowDecision.VOLUME_FORCED
         assert d.grows
 
@@ -271,7 +286,7 @@ class TestGrowCheck:
 class TestAddRule:
     def test_first_rule_fields(self):
         model = RuleClassifier(2, 2)
-        model.add_rule(np.array([0.0, 0.0]), np.array([1.0, 0.0]))
+        model.add_rule(np.array([0.0, 0.0]), np.array([1.0, 0.0]), None)
         r = model.rules.record(0)
         assert np.array_equal(r.center, [0.0, 0.0])
         assert np.array_equal(r.inv_cov, np.eye(2))
@@ -283,42 +298,42 @@ class TestAddRule:
 
     def test_second_rule_spread_from_nearest_center(self):
         model = RuleClassifier(2, 2)
-        model.add_rule(np.array([0.0, 0.0]), np.array([1.0, 0.0]))
-        model.add_rule(np.array([2.0, 0.0]), np.array([0.0, 1.0]))
+        model.add_rule(np.array([0.0, 0.0]), np.array([1.0, 0.0]), None)
+        model.add_rule(np.array([2.0, 0.0]), np.array([0.0, 1.0]), 0)
         # distance 2 -> sigma0 = 1 -> identity dispersion
         assert np.allclose(model.rules.record(1).inv_cov, np.eye(2))
 
     def test_spread_floor(self):
         model = RuleClassifier(2, 2)
-        model.add_rule(np.array([0.0, 0.0]), np.array([1.0, 0.0]))
-        model.add_rule(np.array([0.05, 0.0]), np.array([0.0, 1.0]))
+        model.add_rule(np.array([0.0, 0.0]), np.array([1.0, 0.0]), None)
+        model.add_rule(np.array([0.05, 0.0]), np.array([0.0, 1.0]), 0)
         # sigma0 floored at 0.1 -> inv_cov = 100 I
         assert np.allclose(model.rules.record(1).inv_cov, 100.0 * np.eye(2))
 
     def test_consequent_copied_from_winner(self):
         model = RuleClassifier(2, 2)
-        model.add_rule(np.array([0.0, 0.0]), np.array([1.0, 0.0]))
+        model.add_rule(np.array([0.0, 0.0]), np.array([1.0, 0.0]), None)
         model.rules.weights[0] = 7.0
-        model.add_rule(np.array([2.0, 0.0]), np.array([0.0, 1.0]))
+        model.add_rule(np.array([2.0, 0.0]), np.array([0.0, 1.0]), 0)
         assert np.all(model.rules.weights[1] == 7.0)
 
 
 class TestUpdateWinner:
     def test_center_hit_is_noop_on_geometry(self):
         model = RuleClassifier(2, 2)
-        model.add_rule(np.array([1.0, 1.0]), np.array([1.0, 0.0]))
+        model.add_rule(np.array([1.0, 1.0]), np.array([1.0, 0.0]), None)
         before_c = model.rules.record(0).center.copy()
         before_s = model.rules.record(0).inv_cov.copy()
-        model.update_winner(np.array([1.0, 1.0]), 1)
+        model.update_winner(np.array([1.0, 1.0]), 1, 0)
         assert np.array_equal(model.rules.record(0).center, before_c)
         assert np.array_equal(model.rules.record(0).inv_cov, before_s)
         assert model.rules.record(0).support == 2
 
     def test_class_support_tracks_labels(self):
         model = RuleClassifier(2, 2)
-        model.add_rule(np.array([0.0, 0.0]), np.array([1.0, 0.0]))
+        model.add_rule(np.array([0.0, 0.0]), np.array([1.0, 0.0]), None)
         for label in (1, 2, 2, 1, 1):
-            model.update_winner(np.array([0.1, -0.1]), label)
+            model.update_winner(np.array([0.1, -0.1]), label, 0)
         r = model.rules.record(0)
         assert r.support == 6
         assert np.array_equal(r.class_support, [4, 2])
@@ -329,9 +344,9 @@ class TestUpdateWinner:
         true_cov = np.array([[1.0, 0.3], [0.3, 0.5]])
         xs = rng.multivariate_normal(true_mean, true_cov, size=100)
         model = RuleClassifier(2, 2, kind="multivariate")
-        model.add_rule(xs[0], np.array([1.0, 0.0]))
+        model.add_rule(xs[0], np.array([1.0, 0.0]), None)
         for x in xs[1:]:
-            model.update_winner(x, 1)
+            model.update_winner(x, 1, 0)
         r = model.rules.record(0)
         # center is the exact running mean of all absorbed samples
         assert np.allclose(r.center, xs.mean(axis=0), rtol=1e-9, atol=1e-9)
@@ -344,19 +359,19 @@ class TestUpdateWinner:
     def test_axis_parallel_offdiagonals_stay_zero(self):
         rng = np.random.default_rng(4)
         model = RuleClassifier(2, 2, kind="axis_parallel")
-        model.add_rule(rng.normal(size=2), np.array([1.0, 0.0]))
+        model.add_rule(rng.normal(size=2), np.array([1.0, 0.0]), None)
         for _ in range(50):
-            model.update_winner(rng.normal(size=2), int(rng.integers(1, 3)))
+            model.update_winner(rng.normal(size=2), int(rng.integers(1, 3)), 0)
         off = model.rules.record(0).inv_cov - np.diag(np.diag(model.rules.record(0).inv_cov))
         assert np.all(off == 0.0)
 
     def test_masked_features_stay_frozen(self):
         model = RuleClassifier(2, 2, kind="axis_parallel")
-        model.add_rule(np.array([0.0, 5.0]), np.array([1.0, 0.0]))
+        model.add_rule(np.array([0.0, 5.0]), np.array([1.0, 0.0]), None)
         mask = np.array([1.0, 0.0])
         before = model.rules.record(0).inv_cov[1, 1]
         for x in ([1.0, -3.0], [0.5, 8.0], [-0.7, 0.0]):
-            model.update_winner(np.array(x), 1, mask)
+            model.update_winner(np.array(x), 1, 0, mask)
         assert model.rules.record(0).center[1] == 5.0
         assert model.rules.record(0).inv_cov[1, 1] == before
 
@@ -397,8 +412,8 @@ class TestPrune:
     def _two_rule_model(self, age=1000, age_min=10):
         hyper = GrowPruneParams(age_min=age_min, decay=0.9)
         model = RuleClassifier(2, 2, hyper=hyper)
-        model.add_rule(np.array([0.0, 0.0]), np.array([1.0, 0.0]))
-        model.add_rule(np.array([8.0, 8.0]), np.array([0.0, 1.0]))
+        model.add_rule(np.array([0.0, 0.0]), np.array([1.0, 0.0]), None)
+        model.add_rule(np.array([8.0, 8.0]), np.array([0.0, 1.0]), 0)
         model.rules.age[:] = age
         model.rules.activity[:] = 0.5
         return model
@@ -424,8 +439,8 @@ class TestPrune:
     def test_stale_rule_pruned_when_stream_moves_away(self):
         hyper = GrowPruneParams(age_min=5, potential_frac=0.5)
         model = RuleClassifier(2, 2, hyper=hyper)
-        model.add_rule(np.array([0.0, 0.0]), np.array([1.0, 0.0]))
-        model.add_rule(np.array([10.0, 10.0]), np.array([0.0, 1.0]))
+        model.add_rule(np.array([0.0, 0.0]), np.array([1.0, 0.0]), None)
+        model.add_rule(np.array([10.0, 10.0]), np.array([0.0, 1.0]), 0)
         model.rules.age[:] = 100
         rng = np.random.default_rng(5)
         for _ in range(30):  # stream near the first rule: builds its peak
@@ -445,7 +460,7 @@ class TestPrune:
 
     def test_last_rule_never_pruned(self):
         model = RuleClassifier(2, 2)
-        model.add_rule(np.array([0.0, 0.0]), np.array([1.0, 0.0]))
+        model.add_rule(np.array([0.0, 0.0]), np.array([1.0, 0.0]), None)
         model.rules.age[0] = 10_000
         model.rules.activity[0] = 0.0
         assert model.prune_check(np.array([0.0])) == []
@@ -459,7 +474,7 @@ class TestRecall:
 
     def test_archived_rule_at_exact_location_reactivates(self):
         model = RuleClassifier(2, 2)
-        model.add_rule(np.array([5.0, 5.0]), np.array([1.0, 0.0]))
+        model.add_rule(np.array([5.0, 5.0]), np.array([1.0, 0.0]), None)
         archived = make_rule([0.0, 0.0], np.eye(2), weights=np.full((3, 2), 3.0))
         model.archive.append(archived)
         got = model.recall_check(np.array([0.0, 0.0]))
@@ -473,7 +488,7 @@ class TestRecall:
 
     def test_weak_archived_rule_stays_archived(self):
         model = RuleClassifier(2, 2)
-        model.add_rule(np.array([5.0, 5.0]), np.array([1.0, 0.0]))
+        model.add_rule(np.array([5.0, 5.0]), np.array([1.0, 0.0]), None)
         model.archive.append(make_rule([0.0, 0.0], np.eye(2)))
         # fire at distance 2 is exp(-4) ~ 0.018 < handicap exp(-0.95)
         assert model.recall_check(np.array([2.0, 0.0])) is None
@@ -496,7 +511,7 @@ class TestRecall:
             def phase(center, label, n, spread):
                 for _ in range(n):
                     x = np.asarray(center) + rng.normal(0.0, spread, 2)
-                    model.train_sample(x, label)
+                    train(model, x, label)
 
             phase([0.0, 0.0], 1, 150, 0.6)
             # rules have no identity beyond their arrays: an archived rule
@@ -515,7 +530,7 @@ class TestRecall:
 class TestTrainSample:
     def test_first_sample_creates_one_rule(self):
         model = RuleClassifier(2, 2)
-        model.train_sample(np.array([0.3, -0.3]), 1)
+        train(model, np.array([0.3, -0.3]), 1)
         assert len(model.rules) == 1
 
     def _blob_stream(self, rng, n, rot=0.0):
@@ -539,8 +554,8 @@ class TestTrainSample:
         xs, ys = self._blob_stream(rng, 500)
         model = RuleClassifier(2, 2, hyper=GrowPruneParams(age_min=100))
         for x, y in zip(xs, ys):
-            model.train_sample(x, y)
-        correct = sum(model.infer(x)[1] == y for x, y in zip(xs, ys))
+            train(model, x, y)
+        correct = sum(infer(model, x)[1] == y for x, y in zip(xs, ys))
         assert len(model.rules) <= 10
         assert correct / len(xs) >= 0.95
         model.check_invariants()
@@ -552,9 +567,9 @@ class TestTrainSample:
         for kind in ("axis_parallel", "multivariate"):
             model = RuleClassifier(2, 2, hyper=GrowPruneParams(age_min=100), kind=kind)
             for x, y in zip(xs, ys):
-                model.train_sample(x, y)
+                train(model, x, y)
             counts[kind] = len(model.rules)
-            correct = sum(model.infer(x)[1] == y for x, y in zip(xs, ys))
+            correct = sum(infer(model, x)[1] == y for x, y in zip(xs, ys))
             assert correct / len(xs) >= 0.95
         assert counts["multivariate"] <= counts["axis_parallel"]
 
@@ -564,10 +579,10 @@ class TestTrainSample:
             model = RuleClassifier(3, 3, hyper=GrowPruneParams(age_min=20), kind=kind)
             for i in range(200):
                 x = rng.normal(0.0, 2.0, 3)
-                model.train_sample(x, int(rng.integers(1, 4)))
+                train(model, x, int(rng.integers(1, 4)))
                 if i % 25 == 0:
                     model.check_invariants()
-                    lam = model.norm_firings(x)
+                    lam = firings(model.mahalanobis_sq(x))
                     assert lam.sum() == pytest.approx(1.0, abs=1e-12)
             model.check_invariants()
 
@@ -577,14 +592,14 @@ class TestSnapshot:
         rng = np.random.default_rng(10)
         model = RuleClassifier(2, 2, kind="multivariate")
         for _ in range(80):
-            model.train_sample(rng.normal(0.0, 2.0, 2), int(rng.integers(1, 3)))
+            train(model, rng.normal(0.0, 2.0, 2), int(rng.integers(1, 3)))
         blob = json.dumps(model.snapshot())
         clone = RuleClassifier.from_snapshot(json.loads(blob))
         assert len(clone.rules) == len(model.rules)
         for name in ("centers", "inv", "volumes", "weights", "rls_cov", "class_support"):
             assert np.array_equal(getattr(model.rules, name), getattr(clone.rules, name))
         x = rng.normal(size=2)
-        assert np.array_equal(model.infer(x)[0], clone.infer(x)[0])
+        assert np.array_equal(infer(model, x)[0], infer(clone, x)[0])
 
     @pytest.mark.parametrize("kind", KINDS)
     def test_roundtrip_with_archive_stays_in_step(self, kind):
@@ -596,7 +611,7 @@ class TestSnapshot:
             for _ in range(n):
                 x = np.asarray(center) + rng.normal(0.0, spread, 2)
                 for m in models:
-                    m.train_sample(x, label)
+                    train(m, x, label)
 
         phase([model], [0.0, 0.0], 1, 150, 0.6)
         phase([model], [12.0, 12.0], 2, 400, 0.6)
@@ -609,8 +624,8 @@ class TestSnapshot:
 
     def test_infer_is_pure(self):
         model = RuleClassifier(2, 2)
-        model.train_sample(np.array([0.0, 0.0]), 1)
+        train(model, np.array([0.0, 0.0]), 1)
         before = json.dumps(model.snapshot(), sort_keys=True)
         for _ in range(5):
-            model.infer(np.array([1.0, 2.0]))
+            infer(model, np.array([1.0, 2.0]))
         assert json.dumps(model.snapshot(), sort_keys=True) == before

@@ -37,12 +37,21 @@ def model_with_rules(specs, n_classes=2, u=2):
     return m
 
 
+def p_input(models, x):
+    """conflict_input with the distance pass made here."""
+    return conflict_input(models, [m.mahalanobis_sq(x) for m in models])
+
+
+def distances(vm, x):
+    return [m.mahalanobis_sq(x) for m in vm.models]
+
+
 class TestConflictInput:
     def test_single_pure_rule_laplace_posterior(self):
         # one rule, pure class 1, sample at its center: the likelihood
         # cancels and the posterior is the smoothed class share (2/3, 1/3)
         m = model_with_rules([([0.0, 0.0], [1.0, 1.0], [1, 0], None)])
-        p = conflict_input([m], np.zeros(2))
+        p = p_input([m], np.zeros(2))
         assert p == pytest.approx(2.0 / 3.0, rel=1e-12)
 
     def test_symmetric_opposite_rules_give_half(self):
@@ -52,7 +61,7 @@ class TestConflictInput:
                 ([1.0, 0.0], [1.0, 1.0], [0, 5], None),
             ]
         )
-        p = conflict_input([m], np.zeros(2))
+        p = p_input([m], np.zeros(2))
         assert p == pytest.approx(0.5, rel=1e-12)
 
     def test_support_skew_pulls_posterior_to_heavy_rule(self):
@@ -62,7 +71,7 @@ class TestConflictInput:
                 ([1.0, 0.0], [1.0, 1.0], [0, 1], None),
             ]
         )
-        p = conflict_input([m], np.zeros(2))
+        p = p_input([m], np.zeros(2))
         # oracle: direct evaluation of the posterior mixture
         like = math.exp(-1.0) / math.sqrt(2 * math.pi)  # same for both rules
         prior = np.array([100, 1]) / 101.0
@@ -73,7 +82,7 @@ class TestConflictInput:
 
     def test_underflow_far_sample_is_uninformative(self):
         m = model_with_rules([([0.0, 0.0], [1.0, 1.0], [3, 0], None)])
-        p = conflict_input([m], np.array([1e4, 1e4]))
+        p = p_input([m], np.array([1e4, 1e4]))
         assert p == pytest.approx(0.5)
 
     def test_flattens_rules_across_models(self):
@@ -86,8 +95,8 @@ class TestConflictInput:
             ]
         )
         x = np.array([0.2, 0.1])
-        assert conflict_input([a, b], x) == pytest.approx(
-            conflict_input([both], x), rel=1e-12
+        assert p_input([a, b], x) == pytest.approx(
+            p_input([both], x), rel=1e-12
         )
 
 
@@ -165,7 +174,7 @@ class TestVirtualModel:
         vm = VirtualConsequentModel([m], rate=0.05, reg=0.01)
         x = np.zeros(2)  # x_e = (1, 0, 0): prediction is the intercept row
         t = w0[0].copy()
-        vm.sgd_step(x, t)
+        vm.sgd_step(x, t, distances(vm, x))
         assert np.allclose(m.rules.weights[0], (1 - 0.05 * 0.01) * w0, rtol=1e-12)
 
     def test_projection_scale(self):
@@ -177,7 +186,7 @@ class TestVirtualModel:
         m.rules.weights[0] = w0
         vm = VirtualConsequentModel([m], rate=0.05, reg=0.01)
         x = np.zeros(2)
-        vm.sgd_step(x, t_onehot=np.array([w0[0, 0] * (1 - 0.05 * 0.01), 0.0]))
+        vm.sgd_step(x, np.array([w0[0, 0] * (1 - 0.05 * 0.01), 0.0]), distances(vm, x))
         assert np.allclose(m.rules.weights[0], 0.5 * w0, rtol=1e-12)
 
     def test_gradient_matches_central_differences(self):
@@ -192,11 +201,13 @@ class TestVirtualModel:
         x = rng.normal(size=2)
         t = np.array([1.0, 0.0])
 
+        d2s = distances(vm, x)
+
         def loss():
-            y = vm.predict(x)
+            y = vm.predict(x, d2s)
             return 0.5 * float((t - y) @ (t - y))
 
-        grads = vm.gradients(x, t)
+        grads = vm.gradients(x, t, d2s)
         h = 1e-6
         assert len(grads) == len(vm.models)
         for m, g in zip(vm.models, grads):
@@ -224,7 +235,8 @@ class TestVirtualModel:
         )
         vm = VirtualConsequentModel([m], rate=0.5, reg=0.01)
         for _ in range(5):
-            vm.sgd_step(rng.normal(size=2), np.array([1.0, 0.0]))
+            x = rng.normal(size=2)
+            vm.sgd_step(x, np.array([1.0, 0.0]), distances(vm, x))
         for w in m.rules.weights:
             assert np.linalg.norm(w) <= vm.radius + 1e-12
 
