@@ -1,0 +1,60 @@
+#!/usr/bin/env python3
+"""Write the four reference metrics files a refactor is compared on.
+
+    python3 scripts/reference_runs.py OUT_DIR
+
+Runs, one after the other, on the package under this checkout's src/:
+
+    sea.jsonl            scripts/run_sea.py
+    hyperplane.jsonl     scripts/run_hyperplane.py
+    hyperplane-mv.jsonl  scripts/run_hyperplane.py --base multivariate
+    cv.jsonl             evofuzzy run --data h.csv --mode cv --folds 5 --ofs-b 2
+                         on evofuzzy gen hyperplane --n 20000
+                         --drift-start 10000 --seed 3
+
+The CSV lives in a temporary directory, so the working tree is left as
+it was.  Compare two OUT_DIRs file by file with scripts/same_metrics.py.
+"""
+
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+SCRIPTS = ROOT / "scripts"
+
+
+def main(argv) -> int:
+    if len(argv) != 1:
+        print(__doc__.strip(), file=sys.stderr)
+        return 2
+    out = Path(argv[0]).resolve()
+    out.mkdir(parents=True, exist_ok=True)
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    with tempfile.TemporaryDirectory() as tmp:
+        csv = Path(tmp) / "h.csv"
+        runs = [  # (metrics file or None, arguments to the interpreter)
+            ("sea.jsonl", [SCRIPTS / "run_sea.py"]),
+            ("hyperplane.jsonl", [SCRIPTS / "run_hyperplane.py"]),
+            ("hyperplane-mv.jsonl", [SCRIPTS / "run_hyperplane.py", "--base", "multivariate"]),
+            (None, ["-m", "evofuzzy", "gen", "hyperplane", "--n", "20000",
+                    "--drift-start", "10000", "--seed", "3", "--out", csv]),
+            ("cv.jsonl", ["-m", "evofuzzy", "run", "--data", csv, "--mode", "cv",
+                          "--folds", "5", "--ofs-b", "2"]),
+        ]
+        for name, args in runs:
+            cmd = [sys.executable, *map(str, args)]
+            if name is not None:
+                cmd += ["--metrics", str(out / name)]
+            print("+", " ".join(cmd[1:]), flush=True)
+            code = subprocess.run(cmd, env=env, cwd=tmp).returncode
+            if code != 0:
+                print(f"exit {code}", file=sys.stderr)
+                return code
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

@@ -140,13 +140,14 @@ class RunningStandardizer:
         self._absorb(self._check(x))
 
     def transform(self, x: np.ndarray) -> np.ndarray:
-        """Scale against current statistics without updating them.
+        """Scale one vector (u,) or a block (N, u) against current
+        statistics without updating them.
 
         With fewer than two samples seen there is no variance estimate
-        yet; the vector is centered but left unscaled rather than divided
+        yet; vectors are centered but left unscaled rather than divided
         by the floor.
         """
-        return self._scale(self._check(x))
+        return self._scale(self._check(x, block=True))
 
     def fit_transform(self, x: np.ndarray) -> np.ndarray:
         """Absorb one sample, then scale it (the training-path step)."""
@@ -184,14 +185,20 @@ class RunningStandardizer:
         s.m2 = np.asarray(state["m2"], dtype=float)
         return s
 
-    def _check(self, x) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        if x.shape != (self.n_features,):
+    def _check(self, x, block: bool = False) -> np.ndarray:
+        try:
+            x = np.asarray(x, dtype=float)
+        except ValueError:
+            raise DataError(f"expected numeric vectors of length {self.n_features}") from None
+        if x.shape[-1:] != (self.n_features,) or x.ndim > (2 if block else 1):
             raise DataError(
                 f"expected vector of length {self.n_features}, got shape {x.shape}"
             )
         if not np.isfinite(x).all():
-            raise DataError("feature values must be finite")
+            where = ""
+            if x.ndim == 2:
+                where = f" (row {int(np.argmin(np.isfinite(x).all(axis=1)))} of the block)"
+            raise DataError(f"feature values must be finite{where}")
         return x
 
 

@@ -19,7 +19,7 @@ from typing import Optional
 import numpy as np
 
 from .core import DataChunk, DataError, RunningStandardizer, StreamConfig, onehot
-from .rules import GrowPruneParams, RuleClassifier
+from .rules import GrowPruneParams, RuleClassifier, classes
 from .selection import (
     ConflictScores,
     Selectors,
@@ -358,27 +358,36 @@ class Ensemble:
         """Weighted vote sigma_o = sum_i beta_i y_io over mature members.
 
         d2s maps each voter to mahalanobis_sq(z, mask) on its rules.
-        Returns (global scores, predicted class, per-voter score list).
-        Members without rules contribute zero.
+        Returns (global scores, predicted class, per-voter score list),
+        each per row for a block z (N, u).  Members without rules
+        contribute zero.
         """
         if not self.members:
             raise EmptyEnsembleError("ensemble has no members")
-        sigma = np.zeros(self.cfg.n_classes)
+        sigma = np.zeros(z.shape[:-1] + (self.cfg.n_classes,))
         member_scores = []
         for m in self.voters():
             if m.model.rules:
                 s, _ = m.model.infer(z, d2s[m], mask)
             else:
-                s = np.zeros(self.cfg.n_classes)
+                s = np.zeros_like(sigma)
             member_scores.append(s)
             sigma += m.beta * s
-        return sigma, int(np.argmax(sigma)) + 1, member_scores
+        return sigma, classes(sigma), member_scores
 
     def score_sample(self, x_raw: np.ndarray, mask: Optional[np.ndarray] = None):
-        """Frozen scoring for test blocks: no statistics are updated."""
-        z = self.standardizer.transform(np.asarray(x_raw, dtype=float))
-        d2s = {m: m.model.mahalanobis_sq(z, mask) for m in self.voters()}
-        sigma, cls, _ = self.predict(z, d2s, mask)
+        """Frozen scoring of one vector (u,) or a test block (N, u): no
+        statistics are updated.  Returns (sigma, class), per row for a
+        block.  A value too large for the model (its scores overflow)
+        raises DataError naming the row."""
+        z = self.standardizer.transform(x_raw)
+        with np.errstate(over="ignore", invalid="ignore"):
+            d2s = {m: m.model.mahalanobis_sq(z, mask) for m in self.voters()}
+            sigma, cls, _ = self.predict(z, d2s, mask)
+        finite = np.isfinite(sigma).all(axis=-1)
+        if not finite.all():
+            where = f"row {int(np.argmin(finite))} of the block" if z.ndim == 2 else "the sample"
+            raise DataError(f"{where} scores non-finite values (a feature value is too large)")
         return sigma, cls
 
     # -- weight adaptation ----------------------------------------------------
@@ -518,7 +527,8 @@ class Ensemble:
             rep.accepted += 1
             t = onehot(label, self.cfg.n_classes)
             voters = self.voters()
-            preds = [int(np.argmax(sc)) + 1 for sc in member_scores]
+            scores = dict(zip(voters, member_scores))
+            preds = [classes(sc) for sc in member_scores]
             self.reward_penalize(preds, label)
             for m, sc, pred in zip(voters, member_scores, preds):
                 m.chunk_seen += 1
@@ -536,10 +546,12 @@ class Ensemble:
                 rep.warnings += 1
             else:
                 m = self.members[self.select_winner()]
-                d2s[m] = m.model.train_sample(z, label, d2s[m], mask)
+                sc = scores[m] if m.model.rules else None
+                d2s[m] = m.model.train_sample(z, label, d2s[m], sc, mask)
             for m in self.members:
                 if m.bootstrapping:
-                    d2s[m] = m.model.train_sample(z, label, d2s[m], mask)
+                    sc = m.model.infer(z, d2s[m], mask)[0] if m.model.rules else None
+                    d2s[m] = m.model.train_sample(z, label, d2s[m], sc, mask)
                     m.bootstrap_count += 1
             if selectors.ofs_enabled:
                 activations += selectors.mask.active

@@ -104,9 +104,11 @@ def _take(it, n: int, what: str, stamp: int) -> list:
 def _train_and_score(ens, sel, cfg, train, test, audit_purity: bool, where: str):
     """Train on one block, then score another against the frozen model.
 
-    Returns (chunk reports, correct test predictions, seconds of learning
-    plus scoring).  With audit_purity, scoring must leave the snapshot
-    hash unchanged.
+    The test block is scored a chunk at a time, one score_sample call per
+    chunk, so no distance array grows past one chunk of rows.  Returns
+    (chunk reports, correct test predictions, seconds of learning plus
+    scoring).  With audit_purity, scoring must leave the snapshot hash
+    unchanged.
     """
     t0 = time.perf_counter()
     reports = [ens.train_chunk(ch, sel) for ch in chunks(train, cfg.chunk_size)]
@@ -114,7 +116,14 @@ def _train_and_score(ens, sel, cfg, train, test, audit_purity: bool, where: str)
     mask = sel.mask.active if sel.ofs_enabled else None
     before = ens.snapshot_hash() if audit_purity else None
     t0 = time.perf_counter()
-    correct = sum(1 for s in test if ens.score_sample(s.x, mask)[1] == s.label)
+    correct = 0
+    for ch in chunks(test, cfg.chunk_size):
+        try:
+            _, cls = ens.score_sample([s.x for s in ch.samples], mask)
+        except DataError as exc:
+            first = ch.index * cfg.chunk_size
+            raise DataError(f"{where} (samples {first}-{first + len(ch) - 1}): {exc}") from None
+        correct += int(np.count_nonzero(cls == np.array([s.label for s in ch.samples])))
     seconds += time.perf_counter() - t0
     if audit_purity and ens.snapshot_hash() != before:
         raise RuntimeError(f"{where} mutated the model")

@@ -314,16 +314,17 @@ class RuleBank:
         return [self.record(i).snapshot() for i in range(len(self))]
 
     def mahalanobis_sq(self, x: np.ndarray, mask: Optional[np.ndarray] = None) -> np.ndarray:
-        """Squared Mahalanobis distance from x to every rule center.
+        """Squared Mahalanobis distance from x to every rule center: (R,)
+        for one vector x (u,), (N, R) for a block (N, u).
 
         Masked-out features contribute zero to the distance.
         """
-        diff = x[None, :] - self.centers
+        diff = x[..., None, :] - self.centers
         if mask is not None:
             diff = diff * mask
         if self.diagonal:
-            return np.einsum("rj,rj->r", diff * diff, self.inv)
-        return np.einsum("ri,rij,rj->r", diff, self.inv, diff)
+            return np.einsum("...rj,rj->...r", diff * diff, self.inv)
+        return np.einsum("...ri,rij,...rj->...r", diff, self.inv, diff)
 
 
 def weighted_rls_update(
@@ -375,8 +376,9 @@ class RuleClassifier:
     """An evolving bank of fuzzy rules plus a bank of pruned (archived) ones.
 
     One trainer mutates a classifier; inference on a snapshot is pure.
-    An argument d2 is mahalanobis_sq(x, mask) on the rules as they stand and
-    win the winner on them (None without rules), so each is computed once.
+    An argument d2 is mahalanobis_sq(x, mask) on the rules as they stand,
+    scores is infer(x, d2, mask)[0] on them and win the winner on them
+    (scores and win are None without rules), so each is computed once.
     """
 
     def __init__(
@@ -405,22 +407,24 @@ class RuleClassifier:
     # -- inference -------------------------------------------------------
 
     def mahalanobis_sq(self, x: np.ndarray, mask: Optional[np.ndarray] = None) -> np.ndarray:
-        """Squared Mahalanobis distance from x to every rule center."""
+        """Squared Mahalanobis distance from x, (u,) or (N, u), to every
+        rule center."""
         return self.rules.mahalanobis_sq(x, mask)
 
     def infer(self, x: np.ndarray, d2: np.ndarray, mask: Optional[np.ndarray] = None):
         """Weighted-consequent scores and the predicted class.
 
         scores_o = sum_i lam_i * (x_e @ W_i)_o; the predicted class is the
-        argmax with the lowest index winning ties.  Pure: no state change.
+        argmax with the lowest index winning ties.  For a block x (N, u)
+        with d2 (N, R) both come back per row.  Pure: no state change.
         """
         if not self.rules:
             raise EmptyModelError("classifier has no rules")
         lam = firings(d2)
         x_e = extended_input(x, mask)
-        per_rule = np.einsum("e,reo->ro", x_e, self.rules.weights)
-        scores = lam @ per_rule
-        return scores, int(np.argmax(scores)) + 1
+        per_rule = np.einsum("...e,reo->...ro", x_e, self.rules.weights)
+        scores = (lam[..., None, :] @ per_rule)[..., 0, :]
+        return scores, classes(scores)
 
     # -- structure learning ----------------------------------------------
 
@@ -447,6 +451,7 @@ class RuleClassifier:
         x: np.ndarray,
         t_onehot: np.ndarray,
         d2: np.ndarray,
+        scores: Optional[np.ndarray],
         win: Optional[int],
         mask: Optional[np.ndarray] = None,
     ) -> GrowDecision:
@@ -459,7 +464,6 @@ class RuleClassifier:
         """
         if not self.rules:
             return GrowDecision.GROW
-        scores, _ = self.infer(x, d2, mask)
         err = float(np.linalg.norm(t_onehot - scores))
         active = self.n_features if mask is None else int(np.count_nonzero(mask))
         novel = d2[win] > _chi2_quantile(self.hyper.novelty_q, max(active, 1))
@@ -615,7 +619,12 @@ class RuleClassifier:
         return flagged
 
     def train_sample(
-        self, x: np.ndarray, label: int, d2: np.ndarray, mask: Optional[np.ndarray] = None
+        self,
+        x: np.ndarray,
+        label: int,
+        d2: np.ndarray,
+        scores: Optional[np.ndarray],
+        mask: Optional[np.ndarray] = None,
     ) -> np.ndarray:
         """One supervised training step: grow/recall/update, fit, prune.
         Returns d2 on the rules as the step leaves them."""
@@ -625,7 +634,7 @@ class RuleClassifier:
         t = onehot(label, self.n_classes)
         self.rde.update(x)
         win = self.winner(d2, label) if self.rules else None
-        if not self.grow_check(x, t, d2, win, mask).grows:
+        if not self.grow_check(x, t, d2, scores, win, mask).grows:
             self.update_winner(x, label, win, mask)
         elif self.recall_check(x, mask) is None:
             self.add_rule(x, t, win, mask)
@@ -686,15 +695,23 @@ class RuleClassifier:
 
 
 def firings(d2: np.ndarray) -> np.ndarray:
-    """Normalized firing strengths from squared distances; sum to 1."""
-    f = np.exp(-(d2 - d2.min()))  # shift-invariant, avoids underflow
-    return f / f.sum()
+    """Normalized firing strengths from squared distances; each row of
+    rules (the last axis) sums to 1."""
+    f = np.exp(-(d2 - d2.min(axis=-1, keepdims=True)))  # shift-invariant, avoids underflow
+    return f / f.sum(axis=-1, keepdims=True)
 
 
 def extended_input(x: np.ndarray, mask: Optional[np.ndarray] = None) -> np.ndarray:
-    """[1, x] with masked features forced to zero."""
+    """[1, x] with masked features forced to zero, for x (u,) or (N, u)."""
     xm = x if mask is None else x * mask
-    out = np.empty(len(x) + 1)
-    out[0] = 1.0
-    out[1:] = xm
+    out = np.empty(x.shape[:-1] + (x.shape[-1] + 1,))
+    out[..., 0] = 1.0
+    out[..., 1:] = xm
     return out
+
+
+def classes(scores: np.ndarray):
+    """1-based argmax over the last axis, the lowest index winning ties:
+    an int for one score vector, an array for a block."""
+    cls = scores.argmax(axis=-1) + 1
+    return int(cls) if scores.ndim == 1 else cls

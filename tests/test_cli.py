@@ -112,6 +112,24 @@ class TestRun:
         assert code == 3
         assert "overflow" in capsys.readouterr().err
 
+    def test_overflowing_test_value_is_data_error(self, tmp_path, capsys):
+        # line 5402 is a test row (stamp 10, row 150): the training path
+        # never sees it, and scoring it overflows the distances
+        data = tmp_path / "sea.csv"
+        run_cli("gen", "sea", "--n", "20000", "--seed", "1", "--out", str(data))
+        lines = data.read_text().splitlines()
+        fields = lines[5401].split(",")
+        fields[0] = "1e200"
+        lines[5401] = ",".join(fields)
+        data.write_text("\n".join(lines) + "\n")
+        code = run_cli(
+            "run", "--data", str(data), "--stamps", "40", "--train", "250",
+            "--test", "250",
+        )
+        assert code == 3
+        err = capsys.readouterr().err
+        assert "test block of stamp 10" in err and "row 150 of the block" in err
+
     def test_exhausted_stream_is_data_error(self):
         assert (
             run_cli("run", "--gen", "sea", "--n", "400", "--stamps", "2",

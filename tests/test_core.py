@@ -47,6 +47,12 @@ class TestRunningStandardizer:
         s = RunningStandardizer(3)
         with pytest.raises(DataError):
             s.fit_transform(np.array([1.0, 2.0]))
+        # transform takes a block (N, u); training takes one vector
+        for bad in ([[1.0, 2.0, 3.0], [1.0, 2.0]], np.zeros((2, 2)), np.zeros((1, 2, 3))):
+            with pytest.raises(DataError):
+                s.transform(bad)
+        with pytest.raises(DataError):
+            s.fit_transform(np.zeros((2, 3)))
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_nonfinite_rejected_without_update(self, bad):
@@ -56,6 +62,8 @@ class TestRunningStandardizer:
         for step in (s.fit_transform, s.update, s.transform):
             with pytest.raises(DataError):
                 step(np.array([0.5, bad]))
+        with pytest.raises(DataError, match="row 1 of the block"):
+            s.transform(np.array([[0.5, 0.5], [0.5, bad]]))
         assert s.snapshot() == before
 
     def test_overflow_rejected_without_update(self):

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from evofuzzy.core import DataChunk, Sample, StreamConfig, chunks
+from evofuzzy.core import DataChunk, DataError, Sample, StreamConfig, chunks
 from evofuzzy.datagen import SeaConfig, gen_sea
 from evofuzzy.ensemble import (
     DriftDetector,
@@ -15,6 +15,7 @@ from evofuzzy.ensemble import (
     PairStats,
     compression_index,
 )
+from evofuzzy.evaluate import EvalProtocol, run_holdout
 from evofuzzy.rules import FuzzyRule, GrowPruneParams, RuleClassifier
 from evofuzzy.selection import Selectors
 
@@ -517,6 +518,60 @@ class TestEnsembleSnapshot:
         for v in np.linspace(0.0, 10.0, 20):
             ens.score_sample(np.array([v, v, v]))
         assert ens.snapshot_hash() == before
+
+
+def train_member(ens, m, samples, mask=None):
+    """Train one member outside train_chunk, with the passes train_chunk makes."""
+    for s in samples:
+        z = ens.standardizer.transform(s.x)
+        d2 = m.model.mahalanobis_sq(z, mask)
+        scores = m.model.infer(z, d2, mask)[0] if m.model.rules else None
+        m.model.train_sample(z, s.label, d2, scores, mask)
+
+
+class TestBlockScoring:
+    @pytest.mark.parametrize("kind", ["axis_parallel", "multivariate"])
+    @pytest.mark.parametrize("masked", [False, True])
+    def test_block_equals_row_by_row(self, kind, masked):
+        cfg = base_cfg(n_features=3, n_classes=2, chunk_size=100, base_kind=kind)
+        ens = Ensemble(cfg)
+        sel = Selectors(cfg)
+        for ch in sea_chunks(600, 100, seed=3):
+            ens.train_chunk(ch, sel)
+        mask = np.array([1.0, 1.0, 0.0]) if masked else None
+        other = list(gen_sea(SeaConfig(n_total=400, seed=4, thresholds=(7.0,))))
+        train_member(ens, ens._new_member(), other[:200], mask)
+        ens._new_member()  # a voter without rules
+        boot = ens._new_member(bootstrapping=True)
+        train_member(ens, boot, other[200:], mask)
+        ens.members[0].beta = 3.0
+        ens._normalize_betas()
+        voters = ens.voters()
+        assert sum(1 for m in voters if m.model.rules) >= 2
+        assert any(not m.model.rules for m in voters) and boot.model.rules
+        xs = np.random.default_rng(6).uniform(-1.0, 11.0, size=(60, 3))
+        sigma, cls = ens.score_sample(xs, mask)
+        assert sigma.shape == (60, 2) and cls.shape == (60,)
+        rows = [ens.score_sample(x, mask) for x in xs]
+        assert [int(c) for c in cls] == [c for _, c in rows]
+        assert np.allclose(sigma, [s for s, _ in rows], rtol=0.0, atol=1e-12)
+
+
+class TestFrozenOverflow:
+    """A huge finite value passes the standardizer's checks; scoring it
+    overflows the distances, and that must fail loudly, not score nan."""
+
+    def test_huge_value_raises_data_error(self):
+        cfg = base_cfg(n_features=3, chunk_size=250)
+        proto = EvalProtocol(mode="holdout", train_per_stamp=250, test_per_stamp=250, stamps=4)
+        _, ens = run_holdout(gen_sea(SeaConfig(n_total=2000, seed=1)), cfg, proto)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(DataError, match="the sample scores non-finite"):
+                ens.score_sample([1e200, 5.0, 5.0])
+            with pytest.raises(DataError, match="row 1 of the block"):
+                ens.score_sample([[5.0, 5.0, 5.0], [1e200, 5.0, 5.0], [1.0, 2.0, 3.0]])
+            assert ens.score_sample([[5.0, 5.0, 5.0], [1e150, 5.0, 5.0]])[1].shape == (2,)
 
 
 def two_region_stream(rng, u, lengths, far=6.0):

@@ -47,7 +47,8 @@ class ConstantLearner:
         return ChunkReport(index=chunk.index, seen=len(chunk))
 
     def score_sample(self, x, mask=None):
-        return np.zeros(2), self.cls
+        rows = np.shape(x)[:-1]
+        return np.zeros(rows + (2,)), np.full(rows, self.cls)
 
     def snapshot_hash(self):
         return "constant"
@@ -178,6 +179,40 @@ class TestMetricsIo:
         path.write_text('{"record": "chunk", "n": 0}\n')
         with pytest.raises(DataError):
             read_metrics(path)
+
+
+class TestChunkedScoring:
+    """The harness scores a test block with one score_sample call per
+    chunk of cfg.chunk_size rows."""
+
+    @pytest.fixture
+    def shapes(self, monkeypatch):
+        seen = []
+        inner = Ensemble.score_sample
+
+        def counted(self, x, mask=None):
+            seen.append(np.shape(x))
+            return inner(self, x, mask)
+
+        monkeypatch.setattr(Ensemble, "score_sample", counted)
+        return seen
+
+    def test_holdout(self, shapes):
+        proto = EvalProtocol(mode="holdout", train_per_stamp=200, test_per_stamp=250, stamps=2)
+        run_holdout(gen_sea(SeaConfig(n_total=900, seed=2)), small_cfg(chunk_size=100), proto)
+        assert shapes == [(100, 3), (100, 3), (50, 3)] * 2
+
+    def test_cv(self, shapes):
+        samples = list(gen_sea(SeaConfig(n_total=1000, seed=2)))
+        run_cv(samples, small_cfg(chunk_size=100), folds=4)
+        assert shapes == [(100, 3), (100, 3), (50, 3)] * 4
+
+    def test_overflowing_test_value_names_its_row(self):
+        samples = list(gen_sea(SeaConfig(n_total=1000, seed=1)))
+        samples[750 + 120].x[0] = 1e200  # stamp 1, test row 120
+        proto = EvalProtocol(mode="holdout", train_per_stamp=250, test_per_stamp=250, stamps=2)
+        with pytest.raises(DataError, match=r"stamp 1 \(samples 100-199\): row 20 of the block"):
+            run_holdout(samples, small_cfg(chunk_size=100), proto)
 
 
 class TestPurity:

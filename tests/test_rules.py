@@ -47,10 +47,16 @@ def one_rule_model(center, inv_cov, kind="axis_parallel", **kw):
 KINDS = ("axis_parallel", "multivariate")
 
 
+def passes(model, x):
+    """The distance and scoring passes a caller of train_sample makes."""
+    d2 = model.mahalanobis_sq(x)
+    return d2, (model.infer(x, d2)[0] if model.rules else None)
+
+
 def train(model, x, label):
-    """One training step, with the distance pass a caller of train_sample makes."""
+    """One training step, with the passes a caller of train_sample makes."""
     x = np.asarray(x, dtype=float)
-    return model.train_sample(x, label, model.mahalanobis_sq(x))
+    return model.train_sample(x, label, *passes(model, x))
 
 
 def infer(model, x):
@@ -208,6 +214,28 @@ class TestInfer:
         with pytest.raises(EmptyModelError):
             infer(RuleClassifier(2, 2), np.zeros(2))
 
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_block_rows_match_single_vectors(self, kind):
+        rng = np.random.default_rng(5)
+        model = RuleClassifier(3, 3, kind=kind)
+        for x in rng.normal(size=(300, 3)):
+            train(model, x, int(rng.integers(1, 4)))
+        assert len(model.rules) >= 2
+        mask = np.array([1.0, 0.0, 1.0])
+        xs = rng.normal(0.0, 2.0, size=(40, 3))
+        for m in (None, mask):
+            d2 = model.mahalanobis_sq(xs, m)
+            scores, cls = model.infer(xs, d2, m)
+            assert d2.shape == (40, len(model.rules)) and scores.shape == (40, 3)
+            assert firings(d2).sum(axis=1) == pytest.approx(np.ones(40), abs=1e-12)
+            assert extended_input(xs, m).shape == (40, 4)
+            for i, x in enumerate(xs):
+                d2_i = model.mahalanobis_sq(x, m)
+                s_i, c_i = model.infer(x, d2_i, m)
+                assert np.allclose(d2[i], d2_i, rtol=1e-12, atol=0.0)
+                assert np.allclose(scores[i], s_i, rtol=0.0, atol=1e-12)
+                assert cls[i] == c_i
+
     @given(st.lists(st.floats(-5, 5), min_size=2, max_size=2))
     @settings(max_examples=50)
     def test_normalized_firings_sum_to_one(self, xs):
@@ -224,7 +252,7 @@ class TestGrowCheck:
     def test_empty_model_always_grows(self):
         model = RuleClassifier(2, 2)
         x = np.zeros(2)
-        d = model.grow_check(x, np.array([1.0, 0.0]), model.mahalanobis_sq(x), None)
+        d = model.grow_check(x, np.array([1.0, 0.0]), *passes(model, x), None)
         assert d is GrowDecision.GROW
 
     def test_center_hit_with_correct_prediction_updates(self):
@@ -233,7 +261,7 @@ class TestGrowCheck:
         w[0] = [1.0, 0.0]  # predicts class 1 exactly at the center
         model.rules.append(make_rule([0.0, 0.0], np.eye(2), weights=w, support=5))
         x = np.zeros(2)
-        d = model.grow_check(x, np.array([1.0, 0.0]), model.mahalanobis_sq(x), 0)
+        d = model.grow_check(x, np.array([1.0, 0.0]), *passes(model, x), 0)
         assert d is GrowDecision.UPDATE
 
     def test_far_wrong_sample_grows_against_predicate_oracle(self):
@@ -269,7 +297,7 @@ class TestGrowCheck:
             dvar = (1.0 - a) * (dvar + a * delta * delta)
         density_gate = densities[-1] < dmean - model.hyper.density_sigmas * math.sqrt(dvar)
         assert err_gate and novelty_gate and density_gate
-        assert model.grow_check(x, t, model.mahalanobis_sq(x), 0) is GrowDecision.GROW
+        assert model.grow_check(x, t, *passes(model, x), 0) is GrowDecision.GROW
 
     def test_oversized_winner_forces_growth(self):
         model = RuleClassifier(2, 2)
@@ -278,7 +306,7 @@ class TestGrowCheck:
         # volume = 1/det = 1e4 > 0.25 * 6^2 = 9
         model.rules.append(make_rule([0.0, 0.0], np.diag([0.01, 0.01]), weights=w))
         x = np.zeros(2)
-        d = model.grow_check(x, np.array([1.0, 0.0]), model.mahalanobis_sq(x), 0)
+        d = model.grow_check(x, np.array([1.0, 0.0]), *passes(model, x), 0)
         assert d is GrowDecision.VOLUME_FORCED
         assert d.grows
 
