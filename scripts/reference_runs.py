@@ -13,7 +13,7 @@ Runs, one after the other, on the package under this checkout's src/:
                          --drift-start 10000 --seed 3
 
 The CSV lives in a temporary directory, so the working tree is left as
-it was.  Compare two OUT_DIRs file by file with scripts/same_metrics.py.
+it was.  Compare two OUT_DIRs with scripts/same_metrics.py A_DIR B_DIR.
 """
 
 import os

@@ -7,7 +7,7 @@ Writes per-stamp metrics to sea_metrics.jsonl and prints the summary.
 import sys
 from pathlib import Path
 
-from evofuzzy.cli import main
+from evofuzzy.cli import build_parser, main
 
 OUT = Path(__file__).resolve().parent.parent / "sea_metrics.jsonl"
 
@@ -19,5 +19,5 @@ if __name__ == "__main__":
     ] + sys.argv[1:]
     code = main(args)
     if code == 0:
-        print(f"metrics written to {OUT}")
+        print(f"metrics written to {build_parser().parse_args(args).metrics}")
     sys.exit(code)

@@ -1,15 +1,19 @@
 #!/usr/bin/env python3
-"""Compare two metrics files record for record, ignoring the rt field.
+"""Compare metrics files record for record, ignoring the rt field.
 
     python3 scripts/same_metrics.py A.jsonl B.jsonl
+    python3 scripts/same_metrics.py A_DIR B_DIR
 
 Exits 0 when every record matches; otherwise prints the first record
 that differs and exits 1.  rt is wall-clock time, so it is the one field
-that differs between otherwise identical runs.
+that differs between otherwise identical runs.  Given two directories,
+compares each *.jsonl in A_DIR with the file of the same name in B_DIR
+and exits 1 if any of them differs or is missing from B_DIR.
 """
 
 import json
 import sys
+from pathlib import Path
 
 
 def records(path):
@@ -21,19 +25,34 @@ def records(path):
                 yield rec
 
 
-def main(argv) -> int:
-    if len(argv) != 2:
-        print(__doc__.strip(), file=sys.stderr)
-        return 2
-    a, b = (list(records(p)) for p in argv)
+def same_file(path_a, path_b, label: str = "") -> bool:
+    a, b = list(records(path_a)), list(records(path_b))
     for i in range(max(len(a), len(b))):
         ra = a[i] if i < len(a) else None
         rb = b[i] if i < len(b) else None
         if ra != rb:
-            print(f"record {i + 1} differs:\n  {argv[0]}: {ra}\n  {argv[1]}: {rb}")
-            return 1
-    print(f"{len(a)} records match (rt excepted)")
-    return 0
+            print(f"record {i + 1} differs:\n  {path_a}: {ra}\n  {path_b}: {rb}")
+            return False
+    print(f"{label}{len(a)} records match (rt excepted)")
+    return True
+
+
+def main(argv) -> int:
+    if len(argv) != 2:
+        print(__doc__.strip(), file=sys.stderr)
+        return 2
+    a, b = map(Path, argv)
+    if not a.is_dir():
+        return 0 if same_file(a, b) else 1
+    ok = True
+    for path_a in sorted(a.glob("*.jsonl")):
+        path_b = b / path_a.name
+        if not path_b.is_file():
+            print(f"{path_b}: missing")
+            ok = False
+        elif not same_file(path_a, path_b, f"{path_a.name}: "):
+            ok = False
+    return 0 if ok else 1
 
 
 if __name__ == "__main__":

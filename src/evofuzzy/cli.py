@@ -25,7 +25,7 @@ from .evaluate import EvalProtocol, read_metrics, run_cv, run_holdout, write_met
 _BASE_KINDS = {"axis": "axis_parallel", "multivariate": "multivariate"}
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="evofuzzy",
         description="Streaming fuzzy-rule ensemble classifier",
@@ -214,7 +214,7 @@ def _cmd_report(args) -> int:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
+    parser = build_parser()
     try:
         _apply_config_file(parser, argv if argv is not None else sys.argv[1:])
         args = parser.parse_args(argv)

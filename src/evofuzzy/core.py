@@ -67,19 +67,10 @@ class StreamConfig:
     ofs_b: Optional[int] = None
     seed: int = 0
     base_kind: str = "axis_parallel"
-    # active-learning threshold dynamics
-    theta_step: float = 0.01
-    theta_min: float = 0.5
-    theta_max: float = 0.95
     # conjunctive acceptance (conflict required in both spaces) matches the
     # discard rule of the reference pseudocode and the reported label budgets;
     # the disjunctive reading is available for ablation
     al_conjunction: bool = True
-    # feature-selection SGD
-    ofs_rate: float = 0.05
-    ofs_reg: float = 0.01
-    # drift-detector horizon, in chunks
-    detector_chunks: int = 4
 
     def __post_init__(self):
         if self.n_features < 1:

@@ -168,60 +168,54 @@ def write_csv(samples: Iterable[Sample], path) -> int:
     return n
 
 
+def _csv_rows(path) -> Iterator[tuple]:
+    """(lineno, row) for each non-blank row under a valid header, every
+    row checked to have the header's number of fields."""
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        try:
+            header = next(reader)
+        except StopIteration:
+            raise DataError(f"{path}: empty file") from None
+        if len(header) < 2 or header[-1].strip() != "class":
+            raise DataError(f"{path}: last column must be named 'class'")
+        for lineno, row in enumerate(reader, start=2):
+            if not row:
+                continue
+            if len(row) != len(header):
+                raise DataError(
+                    f"{path}:{lineno}: expected {len(header)} fields, got {len(row)}"
+                )
+            yield lineno, row
+
+
 def load_csv(path, n_classes: Optional[int] = None) -> Iterator[Sample]:
     """Stream samples from a CSV file in constant memory.
 
     Labels must be integers >= 1 (and <= n_classes when given) and
     features finite.  A malformed row raises DataError naming the line.
     """
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
+    for lineno, row in _csv_rows(path):
         try:
-            header = next(reader)
-        except StopIteration:
-            raise DataError(f"{path}: empty file") from None
-        if len(header) < 2 or header[-1].strip() != "class":
-            raise DataError(f"{path}: last column must be named 'class'")
-        width = len(header) - 1
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != width + 1:
-                raise DataError(
-                    f"{path}:{lineno}: expected {width + 1} fields, got {len(row)}"
-                )
-            try:
-                x = np.array([float(v) for v in row[:-1]])
-                label = int(row[-1])
-            except ValueError as exc:
-                raise DataError(f"{path}:{lineno}: {exc}") from None
-            if not np.isfinite(x).all():
-                raise DataError(f"{path}:{lineno}: non-finite feature value")
-            if label < 1 or (n_classes is not None and label > n_classes):
-                raise DataError(f"{path}:{lineno}: unknown class value {row[-1]}")
-            yield Sample(x, label)
+            x = np.array([float(v) for v in row[:-1]])
+            label = int(row[-1])
+        except ValueError as exc:
+            raise DataError(f"{path}:{lineno}: {exc}") from None
+        if not np.isfinite(x).all():
+            raise DataError(f"{path}:{lineno}: non-finite feature value")
+        if label < 1 or (n_classes is not None and label > n_classes):
+            raise DataError(f"{path}:{lineno}: unknown class value {row[-1]}")
+        yield Sample(x, label)
 
 
 def csv_dims(path) -> tuple:
     """(n_features, n_classes) from the header and the observed labels."""
     max_label = 0
-    width = None
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
+    for lineno, row in _csv_rows(path):
         try:
-            header = next(reader)
-        except StopIteration:
-            raise DataError(f"{path}: empty file") from None
-        if len(header) < 2 or header[-1].strip() != "class":
-            raise DataError(f"{path}: last column must be named 'class'")
-        width = len(header) - 1
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            try:
-                max_label = max(max_label, int(row[-1]))
-            except ValueError as exc:
-                raise DataError(f"{path}:{lineno}: {exc}") from None
+            max_label = max(max_label, int(row[-1]))
+        except ValueError as exc:
+            raise DataError(f"{path}:{lineno}: {exc}") from None
     if max_label < 1:
         raise DataError(f"{path}: no labeled rows")
-    return width, max_label
+    return len(row) - 1, max_label

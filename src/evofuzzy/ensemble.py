@@ -21,6 +21,8 @@ import numpy as np
 from .core import DataChunk, DataError, RunningStandardizer, StreamConfig, onehot
 from .rules import GrowPruneParams, RuleClassifier, classes
 from .selection import (
+    OFS_RATE,
+    OFS_REG,
     ConflictScores,
     Selectors,
     VirtualConsequentModel,
@@ -208,55 +210,39 @@ def compression_index(v1: float, v2: float, cov: float) -> float:
     return 0.5 * (s - math.sqrt(max(disc, 0.0)))
 
 
-class PairStats:
-    """Per-class running moments of two members' output series."""
-
-    def __init__(self, n_classes: int):
-        self.count = 0
-        self.mean1 = np.zeros(n_classes)
-        self.mean2 = np.zeros(n_classes)
-        self.m2_1 = np.zeros(n_classes)
-        self.m2_2 = np.zeros(n_classes)
-        self.com = np.zeros(n_classes)
-
-    def update(self, y1: np.ndarray, y2: np.ndarray) -> None:
-        self.count += 1
-        d1 = y1 - self.mean1
-        d2 = y2 - self.mean2
-        self.mean1 += d1 / self.count
-        self.mean2 += d2 / self.count
-        self.m2_1 += d1 * (y1 - self.mean1)
-        self.m2_2 += d2 * (y2 - self.mean2)
-        self.com += d1 * (y2 - self.mean2)
-
-    @property
-    def var1(self) -> np.ndarray:
-        return self.m2_1 / self.count
-
-    @property
-    def var2(self) -> np.ndarray:
-        return self.m2_2 / self.count
-
-    @property
-    def cov(self) -> np.ndarray:
-        return self.com / self.count
-
-
 class MciState:
-    """Pairwise output moments for the current chunk, reset at boundaries."""
+    """What the chunk's voters did on its accepted samples.
 
-    def __init__(self, n_classes: int):
-        self.n_classes = n_classes
-        self.pairs: dict = {}
+    The voter set is fixed for a chunk: a drift member bootstraps until
+    the chunk ends and merges run after it, and every voter scores every
+    accepted sample.  Per voter v the record holds its correct
+    predictions, its squared error, and the Welford moments of its output
+    series: mean[v] and the co-moments com[v, w], whose diagonal is the
+    voter's own m2.  A lone voter has nothing to compare with, so nothing
+    is recorded for it.
+    """
 
-    def update(self, uids: list, scores: list) -> None:
-        for i in range(len(uids)):
-            for j in range(i + 1, len(uids)):
-                key = (uids[i], uids[j])
-                st = self.pairs.get(key)
-                if st is None:
-                    st = self.pairs[key] = PairStats(self.n_classes)
-                st.update(scores[i], scores[j])
+    def __init__(self, voters: list, n_classes: int):
+        self.voters = voters
+        self.count = 0
+        v = len(voters)
+        self.correct = np.zeros(v, dtype=np.int64)
+        self.sq_err = np.zeros(v)
+        self.mean = np.zeros((v, n_classes))
+        self.com = np.zeros((v, v, n_classes))
+
+    def update(self, scores: list, preds: list, label: int, t: np.ndarray) -> None:
+        if len(self.voters) < 2:
+            return
+        self.count += 1
+        for v, (y, pred) in enumerate(zip(scores, preds)):
+            e = t - y
+            self.sq_err[v] += float(e @ e)
+            self.correct[v] += pred == label
+        y = np.array(scores)
+        d = y - self.mean
+        self.mean += d / self.count
+        self.com += d[:, None, :] * (y - self.mean)[None, :, :]
 
 
 @dataclass(eq=False)
@@ -264,17 +250,9 @@ class EnsembleMember:
     model: RuleClassifier
     beta: float = 1.0
     uid: int = 0
-    chunk_sq_err: float = 0.0
-    chunk_correct: int = 0
-    chunk_seen: int = 0
     bootstrapping: bool = False
     bootstrap_count: int = 0
     bootstrap_chunks: int = 0
-
-    def reset_chunk(self) -> None:
-        self.chunk_sq_err = 0.0
-        self.chunk_correct = 0
-        self.chunk_seen = 0
 
 
 @dataclass
@@ -298,6 +276,9 @@ class ChunkReport:
     betas: list = field(default_factory=list)
 
 
+# The drift detector's window, in chunks.
+DETECTOR_CHUNKS = 4
+
 # A fresh drift member must absorb at least this many accepted samples
 # before it votes; otherwise it keeps training through the next chunk.
 BOOTSTRAP_MIN_SAMPLES = 5
@@ -316,7 +297,7 @@ class Ensemble:
         self.detector = DriftDetector(
             cfg.alpha_warn,
             cfg.alpha_drift,
-            max_window=cfg.detector_chunks * cfg.chunk_size,
+            max_window=DETECTOR_CHUNKS * cfg.chunk_size,
         )
         self.standardizer = RunningStandardizer(cfg.n_features)
         self.hyper = hyper if hyper is not None else GrowPruneParams(
@@ -405,81 +386,53 @@ class Ensemble:
                 m.beta = min(m.beta * (2.0 - p), 1.0)
         self._normalize_betas()
 
-    def select_winner(self) -> int:
-        """Index of the member with the lowest chunk MSE so far."""
-        best = None
-        best_mse = math.inf
-        for idx, m in enumerate(self.members):
-            if m.bootstrapping or m.chunk_seen == 0:
-                continue
-            mse = m.chunk_sq_err / m.chunk_seen
-            if mse < best_mse:
-                best_mse = mse
-                best = idx
-        if best is not None:
-            return best
-        for idx, m in enumerate(self.members):
-            if not m.bootstrapping:
-                return idx
-        return 0
+    def select_winner(self, stats: MciState) -> int:
+        """Index into stats.voters of the voter with the lowest chunk MSE so
+        far, the first on a tie; 0 while nothing is recorded (a lone voter)."""
+        if stats.count == 0:
+            return 0
+        return int(np.argmin(stats.sq_err / stats.count))
 
     # -- merging ---------------------------------------------------------------
 
-    def merge_check(self, mci: MciState) -> list:
-        """Merge the most redundant member pair, at most one per chunk.
+    def merge_check(self, stats: MciState) -> list:
+        """Merge the most redundant voter pair, at most one per chunk.
 
         A pair qualifies when its mean compression index over class
         dimensions falls below the threshold (relative to the mean
-        variance unless an absolute override is configured).  The member
-        with lower chunk accuracy is dropped, the lower index on an exact
-        tie; the survivor absorbs the dropped weight.
+        variance unless an absolute override is configured).  The voter
+        with fewer correct predictions in the chunk is dropped, the first
+        of the pair on an exact tie; the survivor absorbs the dropped
+        weight.
         """
-        if len(self.members) < 2:
+        n = stats.count
+        if n < 2:
             return []
-        by_uid = {m.uid: i for i, m in enumerate(self.members)}
         candidates = []
-        for (ua, ub), st in self.mci_pairs(mci):
-            ia = by_uid.get(ua)
-            ib = by_uid.get(ub)
-            if ia is None or ib is None:
-                continue
-            if self.members[ia].bootstrapping or self.members[ib].bootstrapping:
-                continue
-            v1, v2, cov = st.var1, st.var2, st.cov
-            xi = float(
-                np.mean(
-                    [compression_index(a, b, c) for a, b, c in zip(v1, v2, cov)]
+        for i in range(len(stats.voters)):
+            for j in range(i + 1, len(stats.voters)):
+                v1, v2, cov = stats.com[i, i] / n, stats.com[j, j] / n, stats.com[i, j] / n
+                xi = float(
+                    np.mean(
+                        [compression_index(a, b, c) for a, b, c in zip(v1, v2, cov)]
+                    )
                 )
-            )
-            vbar = 0.5 * float(v1.mean() + v2.mean())
-            if self.cfg.delta_abs is not None:
-                threshold = self.cfg.delta_abs
-            else:
-                threshold = self.cfg.delta_rel * vbar
-            if xi <= threshold:
-                candidates.append((xi, ia, ib))
+                vbar = 0.5 * float(v1.mean() + v2.mean())
+                if self.cfg.delta_abs is not None:
+                    threshold = self.cfg.delta_abs
+                else:
+                    threshold = self.cfg.delta_rel * vbar
+                if xi <= threshold:
+                    candidates.append((xi, i, j))
         if not candidates:
             return []
-        _, ia, ib = min(candidates)
-        a, b = self.members[ia], self.members[ib]
-        acc_a = a.chunk_correct / a.chunk_seen if a.chunk_seen else 0.0
-        acc_b = b.chunk_correct / b.chunk_seen if b.chunk_seen else 0.0
-        if acc_a > acc_b:
-            keep, drop = ia, ib
-        elif acc_b > acc_a:
-            keep, drop = ib, ia
-        else:
-            keep, drop = max(ia, ib), min(ia, ib)
-        survivor = self.members[keep]
-        dropped = self.members[drop]
+        _, i, j = min(candidates)
+        keep, drop = (i, j) if stats.correct[i] > stats.correct[j] else (j, i)
+        survivor, dropped = stats.voters[keep], stats.voters[drop]
         survivor.beta = min(survivor.beta + dropped.beta, 1.0)
-        self.members.pop(drop)
+        self.members.remove(dropped)
         self._normalize_betas()
         return [(survivor.uid, dropped.uid)]
-
-    @staticmethod
-    def mci_pairs(mci: MciState):
-        return [(k, st) for k, st in mci.pairs.items() if st.count >= 2]
 
     # -- the chunk loop ----------------------------------------------------------
 
@@ -487,7 +440,7 @@ class Ensemble:
         """Process one chunk: select, vote, adapt weights, detect drift, train.
 
         Rejected samples receive a prediction only.  Accepted samples feed
-        the weight update, the pairwise output moments, and the drift
+        the weight update, the chunk's voter record, and the drift
         detector; the phase decides the structural action.  Each sample is
         touched exactly once, and its distances to each member's rules are
         computed once per rule state and passed to every step that reads them.
@@ -498,10 +451,13 @@ class Ensemble:
         if cold_start:
             self._new_member()
         rep = ChunkReport(index=chunk.index, theta_start=selectors.al.theta)
-        mci = MciState(self.cfg.n_classes)
+        mci = MciState(self.voters(), self.cfg.n_classes)
         activations = np.zeros(self.cfg.n_features)
-        for s in chunk.samples:
-            z = self.standardizer.fit_transform(s.x)
+        for k, s in enumerate(chunk.samples):
+            try:
+                z = self.standardizer.fit_transform(s.x)
+            except DataError as exc:
+                raise DataError(f"row {k} of the chunk: {exc}") from None
             mask = selectors.mask.active if selectors.ofs_enabled else None
             d2s = {m: m.model.mahalanobis_sq(z, mask) for m in self.members}
             sigma, cls, member_scores = self.predict(z, d2s, mask)
@@ -526,17 +482,9 @@ class Ensemble:
             label = s.label
             rep.accepted += 1
             t = onehot(label, self.cfg.n_classes)
-            voters = self.voters()
-            scores = dict(zip(voters, member_scores))
             preds = [classes(sc) for sc in member_scores]
             self.reward_penalize(preds, label)
-            for m, sc, pred in zip(voters, member_scores, preds):
-                m.chunk_seen += 1
-                if pred == label:
-                    m.chunk_correct += 1
-                diff = t - sc
-                m.chunk_sq_err += float(diff @ diff)
-            mci.update([m.uid for m in voters], member_scores)
+            mci.update(member_scores, preds, label, t)
             phase = self.detector.step(0.0 if cls == label else 1.0)
             if phase == "drift":
                 rep.drifts += 1
@@ -545,8 +493,9 @@ class Ensemble:
             elif phase == "warning":
                 rep.warnings += 1
             else:
-                m = self.members[self.select_winner()]
-                sc = scores[m] if m.model.rules else None
+                v = self.select_winner(mci)
+                m = mci.voters[v]
+                sc = member_scores[v] if m.model.rules else None
                 d2s[m] = m.model.train_sample(z, label, d2s[m], sc, mask)
             for m in self.members:
                 if m.bootstrapping:
@@ -557,7 +506,7 @@ class Ensemble:
                 activations += selectors.mask.active
                 if cls != label:
                     vm = VirtualConsequentModel(
-                        [m.model for m in d2s], selectors.ofs_rate, selectors.ofs_reg
+                        [m.model for m in d2s], OFS_RATE, OFS_REG
                     )
                     vm.sgd_step(z, t, list(d2s.values()), mask)
                 selectors.refresh_mask([m.model for m in self.members])
@@ -577,8 +526,6 @@ class Ensemble:
         rep.mask_activations = [int(v) for v in activations]
         rep.feature_scores = [float(v) for v in selectors.mask.scores]
         rep.betas = [m.beta for m in self.members]
-        for m in self.members:
-            m.reset_chunk()
         self.chunk_index += 1
         return rep
 

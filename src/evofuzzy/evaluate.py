@@ -101,17 +101,28 @@ def _take(it, n: int, what: str, stamp: int) -> list:
     return block
 
 
-def _train_and_score(ens, sel, cfg, train, test, audit_purity: bool, where: str):
+def _located(where: str, ch, size: int) -> str:
+    first = ch.index * size
+    return f"{where} (samples {first}-{first + len(ch) - 1})"
+
+
+def _train_and_score(ens, sel, cfg, train, test, audit_purity: bool, where: tuple):
     """Train on one block, then score another against the frozen model.
 
     The test block is scored a chunk at a time, one score_sample call per
-    chunk, so no distance array grows past one chunk of rows.  Returns
-    (chunk reports, correct test predictions, seconds of learning plus
-    scoring).  With audit_purity, scoring must leave the snapshot hash
-    unchanged.
+    chunk, so no distance array grows past one chunk of rows.  where
+    names the (train, test) blocks in a DataError.  Returns (chunk
+    reports, correct test predictions, seconds of learning plus scoring).
+    With audit_purity, scoring must leave the snapshot hash unchanged.
     """
+    train_where, test_where = where
     t0 = time.perf_counter()
-    reports = [ens.train_chunk(ch, sel) for ch in chunks(train, cfg.chunk_size)]
+    reports = []
+    for ch in chunks(train, cfg.chunk_size):
+        try:
+            reports.append(ens.train_chunk(ch, sel))
+        except DataError as exc:
+            raise DataError(f"{_located(train_where, ch, cfg.chunk_size)}: {exc}") from None
     seconds = time.perf_counter() - t0
     mask = sel.mask.active if sel.ofs_enabled else None
     before = ens.snapshot_hash() if audit_purity else None
@@ -121,12 +132,11 @@ def _train_and_score(ens, sel, cfg, train, test, audit_purity: bool, where: str)
         try:
             _, cls = ens.score_sample([s.x for s in ch.samples], mask)
         except DataError as exc:
-            first = ch.index * cfg.chunk_size
-            raise DataError(f"{where} (samples {first}-{first + len(ch) - 1}): {exc}") from None
+            raise DataError(f"{_located(test_where, ch, cfg.chunk_size)}: {exc}") from None
         correct += int(np.count_nonzero(cls == np.array([s.label for s in ch.samples])))
     seconds += time.perf_counter() - t0
     if audit_purity and ens.snapshot_hash() != before:
-        raise RuntimeError(f"{where} mutated the model")
+        raise RuntimeError(f"{test_where} mutated the model")
     return reports, correct, seconds
 
 
@@ -194,7 +204,8 @@ def run_holdout(
         train = _take(it, protocol.train_per_stamp, "train", stamp)
         test = _take(it, protocol.test_per_stamp, "test", stamp)
         reports, correct, seconds = _train_and_score(
-            ens, sel, cfg, train, test, audit_purity, f"test block of stamp {stamp}"
+            ens, sel, cfg, train, test, audit_purity,
+            (f"train block of stamp {stamp}", f"test block of stamp {stamp}"),
         )
         rt += seconds
         series.append(_record(stamp, ens, sel, cfg, reports, correct / len(test), rt))
@@ -222,7 +233,7 @@ def run_cv(dataset, cfg: StreamConfig, folds: int = 10, audit_purity: bool = Tru
         ens = Ensemble(cfg)
         sel = Selectors(cfg)
         reports, correct, seconds = _train_and_score(
-            ens, sel, cfg, train, test, audit_purity, f"test bin {f}"
+            ens, sel, cfg, train, test, audit_purity, (f"train bins of fold {f}", f"test bin {f}")
         )
         rt += seconds
         offered += len(train)

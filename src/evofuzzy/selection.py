@@ -25,6 +25,10 @@ import numpy as np
 from .core import StreamConfig
 from .rules import RuleClassifier, extended_input, firings
 
+# Step size and L2 weight of the feature-selection SGD.
+OFS_RATE = 0.05
+OFS_REG = 0.01
+
 
 @dataclass
 class ConflictScores:
@@ -254,16 +258,12 @@ def apply_mask(scores: np.ndarray, b: int) -> FeatureMask:
 class Selectors:
     """Bundle of selection state carried across chunks by the trainer."""
 
-    SETTINGS = ("conjunction", "ofs_b", "ofs_rate", "ofs_reg", "n_features")
+    SETTINGS = ("conjunction", "ofs_b", "n_features")
 
     def __init__(self, cfg: StreamConfig):
-        self.al = ActiveLearnState(
-            cfg.theta, cfg.theta_step, cfg.theta_min, cfg.theta_max
-        )
+        self.al = ActiveLearnState(cfg.theta)
         self.conjunction = cfg.al_conjunction
         self.ofs_b = cfg.ofs_b
-        self.ofs_rate = cfg.ofs_rate
-        self.ofs_reg = cfg.ofs_reg
         self.n_features = cfg.n_features
         self.mask = FeatureMask(
             active=np.ones(cfg.n_features),

@@ -1,4 +1,5 @@
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -110,7 +111,9 @@ class TestRun:
             "--test", "250",
         )
         assert code == 3
-        assert "overflow" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "overflow" in err
+        assert "train block of stamp 0" in err and "row 99 of the chunk" in err
 
     def test_overflowing_test_value_is_data_error(self, tmp_path, capsys):
         # line 5402 is a test row (stamp 10, row 150): the training path
@@ -208,3 +211,33 @@ class TestSameMetrics:
         assert "record 2" in out.stdout
         b.write_text(json.dumps(recs[0]) + "\n")
         assert self.compare(a, b).returncode == 1
+
+    def test_directories_compare_file_by_file(self, tmp_path):
+        a, b = tmp_path / "a", tmp_path / "b"
+        a.mkdir()
+        b.mkdir()
+        for name in ("x.jsonl", "y.jsonl"):
+            (a / name).write_text('{"record": "summary", "cr": 0.5, "rt": 1.0}\n')
+            (b / name).write_text('{"record": "summary", "cr": 0.5, "rt": 3.0}\n')
+        assert self.compare(a, b).returncode == 0
+        (b / "y.jsonl").write_text('{"record": "summary", "cr": 0.6, "rt": 1.0}\n')
+        out = self.compare(a, b)
+        assert out.returncode == 1 and "y.jsonl" in out.stdout and "x.jsonl: 1 records" in out.stdout
+        (b / "y.jsonl").unlink()
+        out = self.compare(a, b)
+        assert out.returncode == 1 and "y.jsonl: missing" in out.stdout
+
+
+class TestScripts:
+    def test_run_sea_names_the_metrics_file_it_wrote(self, tmp_path):
+        root = Path(__file__).resolve().parents[1]
+        metrics = tmp_path / "m.jsonl"
+        out = subprocess.run(
+            [sys.executable, str(root / "scripts" / "run_sea.py"), "--n", "2000",
+             "--stamps", "4", "--metrics", str(metrics)],
+            capture_output=True, text=True, cwd=tmp_path,
+            env={**os.environ, "PYTHONPATH": str(root / "src")},
+        )
+        assert out.returncode == 0
+        assert f"metrics written to {metrics}" in out.stdout
+        assert metrics.is_file()

@@ -7,16 +7,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from evofuzzy.core import DataChunk, DataError, Sample, StreamConfig, chunks
-from evofuzzy.datagen import SeaConfig, gen_sea
+from evofuzzy.datagen import HyperplaneConfig, SeaConfig, gen_hyperplane, gen_sea
 from evofuzzy.ensemble import (
     DriftDetector,
     Ensemble,
     MciState,
-    PairStats,
     compression_index,
 )
 from evofuzzy.evaluate import EvalProtocol, run_holdout
-from evofuzzy.rules import FuzzyRule, GrowPruneParams, RuleClassifier
+from evofuzzy.rules import FuzzyRule, GrowPruneParams, RuleClassifier, classes
 from evofuzzy.selection import Selectors
 
 
@@ -130,35 +129,39 @@ class TestRewardPenalize:
             assert sum(m.beta for m in ens.members) == pytest.approx(1.0, abs=1e-12)
 
 
+def voter_record(ens):
+    return MciState(ens.voters(), ens.cfg.n_classes)
+
+
 class TestSelectWinner:
     def test_single_member(self):
         ens = Ensemble(base_cfg())
         constant_member(ens, [1.0, 0.0])
-        assert ens.select_winner() == 0
+        assert ens.select_winner(voter_record(ens)) == 0
 
     def test_argmin_mse(self):
         ens = Ensemble(base_cfg())
         for _ in range(3):
             constant_member(ens, [1.0, 0.0])
-        for m, mse in zip(ens.members, (0.3, 0.1, 0.2)):
-            m.chunk_seen = 10
-            m.chunk_sq_err = mse * 10
-        assert ens.select_winner() == 1
+        stats = voter_record(ens)
+        stats.count = 10
+        stats.sq_err[:] = [mse * 10 for mse in (0.3, 0.1, 0.2)]
+        assert ens.select_winner(stats) == 1
 
     def test_tie_goes_to_lowest_index(self):
         ens = Ensemble(base_cfg())
         for _ in range(2):
             constant_member(ens, [1.0, 0.0])
-        for m in ens.members:
-            m.chunk_seen = 5
-            m.chunk_sq_err = 1.0
-        assert ens.select_winner() == 0
+        stats = voter_record(ens)
+        stats.count = 5
+        stats.sq_err[:] = 1.0
+        assert ens.select_winner(stats) == 0
 
     def test_no_observations_returns_first(self):
         ens = Ensemble(base_cfg())
         constant_member(ens, [1.0, 0.0])
         constant_member(ens, [0.0, 1.0])
-        assert ens.select_winner() == 0
+        assert ens.select_winner(voter_record(ens)) == 0
 
 
 class TestDriftDetector:
@@ -243,16 +246,22 @@ class TestDriftDetector:
             assert det.step(e) == clone.step(e)
 
 
+def pair_moments(y1, y2):
+    """(var1, var2, cov) of two one-output series, from an MciState."""
+    stats = MciState([None, None], 1)
+    for a, b in zip(y1, y2):
+        stats.update([np.array([float(a)]), np.array([float(b)])], [1, 1], 1, np.ones(1))
+    m = stats.com[:, :, 0] / stats.count
+    return m[0, 0], m[1, 1], m[0, 1]
+
+
 class TestCompressionIndex:
     def test_identical_series_fully_compressible(self):
         assert compression_index(2.0, 2.0, 2.0) == 0.0
 
     def test_orthogonal_equal_variance_hits_upper_bound(self):
         # y1 = (1,-1,1,-1), y2 = (1,1,-1,-1): var 1 each, cov 0
-        st_ = PairStats(1)
-        for a, b in [(1, 1), (-1, 1), (1, -1), (-1, -1)]:
-            st_.update(np.array([float(a)]), np.array([float(b)]))
-        v1, v2, cov = st_.var1[0], st_.var2[0], st_.cov[0]
+        v1, v2, cov = pair_moments([1, -1, 1, -1], [1, 1, -1, -1])
         assert v1 == pytest.approx(1.0)
         assert v2 == pytest.approx(1.0)
         assert cov == pytest.approx(0.0)
@@ -263,23 +272,15 @@ class TestCompressionIndex:
         # y2 = y1 + c carries no extra information
         rng = np.random.default_rng(12)
         y = rng.normal(size=100)
-        st_ = PairStats(1)
-        for v in y:
-            st_.update(np.array([v]), np.array([v + 3.5]))
-        xi = compression_index(st_.var1[0], st_.var2[0], st_.cov[0])
+        xi = compression_index(*pair_moments(y, y + 3.5))
         assert xi == pytest.approx(0.0, abs=1e-9)
 
     def test_translation_invariance(self):
         rng = np.random.default_rng(6)
         y1 = rng.normal(size=200)
         y2 = rng.normal(size=200)
-        a = PairStats(1)
-        b = PairStats(1)
-        for p, q in zip(y1, y2):
-            a.update(np.array([p]), np.array([q]))
-            b.update(np.array([p + 17.0]), np.array([q]))
-        xi_a = compression_index(a.var1[0], a.var2[0], a.cov[0])
-        xi_b = compression_index(b.var1[0], b.var2[0], b.cov[0])
+        xi_a = compression_index(*pair_moments(y1, y2))
+        xi_b = compression_index(*pair_moments(y1 + 17.0, y2))
         assert xi_a == pytest.approx(xi_b, abs=1e-9)
 
     def test_zero_variance_convention(self):
@@ -300,11 +301,15 @@ class TestCompressionIndex:
 
 
 class TestMerge:
-    def _mci_from_series(self, ens, series):
-        mci = MciState(ens.cfg.n_classes)
-        uids = [m.uid for m in ens.members]
+    def _mci_from_series(self, ens, series, correct=None):
+        """The voter record of the series, every prediction right unless
+        correct overrides the per-voter counts."""
+        mci = voter_record(ens)
+        t = np.eye(ens.cfg.n_classes)[0]
         for row in series:
-            mci.update(uids, [np.asarray(s, dtype=float) for s in row])
+            mci.update([np.asarray(s, dtype=float) for s in row], [1] * len(row), 1, t)
+        if correct is not None:
+            mci.correct[:] = correct
         return mci
 
     def test_exact_clone_merges(self):
@@ -338,8 +343,6 @@ class TestMerge:
         ens = Ensemble(base_cfg())
         for _ in range(3):
             constant_member(ens, [1.0, 0.0])
-        for m, (correct, seen) in zip(ens.members, [(5, 10), (9, 10), (7, 10)]):
-            m.chunk_correct, m.chunk_seen = correct, seen
         rng = np.random.default_rng(8)
         series = []
         for _ in range(40):
@@ -348,7 +351,7 @@ class TestMerge:
             series.append([dup, dup.copy(), other])
         survivor_uid = ens.members[1].uid
         dropped_uid = ens.members[0].uid
-        merged = ens.merge_check(self._mci_from_series(ens, series))
+        merged = ens.merge_check(self._mci_from_series(ens, series, correct=[5, 9, 7]))
         assert merged == [(survivor_uid, dropped_uid)]
         assert len(ens.members) == 2
         assert ens.members[0].uid == survivor_uid
@@ -357,8 +360,6 @@ class TestMerge:
         ens = Ensemble(base_cfg())
         constant_member(ens, [1.0, 0.0])
         constant_member(ens, [1.0, 0.0])
-        for m in ens.members:
-            m.chunk_correct, m.chunk_seen = 5, 10
         keep_uid = ens.members[1].uid
         drop_uid = ens.members[0].uid
         rng = np.random.default_rng(9)
@@ -366,7 +367,7 @@ class TestMerge:
         for _ in range(30):
             s = rng.normal(size=2)
             series.append([s, s.copy()])
-        merged = ens.merge_check(self._mci_from_series(ens, series))
+        merged = ens.merge_check(self._mci_from_series(ens, series, correct=[5, 5]))
         assert merged == [(keep_uid, drop_uid)]
 
     def test_merge_respects_absolute_override(self):
@@ -380,6 +381,90 @@ class TestMerge:
             series.append([a, a + rng.normal(scale=0.5, size=2)])  # noisy copy
         merged = ens.merge_check(self._mci_from_series(ens, series))
         assert merged == []
+
+
+class TestMciState:
+    def test_moments_equal_pairwise_welford(self):
+        """The record's moments are the per-pair Welford recurrences it
+        replaced, to the bit, and the batch variances and covariances."""
+        rng = np.random.default_rng(13)
+        ys = rng.random((300, 3, 3))
+        labels = rng.integers(1, 4, size=300)
+        stats = MciState([None] * 3, 3)
+        for y, label in zip(ys, labels):
+            stats.update(list(y), [classes(yv) for yv in y], int(label), np.eye(3)[label - 1])
+        assert stats.count == 300
+        for v in range(3):
+            sq = 0.0
+            for y, label in zip(ys, labels):
+                e = np.eye(3)[label - 1] - y[v]
+                sq += float(e @ e)
+            assert stats.sq_err[v] == sq
+            assert stats.correct[v] == sum(classes(y[v]) == lab for y, lab in zip(ys, labels))
+        for i in range(3):
+            for j in range(i + 1, 3):
+                n = 0
+                mean1, mean2, m2_1, m2_2, com = (np.zeros(3) for _ in range(5))
+                for y in ys:
+                    n += 1
+                    d1 = y[i] - mean1
+                    d2 = y[j] - mean2
+                    mean1 += d1 / n
+                    mean2 += d2 / n
+                    m2_1 += d1 * (y[i] - mean1)
+                    m2_2 += d2 * (y[j] - mean2)
+                    com += d1 * (y[j] - mean2)
+                assert (stats.mean[i] == mean1).all() and (stats.mean[j] == mean2).all()
+                assert (stats.com[i, i] == m2_1).all() and (stats.com[j, j] == m2_2).all()
+                assert (stats.com[i, j] == com).all()
+                cov = [np.cov(ys[:, i, o], ys[:, j, o], bias=True)[0, 1] for o in range(3)]
+                np.testing.assert_allclose(stats.com[i, j] / 300, cov, rtol=0, atol=1e-12)
+                np.testing.assert_allclose(
+                    stats.com[i, i] / 300, ys[:, i].var(axis=0), rtol=0, atol=1e-12
+                )
+
+    def test_lone_voter_is_not_recorded(self):
+        ens = Ensemble(base_cfg())
+        constant_member(ens, [1.0, 0.0])
+        stats = voter_record(ens)
+        for _ in range(5):
+            stats.update([np.array([1.0, 0.0])], [1], 2, np.array([0.0, 1.0]))
+        assert stats.count == 0
+        assert ens.select_winner(stats) == 0
+        assert ens.merge_check(stats) == []
+
+    def test_winners_are_voters_and_merges_keep_bootstrapping_members(self, monkeypatch):
+        """A multivariate hyperplane run with delta_rel 0.5 (the benchmark's
+        hyperplane-mv learner), watched from outside the ensemble."""
+        select, merge = Ensemble.select_winner, Ensemble.merge_check
+        shared = []  # winners picked among two or more voters
+
+        def checked_select(self, stats):
+            v = select(self, stats)
+            assert any(stats.voters[v] is m for m in self.voters())
+            if len(stats.voters) > 1:
+                shared.append(v)
+            return v
+
+        def checked_merge(self, stats):
+            bootstrapping = {m.uid for m in self.members if m.bootstrapping}
+            merged = merge(self, stats)
+            assert not {dropped for _, dropped in merged} & bootstrapping
+            return merged
+
+        monkeypatch.setattr(Ensemble, "select_winner", checked_select)
+        monkeypatch.setattr(Ensemble, "merge_check", checked_merge)
+        w_before, w_after = (0.9, 0.6, 0.3, 0.1), (0.1, 0.3, 0.6, 0.9)
+        stream = gen_hyperplane(HyperplaneConfig(
+            n_total=12_500, n_features=4, drift_start=3750, ramp_frac=0.1, seed=1,
+            w_before=w_before, w_after=w_after, w0=0.5 * sum(w_before),
+        ))
+        cfg = base_cfg(n_features=4, chunk_size=1000, base_kind="multivariate", delta_rel=0.5)
+        proto = EvalProtocol("holdout", train_per_stamp=1000, test_per_stamp=250, stamps=10)
+        metrics, _ = run_holdout(stream, cfg, proto)
+        assert sum(r["drifts"] for r in metrics.series) >= 1
+        assert sum(r["merges"] for r in metrics.series) >= 1
+        assert shared
 
 
 def sea_chunks(n, chunk, seed=0, thresholds=(4.0, 7.0, 4.0, 7.0)):

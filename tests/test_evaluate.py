@@ -214,6 +214,20 @@ class TestChunkedScoring:
         with pytest.raises(DataError, match=r"stamp 1 \(samples 100-199\): row 20 of the block"):
             run_holdout(samples, small_cfg(chunk_size=100), proto)
 
+    def test_overflowing_train_value_names_its_row(self):
+        samples = list(gen_sea(SeaConfig(n_total=1000, seed=1)))
+        samples[500 + 130].x[0] = 1e200  # stamp 1, train row 130
+        proto = EvalProtocol(mode="holdout", train_per_stamp=250, test_per_stamp=250, stamps=2)
+        with pytest.raises(
+            DataError,
+            match=r"train block of stamp 1 \(samples 100-199\): row 30 of the chunk: .*overflow",
+        ):
+            run_holdout(samples, small_cfg(chunk_size=100), proto)
+        samples = list(gen_sea(SeaConfig(n_total=1000, seed=1)))
+        samples[870].x[0] = 1e200  # in bin 3: training row 620 of fold 0
+        with pytest.raises(DataError, match=r"train bins of fold 0 \(samples 600-699\): row 20 of the chunk"):
+            run_cv(samples, small_cfg(chunk_size=100), folds=4)
+
 
 class TestPurity:
     def test_test_blocks_leave_model_untouched(self):
