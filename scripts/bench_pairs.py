@@ -1,0 +1,109 @@
+#!/usr/bin/env python3
+"""Run the benchmark on two checkouts in alternating pairs and compare.
+
+    python3 scripts/bench_pairs.py PARENT_DIR CHANGE_DIR --workload W --seed N --pairs 10
+
+Each pair runs ``python3 perfbench/run.py --workload W --seed N
+--seconds S --trace 0`` from the root of both checkouts, one after the
+other; the parent runs first in even pairs and the change in odd ones.
+For every end-to-end metric it prints each side's median and quartiles,
+the ratio of the medians, the change's wins (ties count for neither,
+"better" as BENCHMARK.json of CHANGE_DIR says) and whether the gap
+between the medians exceeds the parent's interquartile range.  With
+--json PATH the summary is stored in PATH under the workload's name,
+next to what the file already holds.  Nothing in either checkout is
+changed apart from the benchmark's own perfbench/out/.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import statistics
+import subprocess
+import sys
+from pathlib import Path
+
+
+def run_once(root: Path, workload: str, seed: int, seconds: int) -> dict:
+    cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
+           "--seconds", str(seconds), "--trace", "0"]
+    proc = subprocess.run(cmd, cwd=root, capture_output=True, text=True)
+    lines = proc.stdout.strip().splitlines()
+    if proc.returncode != 0 or not lines:
+        raise RuntimeError(f"{root}: exit {proc.returncode}: {proc.stderr.strip()[-2000:]}")
+    return json.loads(lines[-1])
+
+
+def quartiles(values: list) -> tuple:
+    if len(values) < 2:
+        return values[0], values[0], values[0]
+    q1, med, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return q1, med, q3
+
+
+def summarize(runs: dict, better: dict) -> dict:
+    out = {}
+    for name, direction in better.items():
+        parent = [r["metrics"][name]["value"] for r in runs["parent"]]
+        change = [r["metrics"][name]["value"] for r in runs["change"]]
+        sign = 1 if direction == "higher" else -1
+        p1, pm, p3 = quartiles(parent)
+        c1, cm, c3 = quartiles(change)
+        out[name] = {
+            "unit": runs["parent"][0]["metrics"][name]["unit"],
+            "better": direction,
+            "parent": {"median": pm, "q1": p1, "q3": p3, "runs": parent},
+            "change": {"median": cm, "q1": c1, "q3": c3, "runs": change},
+            "ratio": cm / pm if pm else None,
+            "wins": sum(sign * (c - p) > 0 for p, c in zip(parent, change)),
+            "gap_exceeds_parent_iqr": abs(cm - pm) > p3 - p1,
+        }
+    return out
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("parent", type=Path)
+    ap.add_argument("change", type=Path)
+    ap.add_argument("--workload", required=True)
+    ap.add_argument("--seed", type=int, required=True)
+    ap.add_argument("--pairs", type=int, default=10)
+    ap.add_argument("--seconds", type=int, default=30)
+    ap.add_argument("--json", type=Path, help="merge the summary into this file")
+    args = ap.parse_args(argv)
+    spec = json.loads((args.change / "BENCHMARK.json").read_text())
+    better = {m["name"]: m["better"] for m in spec["end_to_end"]}
+
+    runs = {"parent": [], "change": []}
+    for i in range(args.pairs):
+        order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
+        for side in order:
+            runs[side].append(run_once(getattr(args, side), args.workload, args.seed, args.seconds))
+        print(f"pair {i + 1}/{args.pairs} done ({order[0]} first)", file=sys.stderr, flush=True)
+
+    metrics = summarize(runs, better)
+    failed = {side: [[r["failed"], r["attempted"]] for r in rs] for side, rs in runs.items()}
+    print(f"{args.workload} seed {args.seed}, {args.pairs} pairs; "
+          f"median [q1, q3] per side, ratio change/parent, change wins")
+    for name, m in metrics.items():
+        p, c = m["parent"], m["change"]
+        print(f"{name:14s} {p['median']:>12.6g} [{p['q1']:.6g}, {p['q3']:.6g}]"
+              f"  ->  {c['median']:>12.6g} [{c['q1']:.6g}, {c['q3']:.6g}] {m['unit']:10s}"
+              f" x{m['ratio'] or float('nan'):.3f}  wins {m['wins']}/{args.pairs}"
+              f"{'  gap > parent IQR' if m['gap_exceeds_parent_iqr'] else ''}")
+    for side, rs in runs.items():
+        print(f"{side}: failed {sum(f for f, _ in failed[side])} of "
+              f"{sum(a for _, a in failed[side])} operations, "
+              f"checks passed in {sum(r['correct'] for r in rs)} of {len(rs)} runs")
+    if args.json:
+        store = json.loads(args.json.read_text()) if args.json.is_file() else {}
+        store[args.workload] = {"seed": args.seed, "pairs": args.pairs,
+                                "seconds": args.seconds, "metrics": metrics,
+                                "failed_attempted": failed}
+        args.json.write_text(json.dumps(store, indent=1) + "\n")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -128,7 +128,7 @@ class RunningStandardizer:
         return np.sqrt(self.var)
 
     def update(self, x: np.ndarray) -> None:
-        self._absorb(self._check(x))
+        self.fit_transform(x)
 
     def transform(self, x: np.ndarray) -> np.ndarray:
         """Scale one vector (u,) or a block (N, u) against current
@@ -138,23 +138,42 @@ class RunningStandardizer:
         yet; vectors are centered but left unscaled rather than divided
         by the floor.
         """
-        return self._scale(self._check(x, block=True))
+        return self._scale(self._check(x, "block"))
 
     def fit_transform(self, x: np.ndarray) -> np.ndarray:
-        """Absorb one sample, then scale it (the training-path step)."""
-        x = self._check(x)
-        self._absorb(x)
-        return self._scale(x)
-
-    def _absorb(self, x: np.ndarray) -> None:
-        count = self.count + 1
-        with np.errstate(over="ignore", invalid="ignore"):
-            delta = x - self.mean
-            mean = self.mean + delta / count
-            m2 = self.m2 + delta * (x - mean)
-        if not np.isfinite(m2).all():
-            raise DataError("feature values overflow the running statistics")
-        self.count, self.mean, self.m2 = count, mean, m2
+        """The training-path step: absorb one sample (u,) or the rows of a
+        chunk (N, u) in order, and scale each row by the statistics just
+        after it.  A row that fails leaves the statistics as they were
+        before the call, so a chunk is absorbed whole or not at all."""
+        x = self._check(x, "chunk")
+        rows = x.reshape(-1, self.n_features)
+        # the recurrence per feature in Python floats: the same IEEE
+        # operations as on numpy vectors, without a numpy call per row
+        means, m2s = [], []
+        for col, mean, m2 in zip(rows.T.tolist(), self.mean.tolist(), self.m2.tolist()):
+            col_means, col_m2s = [mean], [m2]
+            for count, v in enumerate(col, self.count + 1):
+                delta = v - mean
+                mean += delta / count
+                m2 += delta * (v - mean)
+                col_means.append(mean)
+                col_m2s.append(m2)
+            means.append(col_means)
+            m2s.append(col_m2s)
+        means, m2s = np.array(means).T, np.array(m2s).T  # (N + 1, u), row 0 the prior state
+        finite = np.isfinite(m2s).all(axis=1)
+        if not finite.all():
+            raise DataError(
+                _row(x, int(np.argmin(finite)) - 1, "chunk")
+                + "feature values overflow the running statistics"
+            )
+        counts = np.arange(self.count + 1, self.count + len(rows) + 1)[:, None]
+        self.count += len(rows)
+        self.mean, self.m2 = means[-1].copy(), m2s[-1].copy()
+        centered = rows - means[1:]
+        std = np.sqrt(m2s[1:] / np.maximum(counts - 1, 1))
+        z = np.where(counts < 2, centered, centered / np.maximum(std, STD_FLOOR))
+        return z.reshape(x.shape)
 
     def _scale(self, x: np.ndarray) -> np.ndarray:
         if self.count < 2:
@@ -176,21 +195,28 @@ class RunningStandardizer:
         s.m2 = np.asarray(state["m2"], dtype=float)
         return s
 
-    def _check(self, x, block: bool = False) -> np.ndarray:
+    def _check(self, x, noun: str) -> np.ndarray:
+        """x as floats: one vector (u,) or a block (N, u), whose rows
+        errors name as rows of the noun ("block", "chunk")."""
         try:
             x = np.asarray(x, dtype=float)
         except ValueError:
-            raise DataError(f"expected numeric vectors of length {self.n_features}") from None
-        if x.shape[-1:] != (self.n_features,) or x.ndim > (2 if block else 1):
+            bad = next((k for k, v in enumerate(x) if np.shape(v) != (self.n_features,)), None)
+            where = "" if bad is None else f"row {bad} of the {noun}: "
+            raise DataError(f"{where}expected numeric vectors of length {self.n_features}") from None
+        if x.shape[-1:] != (self.n_features,) or x.ndim > 2:
             raise DataError(
                 f"expected vector of length {self.n_features}, got shape {x.shape}"
             )
-        if not np.isfinite(x).all():
-            where = ""
-            if x.ndim == 2:
-                where = f" (row {int(np.argmin(np.isfinite(x).all(axis=1)))} of the block)"
-            raise DataError(f"feature values must be finite{where}")
+        finite = np.isfinite(x).all(axis=-1)
+        if not finite.all():
+            raise DataError(_row(x, int(np.argmin(finite)), noun) + "feature values must be finite")
         return x
+
+
+def _row(x: np.ndarray, k: int, noun: str) -> str:
+    """Error prefix naming row k of a block x, empty for one vector."""
+    return f"row {k} of the {noun}: " if x.ndim == 2 else ""
 
 
 def chunks(source: Iterable[Sample], size: int) -> Iterator[DataChunk]:

@@ -279,6 +279,10 @@ class ChunkReport:
 # The drift detector's window, in chunks.
 DETECTOR_CHUNKS = 4
 
+# Rows of the first block pass after an accept; a block that the
+# threshold rejects whole is followed by one twice as long.
+LOOKAHEAD = 8
+
 # A fresh drift member must absorb at least this many accepted samples
 # before it votes; otherwise it keeps training through the next chunk.
 BOOTSTRAP_MIN_SAMPLES = 5
@@ -439,11 +443,18 @@ class Ensemble:
     def train_chunk(self, chunk: DataChunk, selectors: Selectors) -> ChunkReport:
         """Process one chunk: select, vote, adapt weights, detect drift, train.
 
-        Rejected samples receive a prediction only.  Accepted samples feed
-        the weight update, the chunk's voter record, and the drift
-        detector; the phase decides the structural action.  Each sample is
-        touched exactly once, and its distances to each member's rules are
-        computed once per rule state and passed to every step that reads them.
+        The chunk is standardized first.  Then the next rows are scored as
+        one block against the model as it stands (distances, vote and both
+        conflict scores), and the threshold scan decides them in order up
+        to the first accept.  Rejected samples change no model state and
+        receive a prediction only.  The accepted sample feeds the weight
+        update, the chunk's voter record and the drift detector, the phase
+        decides the structural action, and scoring resumes at the next
+        row against the changed model.  So each decision reads one
+        distance pass of its sample per member state; only rows past an
+        accept are scored again, at most a block of them per accept.  The
+        block starts at LOOKAHEAD rows and doubles over a run of rejects.
+        The first chunk trains on every sample, one row per block.
         """
         if len(chunk) == 0:
             raise DataError("empty chunk")
@@ -453,33 +464,42 @@ class Ensemble:
         rep = ChunkReport(index=chunk.index, theta_start=selectors.al.theta)
         mci = MciState(self.voters(), self.cfg.n_classes)
         activations = np.zeros(self.cfg.n_features)
-        for k, s in enumerate(chunk.samples):
-            try:
-                z = self.standardizer.fit_transform(s.x)
-            except DataError as exc:
-                raise DataError(f"row {k} of the chunk: {exc}") from None
+        zs = self.standardizer.fit_transform([s.x for s in chunk.samples])
+        labels = np.array([0 if s.label is None else s.label for s in chunk.samples])
+        first_look = 1 if cold_start else LOOKAHEAD
+        k, look = 0, first_look
+        while k < len(zs):
             mask = selectors.mask.active if selectors.ofs_enabled else None
-            d2s = {m: m.model.mahalanobis_sq(z, mask) for m in self.members}
-            sigma, cls, member_scores = self.predict(z, d2s, mask)
-            rep.seen += 1
-            if s.label is not None and cls == s.label:
-                rep.correct += 1
+            block = zs[k : k + look]
+            d2s = {m: m.model.mahalanobis_sq(block, mask) for m in self.members}
+            sigma, cls, member_scores = self.predict(block, d2s, mask)
             if cold_start:
                 # the very first chunk trains the first member fully
                 # supervised, so the output confidence is meaningful before
                 # the selector starts filtering
-                take = True
+                r = 0
             else:
                 p_in = conflict_input([m.model for m in d2s], list(d2s.values()))
                 p_out = conflict_output(sigma)
-                take = selectors.al.decide(
-                    ConflictScores(p_in, p_out), selectors.conjunction
+                takes = (
+                    selectors.al.decide(ConflictScores(a, b), selectors.conjunction)
+                    for a, b in zip(p_in.tolist(), p_out.tolist())
                 )
-            if not take:
+                r = next((i for i, take in enumerate(takes) if take), None)
+            n = len(block) if r is None else r + 1
+            rep.seen += n
+            rep.correct += int(np.count_nonzero(cls[:n] == labels[k : k + n]))
+            k += n
+            if r is None:
+                look *= 2
                 continue
-            if s.label is None:
+            look = first_look
+            label = chunk.samples[k - 1].label
+            if label is None:
                 raise DataError("accepted a sample without a label")
-            label = s.label
+            z, cls = block[r], cls[r]
+            d2s = {m: d2[r] for m, d2 in d2s.items()}
+            member_scores = [sc[r] for sc in member_scores]
             rep.accepted += 1
             t = onehot(label, self.cfg.n_classes)
             preds = [classes(sc) for sc in member_scores]
@@ -556,8 +576,11 @@ class Ensemble:
 
     @classmethod
     def from_snapshot(cls, state: dict) -> "Ensemble":
-        cfg = StreamConfig(**state["cfg"])
-        ens = cls(cfg, hyper=GrowPruneParams(**state["hyper"]))
+        for section, known in (("cfg", StreamConfig), ("hyper", GrowPruneParams)):
+            unknown = sorted(set(state[section]) - set(known.__dataclass_fields__))
+            if unknown:
+                raise DataError(f"snapshot section {section!r} has unknown keys: {', '.join(unknown)}")
+        ens = cls(StreamConfig(**state["cfg"]), hyper=GrowPruneParams(**state["hyper"]))
         ens.standardizer = RunningStandardizer.from_snapshot(state["standardizer"])
         ens.detector = DriftDetector.from_snapshot(state["detector"])
         ens.chunk_index = int(state["chunk_index"])

@@ -107,53 +107,50 @@ def accepts(theta: float, p_input: float, p_output: float, conjunction: bool = F
     return p_input <= theta or p_output <= theta
 
 
-def conflict_input(models: Sequence[RuleClassifier], d2s: Sequence[np.ndarray]) -> float:
+def conflict_input(models: Sequence[RuleClassifier], d2s: Sequence[np.ndarray]):
     """Winning-class posterior over the flattened rule set.
 
-    d2s holds each model's mahalanobis_sq of the sample.  For each class o
-    the evidence is sum_i P(o | R_i) P(x | R_i) P(R_i) with P(R_i) the
-    support prior, P(o | R_i) the Laplace-smoothed class share, and
-    P(x | R_i) the Gaussian likelihood with the (2 pi V)^-1/2 volume
-    normalizer.  Returns the largest normalized posterior; if all
-    likelihoods underflow the posterior is uninformative, 1 / n_classes.
+    d2s holds each model's mahalanobis_sq of one sample (R,) or of a
+    block (N, R).  For each class o the evidence is
+    sum_i P(o | R_i) P(x | R_i) P(R_i) with P(R_i) the support prior,
+    P(o | R_i) the Laplace-smoothed class share, and P(x | R_i) the
+    Gaussian likelihood with the (2 pi V)^-1/2 volume normalizer.
+    Returns the largest normalized posterior, a float for one sample and
+    an array for a block; where all likelihoods underflow the posterior
+    is uninformative, 1 / n_classes.
     """
     n_classes = models[0].n_classes
-    likes = []
-    priors = []
-    purity = []
-    total_support = 0.0
-    for m, d2 in zip(models, d2s):
-        b = m.rules
-        supports = b.supports
-        with np.errstate(under="ignore"):
-            likes.append(np.exp(-d2) / np.sqrt(2.0 * math.pi * b.volumes))
-        priors.append(supports)
-        purity.append((b.class_support + 1.0) / (supports[:, None] + n_classes))
-        total_support += supports.sum()
-    like = np.concatenate(likes)
-    prior = np.concatenate(priors) / total_support
-    pur = np.concatenate(purity, axis=0)
-    evidence = (like * prior) @ pur
-    z = evidence.sum()
-    if z <= 0.0 or not np.isfinite(z):
-        return 1.0 / n_classes
-    return float(evidence.max() / z)
+    banks = [m.rules for m in models]
+    volumes = np.concatenate([b.volumes for b in banks])
+    class_support = np.concatenate([b.class_support for b in banks])
+    supports = class_support.sum(axis=1)
+    prior = supports / supports.sum()
+    pur = (class_support + 1.0) / (supports[:, None] + n_classes)
+    with np.errstate(under="ignore", divide="ignore", invalid="ignore"):
+        like = np.exp(-np.concatenate(d2s, axis=-1)) / np.sqrt(2.0 * math.pi * volumes)
+        # one (1, R) @ (R, O) product per sample, so a block row is
+        # computed exactly as the sample alone
+        evidence = ((like * prior)[..., None, :] @ pur)[..., 0, :]
+        z = evidence.sum(axis=-1)
+        p = np.where((z > 0.0) & (z < np.inf), evidence.max(axis=-1) / z, 1.0 / n_classes)
+    return float(p) if p.ndim == 0 else p
 
 
-def conflict_output(sigma: np.ndarray) -> float:
+def conflict_output(sigma: np.ndarray):
     """Truncated preference degree between the two dominant outputs.
 
     conf = y1 / (y1 + y2) clamped to [0, 1]; a vanishing pair denotes
-    maximal conflict, 0.5.
+    maximal conflict, 0.5.  A float for one score vector, an array for
+    a block (N, O).
     """
-    if len(sigma) < 2:
+    if sigma.shape[-1] < 2:
         raise ValueError("need at least two class scores")
-    top2 = np.partition(sigma, -2)[-2:]
-    y2, y1 = float(top2[0]), float(top2[1])
+    top2 = np.partition(sigma, -2, axis=-1)
+    y2, y1 = top2[..., -2], top2[..., -1]
     denom = y1 + y2
-    if denom == 0.0:
-        return 0.5
-    return min(max(y1 / denom, 0.0), 1.0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        conf = np.where(denom == 0.0, 0.5, np.minimum(np.maximum(y1 / denom, 0.0), 1.0))
+    return float(conf) if conf.ndim == 0 else conf
 
 
 class VirtualConsequentModel:

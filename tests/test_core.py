@@ -47,12 +47,14 @@ class TestRunningStandardizer:
         s = RunningStandardizer(3)
         with pytest.raises(DataError):
             s.fit_transform(np.array([1.0, 2.0]))
-        # transform takes a block (N, u); training takes one vector
+        # both take one vector (u,) or a block (N, u)
         for bad in ([[1.0, 2.0, 3.0], [1.0, 2.0]], np.zeros((2, 2)), np.zeros((1, 2, 3))):
-            with pytest.raises(DataError):
-                s.transform(bad)
-        with pytest.raises(DataError):
-            s.fit_transform(np.zeros((2, 3)))
+            for step in (s.transform, s.fit_transform):
+                with pytest.raises(DataError):
+                    step(bad)
+        assert s.count == 0
+        with pytest.raises(DataError, match="^row 1 of the chunk: expected numeric"):
+            s.fit_transform([np.zeros(3), np.zeros(2), np.zeros(3)])
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_nonfinite_rejected_without_update(self, bad):
@@ -76,6 +78,37 @@ class TestRunningStandardizer:
             for step in (s.fit_transform, s.update):
                 with pytest.raises(DataError, match="overflow"):
                     step(np.array([1e200, 0.0]))
+        assert s.snapshot() == before
+
+    def test_chunk_equals_row_by_row(self):
+        # rows 0-1 have count < 2 and stay unscaled; feature 1 is constant,
+        # so its std is 0 and it is divided by STD_FLOOR
+        rng = np.random.default_rng(5)
+        x = rng.normal(size=(40, 3)) * [1.0, 0.0, 1e3] + [0.0, 7.0, 5.0]
+        x[25:, 1] += 1e-9  # a step below the floor's scale
+        rows, block = RunningStandardizer(3), RunningStandardizer(3)
+        expected = [rows.fit_transform(v) for v in x[:13]]
+        got = [block.fit_transform(x[:1]), block.fit_transform(x[1:13])]
+        assert np.array_equal(np.vstack(got), expected)
+        expected = [rows.fit_transform(v) for v in x[13:]]
+        assert np.array_equal(block.fit_transform(x[13:]), expected)
+        assert block.snapshot() == rows.snapshot()
+        assert np.all(np.vstack(expected)[:12, 1] == 0.0)
+        assert np.all(np.abs(np.vstack(expected)[12:, 1]) > 0.0)
+
+    def test_failing_chunk_row_is_named_and_absorbs_nothing(self):
+        s = RunningStandardizer(2)
+        s.fit_transform(np.array([[1.0, 2.0], [3.0, -1.0]]))
+        before = s.snapshot()
+        x = np.ones((5, 2))
+        x[3, 0] = 1e200
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DataError, match="^row 3 of the chunk: .*overflow"):
+                s.fit_transform(x)
+        x[3, 0] = np.nan
+        with pytest.raises(DataError, match="^row 3 of the chunk: .*finite"):
+            s.fit_transform(x)
         assert s.snapshot() == before
 
     @given(

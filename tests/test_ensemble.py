@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import evofuzzy.ensemble as ensemble_module
 from evofuzzy.core import DataChunk, DataError, Sample, StreamConfig, chunks
 from evofuzzy.datagen import HyperplaneConfig, SeaConfig, gen_hyperplane, gen_sea
 from evofuzzy.ensemble import (
@@ -16,7 +17,7 @@ from evofuzzy.ensemble import (
 )
 from evofuzzy.evaluate import EvalProtocol, run_holdout
 from evofuzzy.rules import FuzzyRule, GrowPruneParams, RuleClassifier, classes
-from evofuzzy.selection import Selectors
+from evofuzzy.selection import ActiveLearnState, Selectors, conflict_input, conflict_output
 
 
 def constant_member(ens, scores):
@@ -579,6 +580,14 @@ class TestEnsembleSnapshot:
         assert clone.score_sample(x)[1] == ens.score_sample(x)[1]
         assert np.array_equal(clone.score_sample(x)[0], ens.score_sample(x)[0])
 
+    @pytest.mark.parametrize("section, key", [("cfg", "theta_step"), ("hyper", "spread_cap")])
+    def test_unknown_key_is_data_error_naming_it(self, section, key):
+        state = json.loads(json.dumps(Ensemble(base_cfg(n_features=3)).snapshot()))
+        state[section][key] = 0.05
+        state[section]["zz_extra"] = 1
+        with pytest.raises(DataError, match=f"'{section}' has unknown keys: {key}, zz_extra$"):
+            Ensemble.from_snapshot(state)
+
     def test_restored_ensemble_keeps_hyper_template(self):
         from evofuzzy.rules import GrowPruneParams
 
@@ -614,23 +623,31 @@ def train_member(ens, m, samples, mask=None):
         m.model.train_sample(z, s.label, d2, scores, mask)
 
 
+def mixed_ensemble(kind, mask):
+    """Two voters with rules (weights 3:1), a voter without rules and a
+    bootstrapping member with rules, trained on two SEA concepts."""
+    cfg = base_cfg(n_features=3, n_classes=2, chunk_size=100, base_kind=kind)
+    ens = Ensemble(cfg)
+    sel = Selectors(cfg)
+    for ch in sea_chunks(600, 100, seed=3):
+        ens.train_chunk(ch, sel)
+    other = list(gen_sea(SeaConfig(n_total=400, seed=4, thresholds=(7.0,))))
+    train_member(ens, ens._new_member(), other[:200], mask)
+    ens._new_member()
+    boot = ens._new_member(bootstrapping=True)
+    train_member(ens, boot, other[200:], mask)
+    ens.members[0].beta = 3.0
+    ens._normalize_betas()
+    return ens
+
+
 class TestBlockScoring:
     @pytest.mark.parametrize("kind", ["axis_parallel", "multivariate"])
     @pytest.mark.parametrize("masked", [False, True])
     def test_block_equals_row_by_row(self, kind, masked):
-        cfg = base_cfg(n_features=3, n_classes=2, chunk_size=100, base_kind=kind)
-        ens = Ensemble(cfg)
-        sel = Selectors(cfg)
-        for ch in sea_chunks(600, 100, seed=3):
-            ens.train_chunk(ch, sel)
         mask = np.array([1.0, 1.0, 0.0]) if masked else None
-        other = list(gen_sea(SeaConfig(n_total=400, seed=4, thresholds=(7.0,))))
-        train_member(ens, ens._new_member(), other[:200], mask)
-        ens._new_member()  # a voter without rules
-        boot = ens._new_member(bootstrapping=True)
-        train_member(ens, boot, other[200:], mask)
-        ens.members[0].beta = 3.0
-        ens._normalize_betas()
+        ens = mixed_ensemble(kind, mask)
+        boot = ens.members[-1]
         voters = ens.voters()
         assert sum(1 for m in voters if m.model.rules) >= 2
         assert any(not m.model.rules for m in voters) and boot.model.rules
@@ -640,6 +657,30 @@ class TestBlockScoring:
         rows = [ens.score_sample(x, mask) for x in xs]
         assert [int(c) for c in cls] == [c for _, c in rows]
         assert np.allclose(sigma, [s for s, _ in rows], rtol=0.0, atol=1e-12)
+
+    @pytest.mark.parametrize("kind", ["axis_parallel", "multivariate"])
+    @pytest.mark.parametrize("masked", [False, True])
+    def test_block_conflicts_equal_one_sample_calls(self, kind, masked):
+        """Row r of the block conflict scores is the one-sample call, bit for
+        bit, over every member as train_chunk passes them; the last row is
+        so far out that every likelihood underflows."""
+        mask = np.array([1.0, 1.0, 0.0]) if masked else None
+        ens = mixed_ensemble(kind, mask)
+        models = [m.model for m in ens.members]
+        xs = np.random.default_rng(6).uniform(-1.0, 11.0, size=(30, 3))
+        z = ens.standardizer.transform(np.vstack([xs, [1e4, -1e4, 1e4]]))
+        d2s = [m.mahalanobis_sq(z, mask) for m in models]
+        p_in = conflict_input(models, d2s)
+        assert p_in.shape == (31,) and p_in[-1] == 0.5
+        assert 0.5 < p_in[:-1].min() and p_in[:-1].max() < 1.0
+        for r in range(31):
+            one = conflict_input(models, [d2[r] for d2 in d2s])
+            assert type(one) is float and one == p_in[r]
+        d2v = {m: m.model.mahalanobis_sq(z[:-1], mask) for m in ens.voters()}
+        sigma = np.vstack([ens.predict(z[:-1], d2v, mask)[0], np.zeros(2), [1.5, -0.5]])
+        p_out = conflict_output(sigma)
+        assert p_out[-2] == 0.5 and p_out[-1] == 1.0
+        assert np.array_equal(p_out, [conflict_output(s) for s in sigma])
 
 
 class TestFrozenOverflow:
@@ -672,20 +713,42 @@ def two_region_stream(rng, u, lengths, far=6.0):
     return out
 
 
+def two_region_run(score_test_rows=False):
+    """Train on a two-region stream with a drift member, a recall and
+    feature selection; returns (chunk reports, ensemble, selectors)."""
+    cfg = StreamConfig(n_features=3, n_classes=2, chunk_size=100, ofs_b=2,
+                       al_conjunction=False)
+    hyper = GrowPruneParams(age_min=30, potential_frac=0.6, density_sigmas=1.0)
+    ens = Ensemble(cfg, hyper=hyper)
+    sel = Selectors(cfg)
+    rng = np.random.default_rng(1)
+    reports = []
+    for ch in chunks(two_region_stream(rng, 3, (300, 1500, 500)), cfg.chunk_size):
+        reports.append(ens.train_chunk(ch, sel))
+        if score_test_rows:
+            for x in np.random.default_rng(ch.index).normal(0.0, 3.0, size=(5, 3)):
+                ens.score_sample(x, sel.mask.active)
+    return reports, ens, sel
+
+
 class TestDistancePasses:
     def test_one_pass_per_member_state_and_sample(self, monkeypatch):
-        """Every mahalanobis_sq call sees a (rules, sample, mask) key no
-        earlier call saw, on a stream with a drift member, a recall, feature
-        selection and frozen scoring."""
-        keys, banks, recalls = [], [], [0]
+        """Each row of a mahalanobis_sq call is keyed on (rules, mask, row).
+        A key is scored once, except rows a block scored past the row it
+        accepted: those are scored again after that accept, fewer of them
+        than the block has rows.  The stream has a drift member, a recall,
+        feature selection and frozen scoring."""
+        log, banks, recalls = [], [], [0]
         inner = RuleClassifier.mahalanobis_sq
         inner_recall = RuleClassifier.recall_check
+        inner_decide = ActiveLearnState.decide
 
         def counted(self, x, mask=None):
             b = self.rules
             banks.append(b)  # keeps every id() in the keys unique
-            m = b"" if mask is None else mask.tobytes()
-            keys.append((id(b), b.centers.tobytes(), b.inv.tobytes(), x.tobytes(), m))
+            state = (id(b), b.centers.tobytes(), b.inv.tobytes(),
+                     b"" if mask is None else mask.tobytes())
+            log.append(("d2", [(state, row.tobytes()) for row in np.atleast_2d(x)]))
             return inner(self, x, mask)
 
         def recall(self, x, mask=None):
@@ -693,21 +756,41 @@ class TestDistancePasses:
             recalls[0] += got is not None
             return got
 
+        def decide(self, scores, conjunction=False):
+            take = inner_decide(self, scores, conjunction)
+            log.append(("decide", take))
+            return take
+
         monkeypatch.setattr(RuleClassifier, "mahalanobis_sq", counted)
         monkeypatch.setattr(RuleClassifier, "recall_check", recall)
-        cfg = StreamConfig(n_features=3, n_classes=2, chunk_size=100, ofs_b=2,
-                           al_conjunction=False)
-        hyper = GrowPruneParams(age_min=30, potential_frac=0.6, density_sigmas=1.0)
-        ens = Ensemble(cfg, hyper=hyper)
-        sel = Selectors(cfg)
-        rng = np.random.default_rng(1)
-        drifts = 0
-        for ch in chunks(two_region_stream(rng, 3, (300, 1500, 500)), cfg.chunk_size):
-            drifts += ens.train_chunk(ch, sel).drifts
-            for x in np.random.default_rng(ch.index).normal(0.0, 3.0, size=(5, 3)):
-                ens.score_sample(x, sel.mask.active)
-        assert drifts >= 1 and recalls[0] >= 1
-        assert len(keys) == len(set(keys))
+        monkeypatch.setattr(ActiveLearnState, "decide", decide)
+        reports, _, _ = two_region_run(score_test_rows=True)
+        assert sum(r.drifts for r in reports) >= 1 and recalls[0] >= 1
+        last = {}  # key -> log index of the call that last scored it
+        accepts = [i for i, (kind, what) in enumerate(log) if kind == "decide" and what]
+        repeats = {}  # log index of a call -> its rows scored again later
+        for i, (kind, keys) in enumerate(log):
+            if kind != "d2":
+                continue
+            for key in keys:
+                j = last.get(key)
+                if j is not None:
+                    assert any(j < a < i for a in accepts), "scored twice, no accept between"
+                    repeats[j] = repeats.get(j, 0) + 1
+                last[key] = i
+        for j, n in repeats.items():
+            assert n < len(log[j][1])
+        assert max(len(keys) for kind, keys in log if kind == "d2") > 4
+        assert repeats and len(accepts) > 100
+
+    def test_lookahead_does_not_change_training(self, monkeypatch):
+        reports, ens, sel = two_region_run()
+        assert sum(r.drifts for r in reports) >= 1
+        monkeypatch.setattr(ensemble_module, "LOOKAHEAD", 1)
+        again, ens1, sel1 = two_region_run()
+        assert again == reports
+        assert ens1.snapshot_hash() == ens.snapshot_hash()
+        assert sel1.snapshot() == sel.snapshot()
 
 
 DEGENERATE = st.sampled_from(["none", "constant", "duplicate", "all_constant", "burst"])
