@@ -27,6 +27,15 @@ class DataError(ValueError):
     """Malformed or insufficient input data (CLI exit code 3)."""
 
 
+def from_fields(cls, state: dict, section: str):
+    """cls(**state) for a dataclass cls, read from a snapshot section;
+    a key cls has no field for raises DataError naming it."""
+    unknown = sorted(set(state) - set(cls.__dataclass_fields__))
+    if unknown:
+        raise DataError(f"snapshot section {section!r} has unknown keys: {', '.join(unknown)}")
+    return cls(**state)
+
+
 @dataclass(eq=False)
 class Sample:
     """One observation: feature vector, optional 1-based class label."""
@@ -126,9 +135,6 @@ class RunningStandardizer:
     @property
     def std(self) -> np.ndarray:
         return np.sqrt(self.var)
-
-    def update(self, x: np.ndarray) -> None:
-        self.fit_transform(x)
 
     def transform(self, x: np.ndarray) -> np.ndarray:
         """Scale one vector (u,) or a block (N, u) against current

@@ -18,7 +18,7 @@ from typing import Optional
 
 import numpy as np
 
-from .core import DataChunk, DataError, RunningStandardizer, StreamConfig, onehot
+from .core import DataChunk, DataError, RunningStandardizer, StreamConfig, from_fields, onehot
 from .rules import GrowPruneParams, RuleClassifier, classes
 from .selection import (
     OFS_RATE,
@@ -181,6 +181,10 @@ class DriftDetector:
             confirm=state["confirm"],
         )
         w = np.asarray(state["window"], dtype=float)
+        if w.ndim != 1 or len(w) > d.max_window:
+            raise DataError(f"detector window must list at most {d.max_window} errors")
+        if not np.all((w >= 0.0) & (w <= 1.0)):
+            raise DataError("detector window errors must lie in [0, 1]")
         d._buf[: len(w)] = w
         d._n = len(w)
         d.cut = state["cut"]
@@ -576,11 +580,10 @@ class Ensemble:
 
     @classmethod
     def from_snapshot(cls, state: dict) -> "Ensemble":
-        for section, known in (("cfg", StreamConfig), ("hyper", GrowPruneParams)):
-            unknown = sorted(set(state[section]) - set(known.__dataclass_fields__))
-            if unknown:
-                raise DataError(f"snapshot section {section!r} has unknown keys: {', '.join(unknown)}")
-        ens = cls(StreamConfig(**state["cfg"]), hyper=GrowPruneParams(**state["hyper"]))
+        ens = cls(
+            from_fields(StreamConfig, state["cfg"], "cfg"),
+            hyper=from_fields(GrowPruneParams, state["hyper"], "hyper"),
+        )
         ens.standardizer = RunningStandardizer.from_snapshot(state["standardizer"])
         ens.detector = DriftDetector.from_snapshot(state["detector"])
         ens.chunk_index = int(state["chunk_index"])

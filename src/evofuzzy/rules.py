@@ -24,7 +24,7 @@ from typing import Optional
 import numpy as np
 from scipy.special import gammaincinv
 
-from .core import DataError, onehot
+from .core import DataError, from_fields, onehot
 
 # Eigenvalue floor used when repairing a dispersion matrix that lost
 # positive definiteness, and the variance floor for diagonal updates.
@@ -173,49 +173,6 @@ class RdeState:
         return r
 
 
-@dataclass(eq=False)
-class FuzzyRule:
-    """One rule as a record: what a RuleBank accepts and returns, and the
-    snapshot schema.  A classifier keeps its rules in RuleBank arrays."""
-
-    center: np.ndarray          # (u,)
-    inv_cov: np.ndarray         # (u, u), symmetric positive definite
-    support: int                # total samples absorbed
-    class_support: np.ndarray   # (O,) integer counts, sums to support
-    weights: np.ndarray         # (u+1, O) consequent, row 0 is the intercept
-    rls_cov: np.ndarray         # (u+1, u+1), symmetric positive definite
-    activity: float = 0.0       # decayed mean normalized firing
-    peak_potential: float = 0.0
-    age: int = 0
-
-    def snapshot(self) -> dict:
-        return {
-            "center": self.center.tolist(),
-            "inv_cov": self.inv_cov.tolist(),
-            "support": int(self.support),
-            "class_support": [int(c) for c in self.class_support],
-            "weights": self.weights.tolist(),
-            "rls_cov": self.rls_cov.tolist(),
-            "activity": self.activity,
-            "peak_potential": self.peak_potential,
-            "age": int(self.age),
-        }
-
-    @classmethod
-    def from_snapshot(cls, state: dict) -> "FuzzyRule":
-        return cls(
-            center=np.asarray(state["center"], dtype=float),
-            inv_cov=np.asarray(state["inv_cov"], dtype=float),
-            support=int(state["support"]),
-            class_support=np.asarray(state["class_support"], dtype=np.int64),
-            weights=np.asarray(state["weights"], dtype=float),
-            rls_cov=np.asarray(state["rls_cov"], dtype=float),
-            activity=float(state["activity"]),
-            peak_potential=float(state["peak_potential"]),
-            age=int(state["age"]),
-        )
-
-
 class RuleBank:
     """Rules as stacked arrays, one row per rule, changed in place.
 
@@ -228,12 +185,13 @@ class RuleBank:
     class_support   (R, O) counts; a rule's support is its row sum
     activity, peak_potential, age   (R,)
 
-    Adding and removing rules reallocates every array, so a reference to
-    one is only good until the next append or pop.
+    A row is the only form a rule takes.  Adding and moving rows
+    reallocates every array, so a reference to one is only good until
+    the next append or move.
     """
 
-    FIELDS = (
-        "centers", "inv", "volumes", "weights", "rls_cov",
+    COLUMNS = (
+        "centers", "inv", "weights", "rls_cov",
         "class_support", "activity", "peak_potential", "age",
     )
 
@@ -269,49 +227,48 @@ class RuleBank:
         self.volumes[i] = self.volume(inv)
         self.inv[i] = inv
 
-    def append(self, rule: FuzzyRule) -> int:
-        """Add a rule as the last row; returns its index."""
-        if int(rule.class_support.sum()) != rule.support:
-            raise ValueError("class supports must sum to the support")
-        inv = np.diag(rule.inv_cov) if self.diagonal else rule.inv_cov
-        if self.diagonal and np.any(rule.inv_cov != np.diag(inv)):
-            raise ValueError("an axis-parallel rule needs a diagonal dispersion")
-        row = {
-            "centers": rule.center, "inv": inv, "volumes": self.volume(inv),
-            "weights": rule.weights, "rls_cov": rule.rls_cov,
-            "class_support": rule.class_support, "activity": rule.activity,
-            "peak_potential": rule.peak_potential, "age": rule.age,
-        }
-        for name in self.FIELDS:
-            old = getattr(self, name)
-            new = np.asarray(row[name], dtype=old.dtype)[None]
-            setattr(self, name, np.concatenate([old, new]))
+    def append(self, **row) -> int:
+        """Add a rule as the last row, given one value per column in the
+        bank's form; returns its index."""
+        self._extend({name: np.asarray(v)[None] for name, v in row.items()})
         return len(self) - 1
 
-    def pop(self, i: int) -> FuzzyRule:
-        """Remove rule i; returns it as a record."""
-        rule = self.record(i)
-        for name in self.FIELDS:
-            setattr(self, name, np.delete(getattr(self, name), i, axis=0))
-        return rule
+    def move(self, i: int, dst: "RuleBank") -> int:
+        """Move row i to the end of bank dst; returns its index there."""
+        for name in self.COLUMNS + ("volumes",):
+            col = getattr(self, name)
+            setattr(dst, name, np.concatenate([getattr(dst, name), col[i : i + 1]]))
+            setattr(self, name, np.delete(col, i, axis=0))
+        return len(dst) - 1
 
-    def record(self, i: int) -> FuzzyRule:
-        """A copy of rule i as a record; writes to it do not reach the bank."""
-        inv = self.inv[i]
-        return FuzzyRule(
-            center=self.centers[i].copy(),
-            inv_cov=np.diag(inv) if self.diagonal else inv.copy(),
-            support=int(self.class_support[i].sum()),
-            class_support=self.class_support[i].copy(),
-            weights=self.weights[i].copy(),
-            rls_cov=self.rls_cov[i].copy(),
-            activity=float(self.activity[i]),
-            peak_potential=float(self.peak_potential[i]),
-            age=int(self.age[i]),
-        )
+    def snapshot(self) -> dict:
+        return {name: getattr(self, name).tolist() for name in self.COLUMNS}
 
-    def snapshot(self) -> list:
-        return [self.record(i).snapshot() for i in range(len(self))]
+    def load(self, columns: dict) -> None:
+        """Append the rows of a snapshot; volumes are recomputed."""
+        try:
+            self._extend(columns)
+        except (FloatingPointError, TypeError, ValueError) as e:
+            raise DataError(f"rule bank snapshot: {e}") from None
+
+    def _extend(self, columns: dict) -> None:
+        """Append k rows, one (k, ...) array per column, all checked first."""
+        names = set(columns) if isinstance(columns, dict) else set()
+        if names != set(self.COLUMNS):
+            missing = [name for name in self.COLUMNS if name not in names]
+            raise DataError(f"missing columns {missing}, unknown {sorted(names - set(self.COLUMNS))}")
+        new = {}
+        for name in self.COLUMNS:
+            old = getattr(self, name)
+            col = np.asarray(columns[name], dtype=old.dtype)
+            col = col.reshape(old.shape) if col.shape == (0,) else col
+            shape = (len(new.get("centers", col)),) + old.shape[1:]
+            if col.shape != shape:
+                raise DataError(f"column {name!r} has shape {col.shape}, expected {shape}")
+            new[name] = col
+        new["volumes"] = np.array([self.volume(inv) for inv in new["inv"]], dtype=float)
+        for name, col in new.items():
+            setattr(self, name, np.concatenate([getattr(self, name), col]))
 
     def mahalanobis_sq(self, x: np.ndarray, mask: Optional[np.ndarray] = None) -> np.ndarray:
         """Squared Mahalanobis distance from x to every rule center: (R,)
@@ -500,7 +457,7 @@ class RuleClassifier:
         # violates the volume check and forces growth on every sample after
         sigma_cap = self.volume_cap ** (1.0 / (2.0 * u))
         if self.rules:
-            w0 = self.rules.weights[win].copy()
+            w0 = self.rules.weights[win]
             diff = self.rules.centers - x[None, :]
             if mask is not None:
                 diff = diff * mask
@@ -509,23 +466,21 @@ class RuleClassifier:
         else:
             w0 = np.zeros((u + 1, self.n_classes))
             sigma0 = min(self.hyper.init_spread, sigma_cap)
-        cs = np.zeros(self.n_classes, dtype=np.int64)
-        cs[label - 1] = 1
+        inv = np.full(u, 1.0 / (sigma0 * sigma0))
         return self.rules.append(
-            FuzzyRule(
-                center=x.copy(),
-                inv_cov=np.eye(u) / (sigma0 * sigma0),
-                support=1,
-                class_support=cs,
-                weights=w0,
-                rls_cov=self.hyper.rls_init * np.eye(u + 1),
-                activity=1.0 / (len(self.rules) + 1),
-                age=0,
-            )
+            centers=x,
+            inv=inv if self.rules.diagonal else np.diag(inv),
+            weights=w0,
+            rls_cov=self.hyper.rls_init * np.eye(u + 1),
+            class_support=np.arange(1, self.n_classes + 1) == label,
+            activity=1.0 / (len(self.rules) + 1),
+            peak_potential=0.0,
+            age=0,
         )
 
-    def recall_check(self, x: np.ndarray, mask: Optional[np.ndarray] = None) -> Optional[FuzzyRule]:
-        """Reactivate the best-firing archived rule if it beats a fresh one.
+    def recall_check(self, x: np.ndarray, mask: Optional[np.ndarray] = None) -> Optional[int]:
+        """Reactivate the best-firing archived rule if it beats a fresh one;
+        returns its index among the rules, or None.
 
         A hypothetical fresh rule fires 1 at its own center; the archived
         rule must beat that handicapped by h = exp(-q * u / 2).  The
@@ -537,14 +492,14 @@ class RuleClassifier:
         best = int(np.argmax(fires))
         handicap = math.exp(-self.hyper.novelty_q * self.n_features / 2.0)
         if fires[best] > handicap:
-            rule = self.archive.pop(best)
-            rule.activity = 1.0 / (len(self.rules) + 1)
+            b = self.rules
+            i = self.archive.move(best, b)
+            b.activity[i] = 1.0 / len(b)
             # restart the pruning baseline, otherwise the staleness that
             # archived the rule still holds and it bounces straight back
-            rule.age = 0
-            rule.peak_potential = self.rde.potential(rule.center)
-            self.rules.append(rule)
-            return rule
+            b.age[i] = 0
+            b.peak_potential[i] = self.rde.potential(b.centers[i])
+            return i
         return None
 
     def update_winner(self, x: np.ndarray, label: int, win: int, mask: Optional[np.ndarray] = None):
@@ -615,7 +570,7 @@ class RuleClassifier:
             keep = int(np.argmax(b.activity))
             flagged = [(i, why) for i, why in flagged if i != keep]
         for i, _ in sorted(flagged, reverse=True):
-            self.archive.append(b.pop(i))
+            b.move(i, self.archive)
         return flagged
 
     def train_sample(
@@ -675,13 +630,12 @@ class RuleClassifier:
         model = cls(
             n_features=int(state["n_features"]),
             n_classes=int(state["n_classes"]),
-            hyper=GrowPruneParams(**state["hyper"]),
+            hyper=from_fields(GrowPruneParams, state["hyper"], "hyper"),
             kind=state["kind"],
         )
         model.rde = RdeState.from_snapshot(state["rde"])
-        for bank, key in ((model.rules, "rules"), (model.archive, "archive")):
-            for r in state[key]:
-                bank.append(FuzzyRule.from_snapshot(r))
+        model.rules.load(state["rules"])
+        model.archive.load(state["archive"])
         return model
 
     def check_invariants(self, tol: float = 1e-10) -> None:
@@ -692,6 +646,7 @@ class RuleClassifier:
                 eig = inv if b.diagonal else np.linalg.eigvalsh(0.5 * (inv + inv.T))
                 assert eig.min() > -tol
                 assert np.linalg.eigvalsh(0.5 * (psi + psi.T))[0] > -tol
+            assert np.array_equal(b.volumes, [b.volume(inv) for inv in b.inv])
 
 
 def firings(d2: np.ndarray) -> np.ndarray:

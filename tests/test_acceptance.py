@@ -17,7 +17,7 @@ from evofuzzy.core import Sample, StreamConfig, chunks
 from evofuzzy.datagen import HyperplaneConfig, SeaConfig, gen_hyperplane, gen_sea
 from evofuzzy.ensemble import DriftDetector, Ensemble, compression_index
 from evofuzzy.evaluate import EvalProtocol, run_cv, run_holdout
-from evofuzzy.rules import FuzzyRule, RuleClassifier, weighted_rls_update
+from evofuzzy.rules import RuleClassifier, weighted_rls_update
 from evofuzzy.selection import Selectors, VirtualConsequentModel
 
 
@@ -237,14 +237,14 @@ class TestCriterion07ConsequentLearner:
         T = X_e @ rng.normal(size=(u + 1, o))
         model = RuleClassifier(u, o)
         model.rules.append(
-            FuzzyRule(
-                center=np.zeros(u),
-                inv_cov=np.eye(u),
-                support=1,
-                class_support=np.array([1, 0], dtype=np.int64),
-                weights=np.zeros((u + 1, o)),
-                rls_cov=1e8 * np.eye(u + 1),
-            )
+            centers=np.zeros(u),
+            inv=np.ones(u),
+            weights=np.zeros((u + 1, o)),
+            rls_cov=1e8 * np.eye(u + 1),
+            class_support=np.array([1, 0], dtype=np.int64),
+            activity=0.0,
+            peak_potential=0.0,
+            age=0,
         )
         rls_cov, weights = model.rules.rls_cov[0], model.rules.weights[0]
         for xe, t in zip(X_e, T):
@@ -274,14 +274,14 @@ class TestCriterion08FeatureSelectionGradient:
             for _ in range(2):
                 m = RuleClassifier(3, 2)
                 m.rules.append(
-                    FuzzyRule(
-                        center=rng.normal(size=3),
-                        inv_cov=np.diag(rng.uniform(0.5, 2.0, size=3)),
-                        support=3,
-                        class_support=np.array([2, 1], dtype=np.int64),
-                        weights=rng.normal(size=(4, 2)),
-                        rls_cov=np.eye(4),
-                    )
+                    centers=rng.normal(size=3),
+                    inv=rng.uniform(0.5, 2.0, size=3),
+                    weights=rng.normal(size=(4, 2)),
+                    rls_cov=np.eye(4),
+                    class_support=np.array([2, 1], dtype=np.int64),
+                    activity=0.0,
+                    peak_potential=0.0,
+                    age=0,
                 )
                 models.append(m)
             vm = VirtualConsequentModel(models, rate=0.05, reg=0.01)
@@ -319,14 +319,14 @@ class TestCriterion08FeatureSelectionGradient:
         for _ in range(50):
             m = RuleClassifier(3, 2)
             m.rules.append(
-                FuzzyRule(
-                    center=np.zeros(3),
-                    inv_cov=np.eye(3),
-                    support=1,
-                    class_support=np.array([1, 0], dtype=np.int64),
-                    weights=20 * rng.normal(size=(4, 2)),
-                    rls_cov=np.eye(4),
-                )
+                centers=np.zeros(3),
+                inv=np.ones(3),
+                weights=20 * rng.normal(size=(4, 2)),
+                rls_cov=np.eye(4),
+                class_support=np.array([1, 0], dtype=np.int64),
+                activity=0.0,
+                peak_potential=0.0,
+                age=0,
             )
             vm = VirtualConsequentModel([m], rate=0.5, reg=0.01)
             x = rng.normal(size=3)

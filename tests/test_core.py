@@ -61,7 +61,7 @@ class TestRunningStandardizer:
         s = RunningStandardizer(2)
         s.fit_transform(np.array([1.0, 2.0]))
         before = s.snapshot()
-        for step in (s.fit_transform, s.update, s.transform):
+        for step in (s.fit_transform, s.transform):
             with pytest.raises(DataError):
                 step(np.array([0.5, bad]))
         with pytest.raises(DataError, match="row 1 of the block"):
@@ -75,9 +75,8 @@ class TestRunningStandardizer:
         before = s.snapshot()
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            for step in (s.fit_transform, s.update):
-                with pytest.raises(DataError, match="overflow"):
-                    step(np.array([1e200, 0.0]))
+            with pytest.raises(DataError, match="overflow"):
+                s.fit_transform(np.array([1e200, 0.0]))
         assert s.snapshot() == before
 
     def test_chunk_equals_row_by_row(self):
@@ -126,7 +125,7 @@ class TestRunningStandardizer:
     def test_running_stats_match_batch(self, rows):
         s = RunningStandardizer(2)
         for row in rows:
-            s.update(np.array(row))
+            s.fit_transform(np.array(row))
         batch = np.array(rows)
         assert np.allclose(s.mean, batch.mean(axis=0), rtol=1e-9, atol=1e-9)
         assert np.allclose(
@@ -144,7 +143,7 @@ class TestRunningStandardizer:
     def test_snapshot_roundtrip(self):
         s = RunningStandardizer(2)
         for v in ([1.0, 2.0], [3.0, -1.0], [0.5, 0.5]):
-            s.update(np.array(v))
+            s.fit_transform(np.array(v))
         s2 = RunningStandardizer.from_snapshot(s.snapshot())
         x = np.array([0.7, 1.3])
         assert np.array_equal(s.transform(x), s2.transform(x))

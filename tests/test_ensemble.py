@@ -16,7 +16,7 @@ from evofuzzy.ensemble import (
     compression_index,
 )
 from evofuzzy.evaluate import EvalProtocol, run_holdout
-from evofuzzy.rules import FuzzyRule, GrowPruneParams, RuleClassifier, classes
+from evofuzzy.rules import GrowPruneParams, RuleClassifier, classes
 from evofuzzy.selection import ActiveLearnState, Selectors, conflict_input, conflict_output
 
 
@@ -27,14 +27,14 @@ def constant_member(ens, scores):
     w = np.zeros((u + 1, o))
     w[0] = scores
     m.model.rules.append(
-        FuzzyRule(
-            center=np.zeros(u),
-            inv_cov=np.eye(u),
-            support=1,
-            class_support=np.eye(o, dtype=np.int64)[0],
-            weights=w,
-            rls_cov=np.eye(u + 1),
-        )
+        centers=np.zeros(u),
+        inv=np.ones(u) if m.model.rules.diagonal else np.eye(u),
+        weights=w,
+        rls_cov=np.eye(u + 1),
+        class_support=np.eye(o, dtype=np.int64)[0],
+        activity=0.0,
+        peak_potential=0.0,
+        age=0,
     )
     return m
 
@@ -245,6 +245,20 @@ class TestDriftDetector:
         clone = DriftDetector.from_snapshot(det.snapshot())
         for e in (0.0, 1.0, 1.0, 0.0):
             assert det.step(e) == clone.step(e)
+
+    @pytest.mark.parametrize("window, match", [
+        ([0.0] * 5, "at most 4 errors"),
+        ([[0.0, 1.0]], "at most 4 errors"),
+        ([0.0, 7.5], r"in \[0, 1\]"),
+        ([0.0, -0.5], r"in \[0, 1\]"),
+        ([1.0, float("nan")], r"in \[0, 1\]"),
+    ], ids=["too_long", "nested", "above_one", "negative", "nan"])
+    def test_snapshot_window_is_checked(self, window, match):
+        det = DriftDetector(max_window=4)
+        for e in (0.0, 1.0, 0.0):
+            det.step(e)
+        with pytest.raises(DataError, match=match):
+            DriftDetector.from_snapshot(dict(det.snapshot(), window=window))
 
 
 def pair_moments(y1, y2):
@@ -586,6 +600,15 @@ class TestEnsembleSnapshot:
         state[section][key] = 0.05
         state[section]["zz_extra"] = 1
         with pytest.raises(DataError, match=f"'{section}' has unknown keys: {key}, zz_extra$"):
+            Ensemble.from_snapshot(state)
+
+    def test_unknown_member_hyper_key_is_data_error_naming_it(self):
+        cfg = base_cfg(n_features=3, chunk_size=100)
+        ens = Ensemble(cfg)
+        ens.train_chunk(next(iter(sea_chunks(100, 100))), Selectors(cfg))
+        state = json.loads(json.dumps(ens.snapshot()))
+        state["members"][0]["model"]["hyper"]["theta_step"] = 0.05
+        with pytest.raises(DataError, match="'hyper' has unknown keys: theta_step$"):
             Ensemble.from_snapshot(state)
 
     def test_restored_ensemble_keeps_hyper_template(self):

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from evofuzzy.core import StreamConfig
-from evofuzzy.rules import FuzzyRule, RuleClassifier, extended_input
+from evofuzzy.rules import RuleClassifier, extended_input
 from evofuzzy.selection import (
     ActiveLearnState,
     ConflictScores,
@@ -23,16 +23,15 @@ def model_with_rules(specs, n_classes=2, u=2):
     """specs: list of (center, inv_diag, class_support, weights or None)."""
     m = RuleClassifier(u, n_classes)
     for center, inv_diag, cs, w in specs:
-        cs = np.asarray(cs, dtype=np.int64)
         m.rules.append(
-            FuzzyRule(
-                center=np.asarray(center, dtype=float),
-                inv_cov=np.diag(np.asarray(inv_diag, dtype=float)),
-                support=int(cs.sum()),
-                class_support=cs,
-                weights=np.zeros((u + 1, n_classes)) if w is None else np.asarray(w, dtype=float),
-                rls_cov=np.eye(u + 1),
-            )
+            centers=center,
+            inv=inv_diag,
+            weights=np.zeros((u + 1, n_classes)) if w is None else w,
+            rls_cov=np.eye(u + 1),
+            class_support=cs,
+            activity=0.0,
+            peak_potential=0.0,
+            age=0,
         )
     return m
 
