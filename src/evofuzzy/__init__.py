@@ -26,7 +26,6 @@ from .evaluate import (
     run_holdout,
 )
 from .rules import (
-    GrowPruneParams,
     RdeState,
     RuleBank,
     RuleClassifier,

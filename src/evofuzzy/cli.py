@@ -71,7 +71,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="accept on conflict in either space (ablation)",
     )
     run.add_argument("--delta-rel", type=float, default=0.02)
-    run.add_argument("--delta-abs", type=float, default=None)
     run.add_argument("--alpha-warn", type=float, default=0.005)
     run.add_argument("--alpha-drift", type=float, default=0.001)
     run.add_argument("--p", type=float, default=0.5, help="penalty/reward factor")
@@ -163,7 +162,6 @@ def _cmd_run(args) -> int:
         chunk_size=chunk,
         theta=args.theta,
         delta_rel=args.delta_rel,
-        delta_abs=args.delta_abs,
         alpha_warn=args.alpha_warn,
         alpha_drift=args.alpha_drift,
         penalty=args.p,

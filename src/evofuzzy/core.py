@@ -18,6 +18,12 @@ import numpy as np
 # instead of dividing by zero.
 STD_FLOOR = 1e-8
 
+# The active-learning threshold moves by this factor per decision and
+# stays within [THETA_MIN, THETA_MAX].
+THETA_STEP = 0.01
+THETA_MIN = 0.5
+THETA_MAX = 0.95
+
 
 class ConfigError(ValueError):
     """Invalid configuration (CLI exit code 2)."""
@@ -27,13 +33,17 @@ class DataError(ValueError):
     """Malformed or insufficient input data (CLI exit code 3)."""
 
 
-def from_fields(cls, state: dict, section: str):
-    """cls(**state) for a dataclass cls, read from a snapshot section;
-    a key cls has no field for raises DataError naming it."""
-    unknown = sorted(set(state) - set(cls.__dataclass_fields__))
-    if unknown:
-        raise DataError(f"snapshot section {section!r} has unknown keys: {', '.join(unknown)}")
-    return cls(**state)
+def check_section(state, keys, section: str) -> dict:
+    """A snapshot section that must be a dict of exactly these keys; a
+    missing or unknown key raises DataError naming it."""
+    names = set(state) if isinstance(state, dict) else set()
+    missing = [k for k in keys if k not in names]
+    unknown = sorted(names - set(keys))
+    if missing or unknown:
+        faults = [f"lacks keys: {', '.join(missing)}"] if missing else []
+        faults += [f"has unknown keys: {', '.join(unknown)}"] if unknown else []
+        raise DataError(f"snapshot section {section!r} {' and '.join(faults)}")
+    return state
 
 
 @dataclass(eq=False)
@@ -69,7 +79,6 @@ class StreamConfig:
     chunk_size: int = 250
     theta: float = 0.7
     delta_rel: float = 0.02
-    delta_abs: Optional[float] = None
     alpha_warn: float = 0.005
     alpha_drift: float = 0.001
     penalty: float = 0.5
@@ -88,8 +97,8 @@ class StreamConfig:
             raise ConfigError("n_classes must be >= 2")
         if self.chunk_size < 1:
             raise ConfigError("chunk_size must be >= 1")
-        if not 0.0 < self.theta <= 1.0:
-            raise ConfigError("theta must be in (0, 1]")
+        if not THETA_MIN <= self.theta <= THETA_MAX:
+            raise ConfigError(f"theta must be in [{THETA_MIN}, {THETA_MAX}]")
         if self.delta_rel < 0.0:
             raise ConfigError("delta_rel must be >= 0")
         if not 0.0 < self.alpha_drift < self.alpha_warn < 1.0:

@@ -18,8 +18,8 @@ from typing import Optional
 
 import numpy as np
 
-from .core import DataChunk, DataError, RunningStandardizer, StreamConfig, from_fields, onehot
-from .rules import GrowPruneParams, RuleClassifier, classes
+from .core import DataChunk, DataError, RunningStandardizer, StreamConfig, check_section, onehot
+from .rules import RuleClassifier, classes
 from .selection import (
     OFS_RATE,
     OFS_REG,
@@ -33,6 +33,10 @@ from .selection import (
 
 class EmptyEnsembleError(RuntimeError):
     """Prediction was requested from an ensemble with no members."""
+
+
+# Consecutive drift-level steps the detector needs before it signals drift.
+CONFIRM = 3
 
 
 class DriftDetector:
@@ -52,35 +56,29 @@ class DriftDetector:
     at the drift level and at the warning level.  Because the pinned cut
     is re-tested on every sample, a single crossing is cheap noise; drift
     is signaled (and the window cleared) only after the drift-level
-    condition holds on ``confirm`` consecutive steps, which controls the
+    condition holds on CONFIRM consecutive steps, which controls the
     compounded false-alarm rate while costing a couple of samples of
     detection delay.  Unconfirmed crossings report warning.
     """
 
+    KEYS = ("alpha_warn", "alpha_drift", "max_window", "window", "cut", "streak")
+
     def __init__(
-        self,
-        alpha_warn: float = 0.005,
-        alpha_drift: float = 0.001,
-        max_window: int = 1000,
-        confirm: int = 3,
+        self, alpha_warn: float = 0.005, alpha_drift: float = 0.001, max_window: int = 1000
     ):
         if not 0 < alpha_drift < alpha_warn < 1:
             raise ValueError("need 0 < alpha_drift < alpha_warn < 1")
         if max_window < 2:
             raise ValueError("max_window must be >= 2")
-        if confirm < 1:
-            raise ValueError("confirm must be >= 1")
         self.alpha_warn = alpha_warn
         self.alpha_drift = alpha_drift
         self.max_window = max_window
-        self.confirm = confirm
         self._ln_w = math.log(1.0 / alpha_warn)
         self._ln_d = math.log(1.0 / alpha_drift)
         self._buf = np.zeros(max_window)
         self._n = 0
         self.cut: Optional[int] = None
         self.streak = 0
-        self.state = "stable"
 
     def __len__(self) -> int:
         return self._n
@@ -109,8 +107,7 @@ class DriftDetector:
         self._n += 1
         n = self._n
         if n < 2:
-            self.state = "stable"
-            return self.state
+            return "stable"
         w = self._buf[:n]
         total = float(w.sum())
         xbar = total / n
@@ -122,8 +119,7 @@ class DriftDetector:
             self.cut = self._find_cut(w, xbar, eps_x)
             self.streak = 0
         if self.cut is None:
-            self.state = "stable"
-            return self.state
+            return "stable"
         c = self.cut
         m = n - c
         prefix = float(w[:c].sum())
@@ -131,18 +127,12 @@ class DriftDetector:
         scale = 0.5 * (1.0 / c + 1.0 / m)
         if diff >= math.sqrt(scale * self._ln_d):
             self.streak += 1
-            if self.streak >= self.confirm:
+            if self.streak >= CONFIRM:
                 self.reset()
-                self.state = "drift"
-            else:
-                self.state = "warning"
-        elif diff >= math.sqrt(scale * self._ln_w):
-            self.streak = 0
-            self.state = "warning"
-        else:
-            self.streak = 0
-            self.state = "stable"
-        return self.state
+                return "drift"
+            return "warning"
+        self.streak = 0
+        return "warning" if diff >= math.sqrt(scale * self._ln_w) else "stable"
 
     def _cut_holds(self, c: int, xbar: float, eps_x: float) -> bool:
         zbar = float(self._buf[:c].mean())
@@ -165,31 +155,28 @@ class DriftDetector:
             "alpha_warn": self.alpha_warn,
             "alpha_drift": self.alpha_drift,
             "max_window": self.max_window,
-            "confirm": self.confirm,
             "window": self.window.tolist(),
             "cut": self.cut,
             "streak": self.streak,
-            "state": self.state,
         }
 
     @classmethod
     def from_snapshot(cls, state: dict) -> "DriftDetector":
-        d = cls(
-            state["alpha_warn"],
-            state["alpha_drift"],
-            state["max_window"],
-            confirm=state["confirm"],
-        )
+        state = check_section(state, cls.KEYS, "detector")
+        d = cls(state["alpha_warn"], state["alpha_drift"], state["max_window"])
         w = np.asarray(state["window"], dtype=float)
         if w.ndim != 1 or len(w) > d.max_window:
             raise DataError(f"detector window must list at most {d.max_window} errors")
         if not np.all((w >= 0.0) & (w <= 1.0)):
             raise DataError("detector window errors must lie in [0, 1]")
+        cut, streak = state["cut"], state["streak"]
+        if not (cut is None or isinstance(cut, int) and 1 <= cut < len(w)):
+            raise DataError(f"detector cut must be None or in 1..{len(w) - 1}, got {cut!r}")
+        if not (isinstance(streak, int) and 0 <= streak < CONFIRM):
+            raise DataError(f"detector streak must be in 0..{CONFIRM - 1}, got {streak!r}")
         d._buf[: len(w)] = w
         d._n = len(w)
-        d.cut = state["cut"]
-        d.streak = state["streak"]
-        d.state = state["state"]
+        d.cut, d.streak = cut, streak
         return d
 
 
@@ -299,7 +286,9 @@ class Ensemble:
     from any number of readers.
     """
 
-    def __init__(self, cfg: StreamConfig, hyper: Optional[GrowPruneParams] = None):
+    KEYS = ("cfg", "age_min", "standardizer", "detector", "chunk_index", "next_uid", "members")
+
+    def __init__(self, cfg: StreamConfig):
         self.cfg = cfg
         self.members: list[EnsembleMember] = []
         self.detector = DriftDetector(
@@ -308,9 +297,8 @@ class Ensemble:
             max_window=DETECTOR_CHUNKS * cfg.chunk_size,
         )
         self.standardizer = RunningStandardizer(cfg.n_features)
-        self.hyper = hyper if hyper is not None else GrowPruneParams(
-            age_min=2 * cfg.chunk_size
-        )
+        # the rule age_min of every member this ensemble creates
+        self.age_min = 2 * cfg.chunk_size
         self.chunk_index = 0
         self._next_uid = 0
 
@@ -318,7 +306,7 @@ class Ensemble:
 
     def _new_member(self, bootstrapping: bool = False) -> EnsembleMember:
         model = RuleClassifier(
-            self.cfg.n_features, self.cfg.n_classes, self.hyper, self.cfg.base_kind
+            self.cfg.n_features, self.cfg.n_classes, self.cfg.base_kind, self.age_min
         )
         m = EnsembleMember(
             model=model, beta=1.0, uid=self._next_uid, bootstrapping=bootstrapping
@@ -407,11 +395,10 @@ class Ensemble:
         """Merge the most redundant voter pair, at most one per chunk.
 
         A pair qualifies when its mean compression index over class
-        dimensions falls below the threshold (relative to the mean
-        variance unless an absolute override is configured).  The voter
-        with fewer correct predictions in the chunk is dropped, the first
-        of the pair on an exact tie; the survivor absorbs the dropped
-        weight.
+        dimensions falls below delta_rel times the pair's mean output
+        variance.  The voter with fewer correct predictions in the chunk
+        is dropped, the first of the pair on an exact tie; the survivor
+        absorbs the dropped weight.
         """
         n = stats.count
         if n < 2:
@@ -426,11 +413,7 @@ class Ensemble:
                     )
                 )
                 vbar = 0.5 * float(v1.mean() + v2.mean())
-                if self.cfg.delta_abs is not None:
-                    threshold = self.cfg.delta_abs
-                else:
-                    threshold = self.cfg.delta_rel * vbar
-                if xi <= threshold:
+                if xi <= self.cfg.delta_rel * vbar:
                     candidates.append((xi, i, j))
         if not candidates:
             return []
@@ -558,9 +541,7 @@ class Ensemble:
     def snapshot(self) -> dict:
         return {
             "cfg": asdict(self.cfg),
-            "hyper": {
-                k: getattr(self.hyper, k) for k in GrowPruneParams.__dataclass_fields__
-            },
+            "age_min": self.age_min,
             "standardizer": self.standardizer.snapshot(),
             "detector": self.detector.snapshot(),
             "chunk_index": self.chunk_index,
@@ -580,10 +561,10 @@ class Ensemble:
 
     @classmethod
     def from_snapshot(cls, state: dict) -> "Ensemble":
-        ens = cls(
-            from_fields(StreamConfig, state["cfg"], "cfg"),
-            hyper=from_fields(GrowPruneParams, state["hyper"], "hyper"),
-        )
+        state = check_section(state, cls.KEYS, "ensemble")
+        cfg = check_section(state["cfg"], StreamConfig.__dataclass_fields__, "cfg")
+        ens = cls(StreamConfig(**cfg))
+        ens.age_min = int(state["age_min"])
         ens.standardizer = RunningStandardizer.from_snapshot(state["standardizer"])
         ens.detector = DriftDetector.from_snapshot(state["detector"])
         ens.chunk_index = int(state["chunk_index"])

@@ -12,13 +12,13 @@ from __future__ import annotations
 import itertools
 import json
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from statistics import mean, pstdev
 from typing import Iterable, Optional
 
 import numpy as np
 
-from .core import DataError, StreamConfig, chunks
+from .core import ConfigError, DataError, StreamConfig, chunks
 from .ensemble import Ensemble
 from .selection import Selectors
 
@@ -26,7 +26,6 @@ from .selection import Selectors
 @dataclass
 class EvalProtocol:
     mode: str = "holdout"
-    folds: int = 10
     train_per_stamp: int = 250
     test_per_stamp: int = 250
     stamps: int = 200
@@ -34,8 +33,6 @@ class EvalProtocol:
     def __post_init__(self):
         if self.mode not in ("holdout", "cv"):
             raise DataError("mode must be holdout or cv")
-        if self.mode == "cv" and self.folds < 2:
-            raise DataError("folds must be >= 2")
         if self.mode == "holdout" and (
             self.train_per_stamp < 1 or self.test_per_stamp < 1 or self.stamps < 1
         ):
@@ -218,6 +215,8 @@ def run_cv(dataset, cfg: StreamConfig, folds: int = 10, audit_purity: bool = Tru
     Bin f is held out for testing while the remaining bins are streamed
     in their original order into a fresh learner.
     """
+    if folds < 2:
+        raise ConfigError(f"folds must be >= 2, got {folds}")
     samples = list(dataset)
     if len(samples) < folds:
         raise DataError(f"need at least {folds} samples for {folds} folds")
@@ -246,23 +245,9 @@ def write_metrics(path, metrics: RunMetrics) -> None:
     with open(path, "w") as fh:
         for rec in metrics.series:
             fh.write(json.dumps({"record": "chunk", **rec}, sort_keys=True) + "\n")
-        summary = {
-            "record": "summary",
-            "cr": metrics.cr,
-            "fr": metrics.fr,
-            "bc": metrics.bc,
-            "np": metrics.np,
-            "ts": metrics.ts,
-            "rt": metrics.rt,
-            "cr_std": metrics.cr_std,
-            "fr_std": metrics.fr_std,
-            "bc_std": metrics.bc_std,
-            "np_std": metrics.np_std,
-            "stamps": metrics.stamps,
-            "offered": metrics.offered,
-            "accepted_frac": metrics.accepted_frac,
-        }
-        fh.write(json.dumps(summary, sort_keys=True) + "\n")
+        summary = {f.name: getattr(metrics, f.name) for f in fields(metrics) if f.name != "series"}
+        summary.update(accepted_frac=metrics.accepted_frac)
+        fh.write(json.dumps({"record": "summary", **summary}, sort_keys=True) + "\n")
 
 
 def read_metrics(path):

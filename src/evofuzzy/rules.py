@@ -16,7 +16,6 @@ archived rules can be recalled when an old concept reappears.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import Enum
 from functools import cache
 from typing import Optional
@@ -24,7 +23,7 @@ from typing import Optional
 import numpy as np
 from scipy.special import gammaincinv
 
-from .core import DataError, from_fields, onehot
+from .core import DataError, check_section, onehot
 
 # Eigenvalue floor used when repairing a dispersion matrix that lost
 # positive definiteness, and the variance floor for diagonal updates.
@@ -32,6 +31,19 @@ EIG_FLOOR = 1e-8
 
 # Rules with normalized firing below this are skipped by the consequent update.
 FIRING_EPS = 1e-6
+
+# Structure-learning thresholds.  The code reads them at call time, so a
+# test may monkeypatch them.
+ERR_GROW = 0.5  # prediction-error gate for growing (one-hot target space)
+NOVELTY_Q = 0.95  # chi-square quantile of the Mahalanobis novelty gate
+DENSITY_SIGMAS = 2.0  # sigmas below the mean density that count as sparse
+VOLUME_CAP = 0.25  # share of the volume proxy 6^u a rule may fill before growth is forced
+PRUNE_FRAC = 0.1  # share of the mean activity below which a rule is inactive
+DECAY = 0.99  # decay factor of the activity and density statistics
+POTENTIAL_FRAC = 0.2  # share of a rule's peak potential below which it is stale
+DECAY_STRENGTH = 1e-7  # weight-decay coefficient of the consequent update
+INIT_SPREAD = 1.0  # spread of the very first rule
+RLS_INIT = 1e5  # diagonal of a fresh rule's consequent covariance
 
 
 class EmptyModelError(RuntimeError):
@@ -46,57 +58,6 @@ class GrowDecision(Enum):
     @property
     def grows(self) -> bool:
         return self is not GrowDecision.UPDATE
-
-
-@dataclass
-class GrowPruneParams:
-    """Structure-learning thresholds.
-
-    err_grow        prediction-error gate for growing (one-hot target space)
-    novelty_q       chi-square quantile for the Mahalanobis novelty gate
-    density_sigmas  how many sigmas below the mean density counts as sparse
-    volume_cap      fraction of the standardized-space volume proxy (6^u)
-                    a rule may occupy before growth is forced
-    prune_frac      activity fraction of the mean below which a rule is inactive
-    decay           exponential decay factor for the activity statistic
-    potential_frac  fraction of a rule's peak potential below which it is stale
-    age_min         minimum age (samples) before a rule may be pruned
-    decay_strength  weight-decay coefficient of the consequent update
-    init_spread     spread of the very first rule
-    rls_init        diagonal magnitude of the initial consequent covariance
-    """
-
-    err_grow: float = 0.5
-    novelty_q: float = 0.95
-    density_sigmas: float = 2.0
-    volume_cap: float = 0.25
-    prune_frac: float = 0.1
-    decay: float = 0.99
-    potential_frac: float = 0.2
-    age_min: int = 500
-    decay_strength: float = 1e-7
-    init_spread: float = 1.0
-    rls_init: float = 1e5
-
-    def __post_init__(self):
-        if self.err_grow <= 0:
-            raise ValueError("err_grow must be > 0")
-        if not 0 < self.novelty_q < 1:
-            raise ValueError("novelty_q must be in (0, 1)")
-        if self.density_sigmas <= 0:
-            raise ValueError("density_sigmas must be > 0")
-        if not 0 < self.volume_cap <= 1:
-            raise ValueError("volume_cap must be in (0, 1]")
-        if not 0 < self.prune_frac < 1:
-            raise ValueError("prune_frac must be in (0, 1)")
-        if not 0 < self.decay < 1:
-            raise ValueError("decay must be in (0, 1)")
-        if not 0 < self.potential_frac < 1:
-            raise ValueError("potential_frac must be in (0, 1)")
-        if self.decay_strength < 0:
-            raise ValueError("decay_strength must be >= 0")
-        if self.init_spread <= 0 or self.rls_init <= 0:
-            raise ValueError("init_spread and rls_init must be > 0")
 
 
 class RdeState:
@@ -114,12 +75,12 @@ class RdeState:
     regime inflates the spread forever and the sparseness gate goes dead.
     """
 
-    def __init__(self, n_features: int, decay: float = 0.99):
-        self.decay = decay
+    KEYS = ("count", "mean", "sq_norm_mean", "dens_mean", "dens_var")
+
+    def __init__(self, n_features: int):
         self.count = 0
         self.mean = np.zeros(n_features)
         self.sq_norm_mean = 0.0
-        self.dens_count = 0
         self.dens_mean = 0.0
         self.dens_var = 0.0
 
@@ -128,12 +89,11 @@ class RdeState:
         self.mean += (x - self.mean) / self.count
         self.sq_norm_mean += (float(x @ x) - self.sq_norm_mean) / self.count
         d = self.potential(x)
-        self.dens_count += 1
-        if self.dens_count == 1:
+        if self.count == 1:
             self.dens_mean = d
             self.dens_var = 0.0
         else:
-            a = 1.0 - self.decay
+            a = 1.0 - DECAY
             delta = d - self.dens_mean
             self.dens_mean += a * delta
             self.dens_var = (1.0 - a) * (self.dens_var + a * delta * delta)
@@ -152,22 +112,20 @@ class RdeState:
 
     def snapshot(self) -> dict:
         return {
-            "decay": self.decay,
             "count": self.count,
             "mean": self.mean.tolist(),
             "sq_norm_mean": self.sq_norm_mean,
-            "dens_count": self.dens_count,
             "dens_mean": self.dens_mean,
             "dens_var": self.dens_var,
         }
 
     @classmethod
     def from_snapshot(cls, state: dict) -> "RdeState":
-        r = cls(len(state["mean"]), decay=float(state["decay"]))
+        state = check_section(state, cls.KEYS, "rde")
+        r = cls(len(state["mean"]))
         r.count = int(state["count"])
         r.mean = np.asarray(state["mean"], dtype=float)
         r.sq_norm_mean = float(state["sq_norm_mean"])
-        r.dens_count = int(state["dens_count"])
         r.dens_mean = float(state["dens_mean"])
         r.dens_var = float(state["dens_var"])
         return r
@@ -338,28 +296,27 @@ class RuleClassifier:
     (scores and win are None without rules), so each is computed once.
     """
 
+    KEYS = ("n_features", "n_classes", "kind", "age_min", "rde", "rules", "archive")
+
     def __init__(
-        self,
-        n_features: int,
-        n_classes: int,
-        hyper: Optional[GrowPruneParams] = None,
-        kind: str = "axis_parallel",
+        self, n_features: int, n_classes: int, kind: str = "axis_parallel", age_min: int = 500
     ):
         if kind not in ("axis_parallel", "multivariate"):
             raise ValueError("kind must be axis_parallel or multivariate")
         self.n_features = n_features
         self.n_classes = n_classes
-        self.hyper = hyper if hyper is not None else GrowPruneParams()
         self.kind = kind
+        # minimum age (samples) before a rule may be pruned
+        self.age_min = age_min
         diagonal = kind == "axis_parallel"
         self.rules = RuleBank(n_features, n_classes, diagonal)
         self.archive = RuleBank(n_features, n_classes, diagonal)
-        self.rde = RdeState(n_features, decay=self.hyper.decay)
+        self.rde = RdeState(n_features)
 
     @property
     def volume_cap(self) -> float:
         """Largest rule volume before growth is forced."""
-        return self.hyper.volume_cap * 6.0 ** self.n_features
+        return VOLUME_CAP * 6.0 ** self.n_features
 
     # -- inference -------------------------------------------------------
 
@@ -423,14 +380,11 @@ class RuleClassifier:
             return GrowDecision.GROW
         err = float(np.linalg.norm(t_onehot - scores))
         active = self.n_features if mask is None else int(np.count_nonzero(mask))
-        novel = d2[win] > _chi2_quantile(self.hyper.novelty_q, max(active, 1))
+        novel = d2[win] > _chi2_quantile(NOVELTY_Q, max(active, 1))
         sparse = False
-        if self.rde.dens_count >= 2:
-            sparse = (
-                self.rde.potential(x)
-                < self.rde.dens_mean - self.hyper.density_sigmas * self.rde.dens_std
-            )
-        if err > self.hyper.err_grow and novel and sparse:
+        if self.rde.count >= 2:
+            sparse = self.rde.potential(x) < self.rde.dens_mean - DENSITY_SIGMAS * self.rde.dens_std
+        if err > ERR_GROW and novel and sparse:
             return GrowDecision.GROW
         if self.rules.volumes[win] > self.volume_cap:
             return GrowDecision.VOLUME_FORCED
@@ -446,7 +400,7 @@ class RuleClassifier:
         """Create a rule at x.
 
         Spread is half the distance to the nearest existing center,
-        floored at 0.1 (init_spread for the very first rule).  The
+        floored at 0.1 (INIT_SPREAD for the very first rule).  The
         consequent is copied from the winner so a fresh rule does not
         cold-start at zero.
         """
@@ -465,13 +419,13 @@ class RuleClassifier:
             sigma0 = max(min(0.5 * nearest, sigma_cap), 0.1)
         else:
             w0 = np.zeros((u + 1, self.n_classes))
-            sigma0 = min(self.hyper.init_spread, sigma_cap)
+            sigma0 = min(INIT_SPREAD, sigma_cap)
         inv = np.full(u, 1.0 / (sigma0 * sigma0))
         return self.rules.append(
             centers=x,
             inv=inv if self.rules.diagonal else np.diag(inv),
             weights=w0,
-            rls_cov=self.hyper.rls_init * np.eye(u + 1),
+            rls_cov=RLS_INIT * np.eye(u + 1),
             class_support=np.arange(1, self.n_classes + 1) == label,
             activity=1.0 / (len(self.rules) + 1),
             peak_potential=0.0,
@@ -490,7 +444,7 @@ class RuleClassifier:
             return None
         fires = np.exp(-self.archive.mahalanobis_sq(x, mask))
         best = int(np.argmax(fires))
-        handicap = math.exp(-self.hyper.novelty_q * self.n_features / 2.0)
+        handicap = math.exp(-NOVELTY_Q * self.n_features / 2.0)
         if fires[best] > handicap:
             b = self.rules
             i = self.archive.move(best, b)
@@ -545,13 +499,13 @@ class RuleClassifier:
         """Update activity/potential statistics, then prune flagged rules.
 
         A rule old enough is flagged inactive when its decayed firing falls
-        below prune_frac of the mean, or stale when its potential against
-        the current stream statistics falls below potential_frac of its own
+        below PRUNE_FRAC of the mean, or stale when its potential against
+        the current stream statistics falls below POTENTIAL_FRAC of its own
         peak.  Flagged rules move to the archive; the last rule is never
         pruned.
         """
         b = self.rules
-        g = self.hyper.decay
+        g = DECAY
         b.activity[:] = g * b.activity + (1.0 - g) * lam
         potentials = np.array([self.rde.potential(c) for c in b.centers])
         np.maximum(b.peak_potential, potentials, out=b.peak_potential)
@@ -560,11 +514,11 @@ class RuleClassifier:
         mean_act = float(np.mean(b.activity))
         flagged = []
         for i in range(len(b)):
-            if b.age[i] < self.hyper.age_min:
+            if b.age[i] < self.age_min:
                 continue
-            if b.activity[i] < self.hyper.prune_frac * mean_act:
+            if b.activity[i] < PRUNE_FRAC * mean_act:
                 flagged.append((i, "inactive"))
-            elif potentials[i] < self.hyper.potential_frac * b.peak_potential[i]:
+            elif potentials[i] < POTENTIAL_FRAC * b.peak_potential[i]:
                 flagged.append((i, "stale"))
         if len(flagged) == len(b):
             keep = int(np.argmax(b.activity))
@@ -601,9 +555,7 @@ class RuleClassifier:
         x_e = extended_input(x, mask)
         b = self.rules
         for i in np.nonzero(lam > FIRING_EPS)[0]:
-            weighted_rls_update(
-                b.rls_cov[i], b.weights[i], float(lam[i]), x_e, t, self.hyper.decay_strength
-            )
+            weighted_rls_update(b.rls_cov[i], b.weights[i], float(lam[i]), x_e, t, DECAY_STRENGTH)
         pruned = self.prune_check(lam)
         self.rules.age += 1
         if pruned:
@@ -617,9 +569,7 @@ class RuleClassifier:
             "n_features": self.n_features,
             "n_classes": self.n_classes,
             "kind": self.kind,
-            "hyper": {
-                k: getattr(self.hyper, k) for k in GrowPruneParams.__dataclass_fields__
-            },
+            "age_min": self.age_min,
             "rde": self.rde.snapshot(),
             "rules": self.rules.snapshot(),
             "archive": self.archive.snapshot(),
@@ -627,11 +577,12 @@ class RuleClassifier:
 
     @classmethod
     def from_snapshot(cls, state: dict) -> "RuleClassifier":
+        state = check_section(state, cls.KEYS, "model")
         model = cls(
             n_features=int(state["n_features"]),
             n_classes=int(state["n_classes"]),
-            hyper=from_fields(GrowPruneParams, state["hyper"], "hyper"),
             kind=state["kind"],
+            age_min=int(state["age_min"]),
         )
         model.rde = RdeState.from_snapshot(state["rde"])
         model.rules.load(state["rules"])

@@ -22,7 +22,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .core import StreamConfig
+from .core import THETA_MAX, THETA_MIN, THETA_STEP, StreamConfig, check_section
 from .rules import RuleClassifier, extended_input, firings
 
 # Step size and L2 weight of the feature-selection SGD.
@@ -48,23 +48,16 @@ class FeatureMask:
 class ActiveLearnState:
     """Adaptive conflict threshold with clamped multiplicative steps.
 
-    Accepting shrinks the threshold by (1 - step), rejecting grows it by
-    (1 + step); both are clamped to [theta_min, theta_max].
+    Accepting shrinks the threshold by (1 - THETA_STEP), rejecting grows
+    it by (1 + THETA_STEP); both are clamped to [THETA_MIN, THETA_MAX].
     """
 
-    def __init__(
-        self,
-        theta: float = 0.7,
-        step: float = 0.01,
-        theta_min: float = 0.5,
-        theta_max: float = 0.95,
-    ):
-        if not theta_min <= theta <= theta_max:
+    KEYS = ("theta", "accepted", "seen")
+
+    def __init__(self, theta: float = 0.7):
+        if not THETA_MIN <= theta <= THETA_MAX:
             raise ValueError("theta must lie within its clamp bounds")
         self.theta = theta
-        self.step = step
-        self.theta_min = theta_min
-        self.theta_max = theta_max
         self.accepted = 0
         self.seen = 0
 
@@ -73,24 +66,17 @@ class ActiveLearnState:
         self.seen += 1
         if take:
             self.accepted += 1
-            self.theta = max(self.theta * (1.0 - self.step), self.theta_min)
+            self.theta = max(self.theta * (1.0 - THETA_STEP), THETA_MIN)
         else:
-            self.theta = min(self.theta * (1.0 + self.step), self.theta_max)
+            self.theta = min(self.theta * (1.0 + THETA_STEP), THETA_MAX)
         return take
 
     def snapshot(self) -> dict:
-        return {
-            "theta": self.theta,
-            "step": self.step,
-            "theta_min": self.theta_min,
-            "theta_max": self.theta_max,
-            "accepted": self.accepted,
-            "seen": self.seen,
-        }
+        return {"theta": self.theta, "accepted": self.accepted, "seen": self.seen}
 
     @classmethod
     def from_snapshot(cls, state: dict) -> "ActiveLearnState":
-        s = cls(state["theta"], state["step"], state["theta_min"], state["theta_max"])
+        s = cls(check_section(state, cls.KEYS, "al")["theta"])
         s.accepted = int(state["accepted"])
         s.seen = int(state["seen"])
         return s

@@ -78,6 +78,17 @@ class TestRun:
     def test_config_error_exit_code(self):
         assert run_cli("run", "--gen", "sea", "--n", "600", "--stamps", "1", "--p", "1.5") == 2
 
+    def test_theta_outside_its_clamp_is_config_error(self, capsys):
+        code = run_cli("run", "--gen", "sea", "--n", "2000", "--stamps", "2", "--theta", "0.97")
+        assert code == 2
+        assert "theta must be in [0.5, 0.95]" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("folds", ["1", "0"])
+    def test_fewer_than_two_folds_is_config_error(self, capsys, folds):
+        code = run_cli("run", "--gen", "sea", "--n", "2000", "--mode", "cv", "--folds", folds)
+        assert code == 2
+        assert f"folds must be >= 2, got {folds}" in capsys.readouterr().err
+
     def test_data_error_exit_code(self, tmp_path):
         assert run_cli("run", "--data", str(tmp_path / "missing.csv")) == 3
 

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import evofuzzy.ensemble as ensemble_module
+import evofuzzy.rules as rules_module
 from evofuzzy.core import DataChunk, DataError, Sample, StreamConfig, chunks
 from evofuzzy.datagen import HyperplaneConfig, SeaConfig, gen_hyperplane, gen_sea
 from evofuzzy.ensemble import (
@@ -16,7 +17,7 @@ from evofuzzy.ensemble import (
     compression_index,
 )
 from evofuzzy.evaluate import EvalProtocol, run_holdout
-from evofuzzy.rules import GrowPruneParams, RuleClassifier, classes
+from evofuzzy.rules import RdeState, RuleClassifier, classes
 from evofuzzy.selection import ActiveLearnState, Selectors, conflict_input, conflict_output
 
 
@@ -246,19 +247,26 @@ class TestDriftDetector:
         for e in (0.0, 1.0, 1.0, 0.0):
             assert det.step(e) == clone.step(e)
 
-    @pytest.mark.parametrize("window, match", [
-        ([0.0] * 5, "at most 4 errors"),
-        ([[0.0, 1.0]], "at most 4 errors"),
-        ([0.0, 7.5], r"in \[0, 1\]"),
-        ([0.0, -0.5], r"in \[0, 1\]"),
-        ([1.0, float("nan")], r"in \[0, 1\]"),
-    ], ids=["too_long", "nested", "above_one", "negative", "nan"])
-    def test_snapshot_window_is_checked(self, window, match):
+    @pytest.mark.parametrize("override, match", [
+        ({"window": [0.0] * 5}, "at most 4 errors"),
+        ({"window": [[0.0, 1.0]]}, "at most 4 errors"),
+        ({"window": [0.0, 7.5]}, r"in \[0, 1\]"),
+        ({"window": [0.0, -0.5]}, r"in \[0, 1\]"),
+        ({"window": [1.0, float("nan")]}, r"in \[0, 1\]"),
+        ({"cut": 7}, r"cut must be None or in 1\.\.2, got 7"),
+        ({"cut": 0}, r"cut must be None or in 1\.\.2, got 0"),
+        ({"window": [0.0], "cut": 1}, r"cut must be None or in 1\.\.0, got 1"),
+        ({"streak": 3}, r"streak must be in 0\.\.2, got 3"),
+        ({"streak": -1}, r"streak must be in 0\.\.2, got -1"),
+        ({"state": "stable"}, "'detector' has unknown keys: state"),
+    ], ids=["too_long", "nested", "above_one", "negative", "nan", "cut_past_window",
+            "cut_zero", "cut_on_one_error", "streak_at_confirm", "streak_negative", "old_state"])
+    def test_snapshot_window_is_checked(self, override, match):
         det = DriftDetector(max_window=4)
         for e in (0.0, 1.0, 0.0):
             det.step(e)
         with pytest.raises(DataError, match=match):
-            DriftDetector.from_snapshot(dict(det.snapshot(), window=window))
+            DriftDetector.from_snapshot(dict(det.snapshot(), **override))
 
 
 def pair_moments(y1, y2):
@@ -384,18 +392,6 @@ class TestMerge:
             series.append([s, s.copy()])
         merged = ens.merge_check(self._mci_from_series(ens, series, correct=[5, 5]))
         assert merged == [(keep_uid, drop_uid)]
-
-    def test_merge_respects_absolute_override(self):
-        ens = Ensemble(base_cfg(delta_abs=1e-12))
-        constant_member(ens, [1.0, 0.0])
-        constant_member(ens, [1.0, 0.0])
-        rng = np.random.default_rng(10)
-        series = []
-        for _ in range(30):
-            a = rng.normal(size=2)
-            series.append([a, a + rng.normal(scale=0.5, size=2)])  # noisy copy
-        merged = ens.merge_check(self._mci_from_series(ens, series))
-        assert merged == []
 
 
 class TestMciState:
@@ -594,11 +590,15 @@ class TestEnsembleSnapshot:
         assert clone.score_sample(x)[1] == ens.score_sample(x)[1]
         assert np.array_equal(clone.score_sample(x)[0], ens.score_sample(x)[0])
 
-    @pytest.mark.parametrize("section, key", [("cfg", "theta_step"), ("hyper", "spread_cap")])
+    @pytest.mark.parametrize(
+        "section, key", [("cfg", "theta_step"), ("ensemble", "hyper")],
+        ids=["cfg-theta_step", "ensemble-hyper"],
+    )
     def test_unknown_key_is_data_error_naming_it(self, section, key):
         state = json.loads(json.dumps(Ensemble(base_cfg(n_features=3)).snapshot()))
-        state[section][key] = 0.05
-        state[section]["zz_extra"] = 1
+        where = state if section == "ensemble" else state[section]
+        where[key] = 0.05
+        where["zz_extra"] = 1
         with pytest.raises(DataError, match=f"'{section}' has unknown keys: {key}, zz_extra$"):
             Ensemble.from_snapshot(state)
 
@@ -607,23 +607,59 @@ class TestEnsembleSnapshot:
         ens = Ensemble(cfg)
         ens.train_chunk(next(iter(sea_chunks(100, 100))), Selectors(cfg))
         state = json.loads(json.dumps(ens.snapshot()))
-        state["members"][0]["model"]["hyper"]["theta_step"] = 0.05
-        with pytest.raises(DataError, match="'hyper' has unknown keys: theta_step$"):
+        state["members"][0]["model"]["hyper"] = {"theta_step": 0.05}
+        with pytest.raises(DataError, match="'model' has unknown keys: hyper$"):
             Ensemble.from_snapshot(state)
 
-    def test_restored_ensemble_keeps_hyper_template(self):
-        from evofuzzy.rules import GrowPruneParams
-
+    def test_restored_ensemble_keeps_age_min(self):
         cfg = base_cfg(n_features=3, chunk_size=100)
-        hyper = GrowPruneParams(age_min=77, err_grow=0.4)
-        ens = Ensemble(cfg, hyper=hyper)
+        ens = Ensemble(cfg)
+        ens.age_min = 77
         sel = Selectors(cfg)
         ens.train_chunk(next(iter(sea_chunks(100, 100))), sel)
         clone = Ensemble.from_snapshot(json.loads(json.dumps(ens.snapshot())))
-        assert clone.hyper.age_min == 77
-        assert clone.hyper.err_grow == 0.4
+        assert clone.age_min == 77
+        assert clone.members[0].model.age_min == 77
         fresh = clone._new_member()
-        assert fresh.model.hyper.age_min == 77
+        assert fresh.model.age_min == 77
+
+    # a 'hyper' section, less its age_min, as written while the
+    # structure-learning thresholds were settings
+    HYPER = {"err_grow": 0.5, "novelty_q": 0.95, "density_sigmas": 2.0, "volume_cap": 0.25,
+             "prune_frac": 0.1, "decay": 0.99, "potential_frac": 0.2,
+             "decay_strength": 1e-7, "init_spread": 1.0, "rls_init": 1e5}
+
+    @pytest.mark.parametrize("layer, match", [
+        ("ensemble", "'ensemble' lacks keys: age_min and has unknown keys: hyper$"),
+        ("model", "'model' lacks keys: age_min and has unknown keys: hyper$"),
+        ("rde", "'rde' has unknown keys: decay, dens_count$"),
+        ("detector", "'detector' has unknown keys: confirm, state$"),
+        ("selectors", "'al' has unknown keys: step, theta_max, theta_min$"),
+    ])
+    def test_snapshot_from_before_the_constants_is_data_error(self, layer, match):
+        """Each layer of a snapshot in the form written before the
+        thresholds became constants is refused by its own loader."""
+        cfg = base_cfg(n_features=3, chunk_size=100)
+        ens, sel = Ensemble(cfg), Selectors(cfg)
+        ens.train_chunk(next(iter(sea_chunks(100, 100))), sel)
+        state = json.loads(json.dumps(ens.snapshot()))
+        state["cfg"]["delta_abs"] = None
+        state["hyper"] = dict(self.HYPER, age_min=state.pop("age_min"))
+        model = state["members"][0]["model"]
+        model["hyper"] = dict(self.HYPER, age_min=model.pop("age_min"))
+        model["rde"].update(decay=0.99, dens_count=model["rde"]["count"])
+        state["detector"].update(confirm=3, state="stable")
+        selectors = json.loads(json.dumps(sel.snapshot()))
+        selectors["al"].update(step=0.01, theta_min=0.5, theta_max=0.95)
+        load, old = {
+            "ensemble": (Ensemble.from_snapshot, state),
+            "model": (RuleClassifier.from_snapshot, model),
+            "rde": (RdeState.from_snapshot, model["rde"]),
+            "detector": (DriftDetector.from_snapshot, state["detector"]),
+            "selectors": (Selectors.from_snapshot, selectors),
+        }[layer]
+        with pytest.raises(DataError, match=match):
+            load(old)
 
     def test_scoring_does_not_change_hash(self):
         cfg = base_cfg(n_features=3, chunk_size=100)
@@ -736,13 +772,15 @@ def two_region_stream(rng, u, lengths, far=6.0):
     return out
 
 
-def two_region_run(score_test_rows=False):
+def two_region_run(monkeypatch, score_test_rows=False):
     """Train on a two-region stream with a drift member, a recall and
     feature selection; returns (chunk reports, ensemble, selectors)."""
     cfg = StreamConfig(n_features=3, n_classes=2, chunk_size=100, ofs_b=2,
                        al_conjunction=False)
-    hyper = GrowPruneParams(age_min=30, potential_frac=0.6, density_sigmas=1.0)
-    ens = Ensemble(cfg, hyper=hyper)
+    monkeypatch.setattr(rules_module, "POTENTIAL_FRAC", 0.6)
+    monkeypatch.setattr(rules_module, "DENSITY_SIGMAS", 1.0)
+    ens = Ensemble(cfg)
+    ens.age_min = 30
     sel = Selectors(cfg)
     rng = np.random.default_rng(1)
     reports = []
@@ -787,7 +825,7 @@ class TestDistancePasses:
         monkeypatch.setattr(RuleClassifier, "mahalanobis_sq", counted)
         monkeypatch.setattr(RuleClassifier, "recall_check", recall)
         monkeypatch.setattr(ActiveLearnState, "decide", decide)
-        reports, _, _ = two_region_run(score_test_rows=True)
+        reports, _, _ = two_region_run(monkeypatch, score_test_rows=True)
         assert sum(r.drifts for r in reports) >= 1 and recalls[0] >= 1
         last = {}  # key -> log index of the call that last scored it
         accepts = [i for i, (kind, what) in enumerate(log) if kind == "decide" and what]
@@ -807,10 +845,10 @@ class TestDistancePasses:
         assert repeats and len(accepts) > 100
 
     def test_lookahead_does_not_change_training(self, monkeypatch):
-        reports, ens, sel = two_region_run()
+        reports, ens, sel = two_region_run(monkeypatch)
         assert sum(r.drifts for r in reports) >= 1
         monkeypatch.setattr(ensemble_module, "LOOKAHEAD", 1)
-        again, ens1, sel1 = two_region_run()
+        again, ens1, sel1 = two_region_run(monkeypatch)
         assert again == reports
         assert ens1.snapshot_hash() == ens.snapshot_hash()
         assert sel1.snapshot() == sel.snapshot()

@@ -7,11 +7,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.stats import chi2
 
+import evofuzzy.rules as rules_module
 from evofuzzy.core import DataError
 from evofuzzy.rules import (
     EmptyModelError,
     GrowDecision,
-    GrowPruneParams,
     RuleBank,
     RuleClassifier,
     _chi2_quantile,
@@ -158,7 +158,7 @@ class TestRuleBank:
     @pytest.mark.parametrize("kind", KINDS)
     def test_move_round_trip_keeps_every_column(self, kind):
         rng = np.random.default_rng(2)
-        model = RuleClassifier(3, 2, hyper=GrowPruneParams(age_min=20), kind=kind)
+        model = RuleClassifier(3, 2, kind=kind, age_min=20)
         for _ in range(60):
             train(model, rng.normal(0.0, 2.0, 3), int(rng.integers(1, 3)))
         names = RuleBank.COLUMNS + ("volumes",)
@@ -348,9 +348,9 @@ class TestGrowCheck:
         t = np.array([0.0, 1.0])
         # oracle: re-derive the three predicates from raw quantities
         scores = extended_input(x) @ w
-        err_gate = np.linalg.norm(t - scores) > model.hyper.err_grow
+        err_gate = np.linalg.norm(t - scores) > rules_module.ERR_GROW
         d2 = float(x @ np.eye(2) @ x)
-        novelty_gate = d2 > chi2.ppf(model.hyper.novelty_q, 2)
+        novelty_gate = d2 > chi2.ppf(rules_module.NOVELTY_Q, 2)
         seq = history + [x]
         densities = []
         for k, v in enumerate(seq, start=1):
@@ -359,13 +359,13 @@ class TestGrowCheck:
             spread = msq - mu @ mu
             densities.append(1.0 / (1.0 + (v - mu) @ (v - mu) + spread))
         # exponentially weighted mean/variance of the density series
-        a = 1.0 - model.hyper.decay
+        a = 1.0 - rules_module.DECAY
         dmean, dvar = densities[0], 0.0
         for d in densities[1:]:
             delta = d - dmean
             dmean += a * delta
             dvar = (1.0 - a) * (dvar + a * delta * delta)
-        density_gate = densities[-1] < dmean - model.hyper.density_sigmas * math.sqrt(dvar)
+        density_gate = densities[-1] < dmean - rules_module.DENSITY_SIGMAS * math.sqrt(dvar)
         assert err_gate and novelty_gate and density_gate
         assert model.grow_check(x, t, *passes(model, x), 0) is GrowDecision.GROW
 
@@ -505,24 +505,24 @@ class TestWeightedRls:
 
 
 class TestPrune:
-    def _two_rule_model(self, age=1000, age_min=10):
-        hyper = GrowPruneParams(age_min=age_min, decay=0.9)
-        model = RuleClassifier(2, 2, hyper=hyper)
+    def _two_rule_model(self, monkeypatch, age=1000, age_min=10):
+        monkeypatch.setattr(rules_module, "DECAY", 0.9)
+        model = RuleClassifier(2, 2, age_min=age_min)
         model.add_rule(np.array([0.0, 0.0]), np.array([1.0, 0.0]), None)
         model.add_rule(np.array([8.0, 8.0]), np.array([0.0, 1.0]), 0)
         model.rules.age[:] = age
         model.rules.activity[:] = 0.5
         return model
 
-    def test_inactive_rule_pruned_per_recurrence_oracle(self):
-        model = self._two_rule_model()
-        g = model.hyper.decay
+    def test_inactive_rule_pruned_per_recurrence_oracle(self, monkeypatch):
+        model = self._two_rule_model(monkeypatch)
+        g = rules_module.DECAY
         a = [0.5, 0.5]
         pruned_at = None
         for t in range(1, 200):
             a = [g * a[0] + (1 - g) * 1.0, g * a[1]]  # oracle recurrence
             flags = model.prune_check(np.array([1.0, 0.0]))
-            expect = a[1] < model.hyper.prune_frac * np.mean(a)
+            expect = a[1] < rules_module.PRUNE_FRAC * np.mean(a)
             if expect:
                 assert flags and flags[0][1] == "inactive"
                 pruned_at = t
@@ -532,9 +532,9 @@ class TestPrune:
         assert len(model.rules) == 1
         assert len(model.archive) == 1
 
-    def test_stale_rule_pruned_when_stream_moves_away(self):
-        hyper = GrowPruneParams(age_min=5, potential_frac=0.5)
-        model = RuleClassifier(2, 2, hyper=hyper)
+    def test_stale_rule_pruned_when_stream_moves_away(self, monkeypatch):
+        monkeypatch.setattr(rules_module, "POTENTIAL_FRAC", 0.5)
+        model = RuleClassifier(2, 2, age_min=5)
         model.add_rule(np.array([0.0, 0.0]), np.array([1.0, 0.0]), None)
         model.add_rule(np.array([10.0, 10.0]), np.array([0.0, 1.0]), 0)
         model.rules.age[:] = 100
@@ -591,19 +591,18 @@ class TestRecall:
         assert model.recall_check(np.array([2.0, 0.0])) is None
         assert len(model.archive) == 1
 
-    def test_cyclic_concept_reactivates_pruned_rules(self):
+    def test_cyclic_concept_reactivates_pruned_rules(self, monkeypatch):
         # concept A -> concept B (far region, long enough for staleness
         # pruning) -> concept A reappears concentrated on its original
         # core; a rule pruned during the B phase should come back in at
         # least half the seeded runs
+        monkeypatch.setattr(rules_module, "POTENTIAL_FRAC", 0.6)
+        monkeypatch.setattr(rules_module, "DENSITY_SIGMAS", 1.0)
         hits = 0
         seeds = range(10)
         for seed in seeds:
             rng = np.random.default_rng(100 + seed)
-            hyper = GrowPruneParams(
-                age_min=30, potential_frac=0.6, density_sigmas=1.0
-            )
-            model = RuleClassifier(2, 2, hyper=hyper)
+            model = RuleClassifier(2, 2, age_min=30)
 
             def phase(center, label, n, spread):
                 for _ in range(n):
@@ -649,7 +648,7 @@ class TestTrainSample:
     def test_two_blobs_small_rulebase_high_accuracy(self):
         rng = np.random.default_rng(7)
         xs, ys = self._blob_stream(rng, 500)
-        model = RuleClassifier(2, 2, hyper=GrowPruneParams(age_min=100))
+        model = RuleClassifier(2, 2, age_min=100)
         for x, y in zip(xs, ys):
             train(model, x, y)
         correct = sum(infer(model, x)[1] == y for x, y in zip(xs, ys))
@@ -662,7 +661,7 @@ class TestTrainSample:
         xs, ys = self._blob_stream(rng, 500, rot=math.pi / 4)
         counts = {}
         for kind in ("axis_parallel", "multivariate"):
-            model = RuleClassifier(2, 2, hyper=GrowPruneParams(age_min=100), kind=kind)
+            model = RuleClassifier(2, 2, kind=kind, age_min=100)
             for x, y in zip(xs, ys):
                 train(model, x, y)
             counts[kind] = len(model.rules)
@@ -673,7 +672,7 @@ class TestTrainSample:
     def test_invariants_hold_throughout_random_training(self):
         rng = np.random.default_rng(9)
         for kind in ("axis_parallel", "multivariate"):
-            model = RuleClassifier(3, 3, hyper=GrowPruneParams(age_min=20), kind=kind)
+            model = RuleClassifier(3, 3, kind=kind, age_min=20)
             for i in range(200):
                 x = rng.normal(0.0, 2.0, 3)
                 train(model, x, int(rng.integers(1, 4)))
@@ -699,10 +698,11 @@ class TestSnapshot:
         assert np.array_equal(infer(model, x)[0], infer(clone, x)[0])
 
     @pytest.mark.parametrize("kind", KINDS)
-    def test_roundtrip_with_archive_stays_in_step(self, kind):
+    def test_roundtrip_with_archive_stays_in_step(self, kind, monkeypatch):
         rng = np.random.default_rng(12)
-        hyper = GrowPruneParams(age_min=30, potential_frac=0.6, density_sigmas=1.0)
-        model = RuleClassifier(2, 2, hyper=hyper, kind=kind)
+        monkeypatch.setattr(rules_module, "POTENTIAL_FRAC", 0.6)
+        monkeypatch.setattr(rules_module, "DENSITY_SIGMAS", 1.0)
+        model = RuleClassifier(2, 2, kind=kind, age_min=30)
 
         def phase(models, center, label, n, spread):
             for _ in range(n):

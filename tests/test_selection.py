@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from evofuzzy.core import StreamConfig
+from evofuzzy.core import THETA_MIN, StreamConfig
 from evofuzzy.rules import RuleClassifier, extended_input
 from evofuzzy.selection import (
     ActiveLearnState,
@@ -129,7 +129,7 @@ class TestDecide:
         assert not accepts(0.7, 0.9, 0.5, conjunction=True)
 
     def test_threshold_walks_and_clamps(self):
-        al = ActiveLearnState(theta=0.7, step=0.01, theta_min=0.5, theta_max=0.95)
+        al = ActiveLearnState(theta=0.7)
         for _ in range(500):
             al.decide(ConflictScores(1.0, 1.0))  # rejects push theta up
         assert al.theta == pytest.approx(0.95)
@@ -150,7 +150,7 @@ class TestDecide:
             sigma = np.array([s, s])
             taken += al.decide(ConflictScores(0.5, conflict_output(sigma)))
         assert taken / n >= 0.9
-        assert al.theta == pytest.approx(al.theta_min)
+        assert al.theta == pytest.approx(THETA_MIN)
 
     @given(
         st.floats(0.0, 1.0),
