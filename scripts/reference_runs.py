@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Write the four reference metrics files a refactor is compared on.
+"""Write the five reference metrics files a refactor is compared on.
 
     python3 scripts/reference_runs.py OUT_DIR
 
@@ -11,6 +11,8 @@ Runs, one after the other, on the package under this checkout's src/:
     cv.jsonl             evofuzzy run --data h.csv --mode cv --folds 5 --ofs-b 2
                          on evofuzzy gen hyperplane --n 20000
                          --drift-start 10000 --seed 3
+    cv-mv.jsonl          the cv.jsonl run with --base multivariate --ofs-b 2,
+                         multivariate rules under a feature mask
 
 The CSV lives in a temporary directory, so the working tree is left as
 it was.  Compare two OUT_DIRs with scripts/same_metrics.py A_DIR B_DIR.
@@ -43,6 +45,8 @@ def main(argv) -> int:
                     "--drift-start", "10000", "--seed", "3", "--out", csv]),
             ("cv.jsonl", ["-m", "evofuzzy", "run", "--data", csv, "--mode", "cv",
                           "--folds", "5", "--ofs-b", "2"]),
+            ("cv-mv.jsonl", ["-m", "evofuzzy", "run", "--data", csv, "--mode", "cv",
+                             "--folds", "5", "--base", "multivariate", "--ofs-b", "2"]),
         ]
         for name, args in runs:
             cmd = [sys.executable, *map(str, args)]

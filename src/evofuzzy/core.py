@@ -204,6 +204,7 @@ class RunningStandardizer:
 
     @classmethod
     def from_snapshot(cls, state: dict) -> "RunningStandardizer":
+        state = check_section(state, ("count", "mean", "m2"), "standardizer")
         s = cls(len(state["mean"]))
         s.count = int(state["count"])
         s.mean = np.asarray(state["mean"], dtype=float)

@@ -42,11 +42,12 @@ CONFIRM = 3
 class DriftDetector:
     """Three-state drift detector on a bounded error window.
 
-    The window holds per-sample 0/1 errors (range [a, b] = [0, 1]).  A cut
-    point splits it into prefix Z and suffix Y.  A candidate cut c is
-    accepted when mean(Z) + eps(c) <= mean(X) + eps(n) with the one-sample
-    Hoeffding radius eps(k) = sqrt(ln(1/alpha) / 2k); the earliest cut
-    found is pinned until it stops holding, slides out, or drift fires.
+    The window holds per-sample errors, each 0 or 1 (range [a, b] =
+    [0, 1]).  A cut point splits it into prefix Z and suffix Y.  A
+    candidate cut c is accepted when mean(Z) + eps(c) <= mean(X) + eps(n)
+    with the one-sample Hoeffding radius eps(k) = sqrt(ln(1/alpha) / 2k);
+    the earliest cut found is pinned until it stops holding, slides out,
+    or drift fires.
 
     Given a pinned cut, the one-sided mean increase mean(Y) - mean(Z) is
     tested against the two-sample Hoeffding radius
@@ -59,6 +60,16 @@ class DriftDetector:
     condition holds on CONFIRM consecutive steps, which controls the
     compounded false-alarm rate while costing a couple of samples of
     detection delay.  Unconfirmed crossings report warning.
+
+    The window is kept as integer prefix counts of its errors, as in
+    HDDM_A's running counts: _cum[j] counts the errors among the first j
+    entries of a buffer of 2W + 1 counts, and the window is the stretch
+    _start.._end of it.  A step appends one count and, on a full window,
+    advances _start; the stretch moves to the front once every W steps.
+    So the window total and a pinned cut's prefix are two reads, and the
+    search for a cut is one vector compare of prefix means plus a table
+    of eps(c) against the bound: O(n) while no cut is pinned, with no
+    shift, cumsum or square root over the window.
     """
 
     KEYS = ("alpha_warn", "alpha_drift", "max_window", "window", "cut", "streak")
@@ -75,54 +86,62 @@ class DriftDetector:
         self.max_window = max_window
         self._ln_w = math.log(1.0 / alpha_warn)
         self._ln_d = math.log(1.0 / alpha_drift)
-        self._buf = np.zeros(max_window)
-        self._n = 0
+        self._counts = np.arange(1.0, max_window)
+        self._eps = np.sqrt(self._ln_d / (2.0 * self._counts))
+        self._cum = np.zeros(2 * max_window + 1, dtype=np.int64)
+        self._start = self._end = 0
         self.cut: Optional[int] = None
         self.streak = 0
 
     def __len__(self) -> int:
-        return self._n
+        return self._end - self._start
 
     @property
     def window(self) -> np.ndarray:
-        return self._buf[: self._n].copy()
+        return np.diff(self._cum[self._start : self._end + 1]).astype(float)
 
     def reset(self) -> None:
-        self._n = 0
+        self._cum[0] = self._start = self._end = 0
         self.cut = None
         self.streak = 0
 
-    def step(self, err01: float) -> str:
-        e = float(err01)
-        if not 0.0 <= e <= 1.0:
-            raise ValueError("error statistic must lie in [0, 1]")
-        if self._n == self.max_window:
-            self._buf[:-1] = self._buf[1:]
-            self._n -= 1
+    def step(self, err01) -> str:
+        if err01 not in (0, 1):
+            raise ValueError(f"error must be 0 or 1, got {err01!r}")
+        cum, s = self._cum, self._start
+        if self._end - s == self.max_window:
+            s = self._start = s + 1
             if self.cut is not None:
                 self.cut -= 1
                 if self.cut < 1:
                     self.cut = None
-        self._buf[self._n] = e
-        self._n += 1
-        n = self._n
+        if self._end == len(cum) - 1:
+            n = self._end - s
+            cum[: n + 1] = cum[s:] - cum[s]
+            s = self._start = 0
+            self._end = n
+        e = self._end
+        cum[e + 1] = cum[e] + int(err01)
+        self._end = e = e + 1
+        n = e - s
         if n < 2:
             return "stable"
-        w = self._buf[:n]
-        total = float(w.sum())
-        xbar = total / n
-        eps_x = math.sqrt(self._ln_d / (2.0 * n))
-        if self.cut is not None and not self._cut_holds(self.cut, xbar, eps_x):
-            self.cut = None
-            self.streak = 0
-        if self.cut is None:
-            self.cut = self._find_cut(w, xbar, eps_x)
-            self.streak = 0
-        if self.cut is None:
-            return "stable"
+        base = int(cum[s])
+        total = int(cum[e]) - base
+        bound = total / n + math.sqrt(self._ln_d / (2.0 * n))
         c = self.cut
+        if c is not None:
+            holds = (int(cum[s + c]) - base) / c + math.sqrt(self._ln_d / (2.0 * c)) <= bound
+            c = c if holds else None
+        if c is None:
+            ok = (cum[s + 1 : e] - base) / self._counts[: n - 1] + self._eps[: n - 1] <= bound
+            first = int(np.argmax(ok))
+            c = self.cut = first + 1 if ok[first] else None
+            self.streak = 0
+        if c is None:
+            return "stable"
         m = n - c
-        prefix = float(w[:c].sum())
+        prefix = int(cum[s + c]) - base
         diff = (total - prefix) / m - prefix / c
         scale = 0.5 * (1.0 / c + 1.0 / m)
         if diff >= math.sqrt(scale * self._ln_d):
@@ -133,22 +152,6 @@ class DriftDetector:
             return "warning"
         self.streak = 0
         return "warning" if diff >= math.sqrt(scale * self._ln_w) else "stable"
-
-    def _cut_holds(self, c: int, xbar: float, eps_x: float) -> bool:
-        zbar = float(self._buf[:c].mean())
-        eps_z = math.sqrt(self._ln_d / (2.0 * c))
-        return zbar + eps_z <= xbar + eps_x
-
-    def _find_cut(self, w: np.ndarray, xbar: float, eps_x: float) -> Optional[int]:
-        n = len(w)
-        counts = np.arange(1, n)
-        zbar = np.cumsum(w[:-1]) / counts
-        eps_z = np.sqrt(self._ln_d / (2.0 * counts))
-        ok = zbar + eps_z <= xbar + eps_x
-        first = int(np.argmax(ok))
-        if ok[first]:
-            return first + 1
-        return None
 
     def snapshot(self) -> dict:
         return {
@@ -167,15 +170,15 @@ class DriftDetector:
         w = np.asarray(state["window"], dtype=float)
         if w.ndim != 1 or len(w) > d.max_window:
             raise DataError(f"detector window must list at most {d.max_window} errors")
-        if not np.all((w >= 0.0) & (w <= 1.0)):
-            raise DataError("detector window errors must lie in [0, 1]")
+        if not np.all((w == 0.0) | (w == 1.0)):
+            raise DataError("detector window errors must each be 0 or 1")
         cut, streak = state["cut"], state["streak"]
         if not (cut is None or isinstance(cut, int) and 1 <= cut < len(w)):
             raise DataError(f"detector cut must be None or in 1..{len(w) - 1}, got {cut!r}")
         if not (isinstance(streak, int) and 0 <= streak < CONFIRM):
             raise DataError(f"detector streak must be in 0..{CONFIRM - 1}, got {streak!r}")
-        d._buf[: len(w)] = w
-        d._n = len(w)
+        d._cum[1 : len(w) + 1] = np.cumsum(w.astype(np.int64))
+        d._end = len(w)
         d.cut, d.streak = cut, streak
         return d
 
@@ -287,6 +290,7 @@ class Ensemble:
     """
 
     KEYS = ("cfg", "age_min", "standardizer", "detector", "chunk_index", "next_uid", "members")
+    MEMBER_KEYS = ("beta", "uid", "bootstrapping", "bootstrap_count", "bootstrap_chunks", "model")
 
     def __init__(self, cfg: StreamConfig):
         self.cfg = cfg
@@ -571,6 +575,7 @@ class Ensemble:
         ens._next_uid = int(state["next_uid"])
         ens.members = []
         for ms in state["members"]:
+            ms = check_section(ms, cls.MEMBER_KEYS, "member")
             m = EnsembleMember(
                 model=RuleClassifier.from_snapshot(ms["model"]),
                 beta=float(ms["beta"]),

@@ -99,12 +99,15 @@ class RdeState:
             self.dens_var = (1.0 - a) * (self.dens_var + a * delta * delta)
         return d
 
-    def potential(self, point: np.ndarray) -> float:
+    def potential(self, points: np.ndarray):
+        """Density at one point (u,), a float, or at each row of (R, u)."""
+        diff = points - self.mean
         if self.count == 0:
-            return 1.0
-        diff = point - self.mean
+            return 1.0 if diff.ndim == 1 else np.ones(len(diff))
         spread = max(self.sq_norm_mean - float(self.mean @ self.mean), 0.0)
-        return 1.0 / (1.0 + float(diff @ diff) + spread)
+        # one (1, u) @ (u, 1) product per row, equal to diff @ diff bit for bit
+        p = 1.0 / (1.0 + (diff[..., None, :] @ diff[..., :, None])[..., 0, 0] + spread)
+        return float(p) if p.ndim == 0 else p
 
     @property
     def dens_std(self) -> float:
@@ -245,28 +248,37 @@ class RuleBank:
 def weighted_rls_update(
     psi: np.ndarray,
     weights: np.ndarray,
-    lam: float,
+    lam: np.ndarray | float,
     x_e: np.ndarray,
     target: np.ndarray,
     decay_strength: float,
 ) -> None:
-    """One firing-weighted recursive least squares step with weight decay.
+    """One firing-weighted recursive least squares step with weight decay,
+    for k rules at once or for one.
 
-    Updates the consequent covariance psi and the weights in place:
+    psi (k, e, e), weights (k, e, O) and lam (k,) hold the k rules'
+    consequent covariances, consequents and firings; one rule may also be
+    passed as psi (e, e), weights (e, O) and a float lam.  Updates psi and
+    the weights in place, rule by rule:
 
     K    = P x / (1/lam + x P x')
     P    <- P - K x P
     W    <- W + K (t - x W) - 2 c P W      (quadratic decay, gradient 2W)
+
+    Every product is a stacked matmul over the rule axis, so each rule's
+    row is computed exactly as that rule alone.
     """
+    if psi.ndim == 2:
+        return weighted_rls_update(psi[None], weights[None], [lam], x_e, target, decay_strength)
     v = psi @ x_e
-    denom = 1.0 / lam + float(x_e @ v)
-    if denom <= 0:
+    denom = 1.0 / np.asarray(lam, dtype=float) + (x_e[None, None] @ v[..., None])[:, 0, 0]
+    if (denom <= 0).any():
         raise FloatingPointError("consequent covariance lost positive definiteness")
-    k = v / denom
-    p = psi - np.outer(k, v)
-    psi[...] = 0.5 * (p + p.T)
-    err = target - x_e @ weights
-    weights += np.outer(k, err)
+    k = v / denom[:, None]
+    p = psi - k[:, :, None] * v[:, None, :]
+    psi[...] = 0.5 * (p + p.transpose(0, 2, 1))
+    err = target - (x_e[None, None] @ weights)[:, 0]
+    weights += k[:, :, None] * err[:, None, :]
     if decay_strength > 0.0:
         weights -= (2.0 * decay_strength) * (psi @ weights)
 
@@ -464,6 +476,16 @@ class RuleClassifier:
         diagonal for axis-parallel rules.  Zero-displacement components are
         skipped so an exact center hit leaves the dispersion untouched, and
         masked features stay frozen.
+
+        With d = x - C_old the recurrence reads S <- ((N-1)/N)(S + d d'/N),
+        a rank-one step, so a multivariate rule without a feature mask
+        updates its stored inverse P by Sherman-Morrison:
+        P <- N/(N-1) (P - v v'/(N + d'v)) with v = P d.  That result is
+        kept only where neither eigenvalue floor of the explicit path could
+        bind: trace(P) < 1/EIG_FLOOR bounds the covariance's eigenvalues
+        from below, det(P)/trace(P)^(u-1) > EIG_FLOOR those of P.
+        Otherwise, and under a partial mask, the covariance is inverted,
+        updated and repaired explicitly from the old P.
         """
         b = self.rules
         b.class_support[win, label - 1] += 1
@@ -480,20 +502,24 @@ class RuleClassifier:
                 upd = ((n - 1) * var[live] + d_old[live] ** 2 * (n - 1) / n) / n
                 var[live] = np.maximum(upd, EIG_FLOOR)
                 b.set_inv(win, 1.0 / var)
-        else:
-            if np.any(d_old != 0.0):
-                active = (
-                    np.ones(self.n_features, dtype=bool)
-                    if mask is None
-                    else mask > 0
-                )
-                cov = np.linalg.inv(b.inv[win])
-                sub = cov[np.ix_(active, active)]
-                d = d_old[active]
-                sub = ((n - 1) * sub + np.outer(d, d) * (n - 1) / n) / n
-                cov[np.ix_(active, active)] = sub
-                inv = np.linalg.inv(_repair_spd(cov))
-                b.set_inv(win, _repair_spd(inv))
+        elif d_old.any():
+            p = b.inv[win]
+            if mask is None or mask.all():
+                v = p @ d_old
+                p_new = (p - v[:, None] * v / (n + float(d_old @ v))) * (n / (n - 1))
+                tr, det = float(p_new.trace()), float(np.linalg.det(p_new))
+                if tr < 1.0 / EIG_FLOOR and det / tr ** (self.n_features - 1) > EIG_FLOOR:
+                    # 1/det is volume(p_new), so the volume stays in step
+                    b.volumes[win], b.inv[win] = 1.0 / det, p_new
+                    return
+            active = np.ones(self.n_features, dtype=bool) if mask is None else mask > 0
+            cov = np.linalg.inv(p)
+            sub = cov[np.ix_(active, active)]
+            d = d_old[active]
+            sub = ((n - 1) * sub + np.outer(d, d) * (n - 1) / n) / n
+            cov[np.ix_(active, active)] = sub
+            inv = np.linalg.inv(_repair_spd(cov))
+            b.set_inv(win, _repair_spd(inv))
 
     def prune_check(self, lam: np.ndarray) -> list:
         """Update activity/potential statistics, then prune flagged rules.
@@ -505,27 +531,24 @@ class RuleClassifier:
         pruned.
         """
         b = self.rules
-        g = DECAY
-        b.activity[:] = g * b.activity + (1.0 - g) * lam
-        potentials = np.array([self.rde.potential(c) for c in b.centers])
+        act = b.activity
+        act *= DECAY
+        act += (1.0 - DECAY) * lam
+        potentials = self.rde.potential(b.centers)
         np.maximum(b.peak_potential, potentials, out=b.peak_potential)
         if len(b) < 2:
             return []
-        mean_act = float(np.mean(b.activity))
-        flagged = []
-        for i in range(len(b)):
-            if b.age[i] < self.age_min:
-                continue
-            if b.activity[i] < PRUNE_FRAC * mean_act:
-                flagged.append((i, "inactive"))
-            elif potentials[i] < POTENTIAL_FRAC * b.peak_potential[i]:
-                flagged.append((i, "stale"))
-        if len(flagged) == len(b):
-            keep = int(np.argmax(b.activity))
-            flagged = [(i, why) for i, why in flagged if i != keep]
-        for i, _ in sorted(flagged, reverse=True):
+        inactive = act < PRUNE_FRAC * (act.sum() / len(b))  # np.mean's own arithmetic
+        stale = potentials < POTENTIAL_FRAC * b.peak_potential
+        flagged = (b.age >= self.age_min) & (inactive | stale)
+        if not flagged.any():
+            return []
+        if flagged.all():
+            flagged[np.argmax(act)] = False
+        pruned = np.flatnonzero(flagged).tolist()
+        for i in reversed(pruned):
             b.move(i, self.archive)
-        return flagged
+        return [(i, "inactive" if inactive[i] else "stale") for i in pruned]
 
     def train_sample(
         self,
@@ -554,8 +577,14 @@ class RuleClassifier:
         lam = firings(d2)
         x_e = extended_input(x, mask)
         b = self.rules
-        for i in np.nonzero(lam > FIRING_EPS)[0]:
-            weighted_rls_update(b.rls_cov[i], b.weights[i], float(lam[i]), x_e, t, DECAY_STRENGTH)
+        i = np.flatnonzero(lam > FIRING_EPS)
+        # a run of adjacent firing rows is updated through views, any other
+        # set through copies that are written back
+        rows = slice(i[0], i[-1] + 1) if len(i) and i[-1] - i[0] == len(i) - 1 else i
+        psi, weights = b.rls_cov[rows], b.weights[rows]
+        weighted_rls_update(psi, weights, lam[rows], x_e, t, DECAY_STRENGTH)
+        if rows is i:
+            b.rls_cov[i], b.weights[i] = psi, weights
         pruned = self.prune_check(lam)
         self.rules.age += 1
         if pruned:

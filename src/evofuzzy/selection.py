@@ -22,7 +22,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .core import THETA_MAX, THETA_MIN, THETA_STEP, StreamConfig, check_section
+from .core import THETA_MAX, THETA_MIN, THETA_STEP, DataError, StreamConfig, check_section
 from .rules import RuleClassifier, extended_input, firings
 
 # Step size and L2 weight of the feature-selection SGD.
@@ -76,7 +76,12 @@ class ActiveLearnState:
 
     @classmethod
     def from_snapshot(cls, state: dict) -> "ActiveLearnState":
-        s = cls(check_section(state, cls.KEYS, "al")["theta"])
+        theta = check_section(state, cls.KEYS, "al")["theta"]
+        if not (isinstance(theta, (int, float)) and THETA_MIN <= theta <= THETA_MAX):
+            raise DataError(
+                f"snapshot section 'al' has theta {theta!r} outside [{THETA_MIN}, {THETA_MAX}]"
+            )
+        s = cls(theta)
         s.accepted = int(state["accepted"])
         s.seen = int(state["seen"])
         return s
@@ -242,6 +247,7 @@ class Selectors:
     """Bundle of selection state carried across chunks by the trainer."""
 
     SETTINGS = ("conjunction", "ofs_b", "n_features")
+    KEYS = SETTINGS + ("al", "mask_active", "mask_scores")
 
     def __init__(self, cfg: StreamConfig):
         self.al = ActiveLearnState(cfg.theta)
@@ -271,6 +277,7 @@ class Selectors:
 
     @classmethod
     def from_snapshot(cls, state: dict) -> "Selectors":
+        state = check_section(state, cls.KEYS, "selectors")
         s = cls.__new__(cls)
         s.__dict__.update({key: state[key] for key in cls.SETTINGS})
         s.al = ActiveLearnState.from_snapshot(state["al"])

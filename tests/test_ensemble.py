@@ -1,4 +1,5 @@
 import json
+import math
 import warnings
 
 import numpy as np
@@ -235,8 +236,10 @@ class TestDriftDetector:
 
     def test_rejects_out_of_range_statistic(self):
         det = DriftDetector()
-        with pytest.raises(ValueError):
-            det.step(1.5)
+        for err in (1.5, -1.0, 0.5, float("nan")):  # 0.5 would truncate in a count
+            with pytest.raises(ValueError, match="error must be 0 or 1"):
+                det.step(err)
+        assert len(det) == 0
 
     def test_snapshot_roundtrip(self):
         det = DriftDetector(max_window=64)
@@ -250,16 +253,17 @@ class TestDriftDetector:
     @pytest.mark.parametrize("override, match", [
         ({"window": [0.0] * 5}, "at most 4 errors"),
         ({"window": [[0.0, 1.0]]}, "at most 4 errors"),
-        ({"window": [0.0, 7.5]}, r"in \[0, 1\]"),
-        ({"window": [0.0, -0.5]}, r"in \[0, 1\]"),
-        ({"window": [1.0, float("nan")]}, r"in \[0, 1\]"),
+        ({"window": [0.0, 7.5]}, "must each be 0 or 1"),
+        ({"window": [0.0, -0.5]}, "must each be 0 or 1"),
+        ({"window": [1.0, float("nan")]}, "must each be 0 or 1"),
+        ({"window": [0.5, 0.5]}, "must each be 0 or 1"),
         ({"cut": 7}, r"cut must be None or in 1\.\.2, got 7"),
         ({"cut": 0}, r"cut must be None or in 1\.\.2, got 0"),
         ({"window": [0.0], "cut": 1}, r"cut must be None or in 1\.\.0, got 1"),
         ({"streak": 3}, r"streak must be in 0\.\.2, got 3"),
         ({"streak": -1}, r"streak must be in 0\.\.2, got -1"),
         ({"state": "stable"}, "'detector' has unknown keys: state"),
-    ], ids=["too_long", "nested", "above_one", "negative", "nan", "cut_past_window",
+    ], ids=["too_long", "nested", "above_one", "negative", "nan", "half", "cut_past_window",
             "cut_zero", "cut_on_one_error", "streak_at_confirm", "streak_negative", "old_state"])
     def test_snapshot_window_is_checked(self, override, match):
         det = DriftDetector(max_window=4)
@@ -267,6 +271,103 @@ class TestDriftDetector:
             det.step(e)
         with pytest.raises(DataError, match=match):
             DriftDetector.from_snapshot(dict(det.snapshot(), **override))
+
+
+class WindowOracle:
+    """The detector as a shifted float window with a cumsum search per
+    step, O(W) per step: what DriftDetector computes, written plainly."""
+
+    def __init__(self, alpha_warn=0.005, alpha_drift=0.001, max_window=1000):
+        self.max_window = max_window
+        self._ln_w = math.log(1.0 / alpha_warn)
+        self._ln_d = math.log(1.0 / alpha_drift)
+        self.window = np.zeros(0)
+        self.cut = None
+        self.streak = 0
+
+    def step(self, e: float) -> str:
+        if len(self.window) == self.max_window:
+            self.window = self.window[1:]
+            if self.cut is not None:
+                self.cut -= 1
+                if self.cut < 1:
+                    self.cut = None
+        self.window = np.append(self.window, e)
+        w, n = self.window, len(self.window)
+        if n < 2:
+            return "stable"
+        total = float(w.sum())
+        xbar = total / n
+        eps_x = math.sqrt(self._ln_d / (2.0 * n))
+        c = self.cut
+        if c is not None and not w[:c].mean() + math.sqrt(self._ln_d / (2.0 * c)) <= xbar + eps_x:
+            self.cut = None
+            self.streak = 0
+        if self.cut is None:
+            counts = np.arange(1, n)
+            ok = np.cumsum(w[:-1]) / counts + np.sqrt(self._ln_d / (2.0 * counts)) <= xbar + eps_x
+            first = int(np.argmax(ok))
+            self.cut = first + 1 if ok[first] else None
+            self.streak = 0
+        if self.cut is None:
+            return "stable"
+        c, m = self.cut, n - self.cut
+        prefix = float(w[:c].sum())
+        diff = (total - prefix) / m - prefix / c
+        scale = 0.5 * (1.0 / c + 1.0 / m)
+        if diff >= math.sqrt(scale * self._ln_d):
+            self.streak += 1
+            if self.streak >= ensemble_module.CONFIRM:
+                self.window, self.cut, self.streak = np.zeros(0), None, 0
+                return "drift"
+            return "warning"
+        self.streak = 0
+        return "warning" if diff >= math.sqrt(scale * self._ln_w) else "stable"
+
+
+def drifting_errors(seed: int, steady: int, n: int) -> np.ndarray:
+    """A 0/1 error stream: `steady` steps at error rate 0.1, then n steps
+    whose rate jumps and falls back every 97 steps."""
+    rng = np.random.default_rng(seed)
+    rates = np.repeat(rng.choice([0.05, 0.2, 0.5, 0.9], size=n // 97 + 1), 97)[:n]
+    return (rng.random(steady + n) < np.concatenate([np.full(steady, 0.1), rates])).astype(float)
+
+
+class TestDriftDetectorOracle:
+    @pytest.mark.parametrize("max_window", [4, 64, 1000])
+    def test_same_verdicts_as_the_shifted_window(self, max_window):
+        w = max_window
+        det, oracle = DriftDetector(max_window=w), WindowOracle(max_window=w)
+        phases, compactions = [], 0
+        for e in drifting_errors(w, 3 * w, 2000):
+            compactions += det._end == 2 * w
+            phase = det.step(e)
+            assert phase == oracle.step(e)
+            assert (det.cut, det.streak) == (oracle.cut, oracle.streak)
+            assert np.array_equal(det.window, oracle.window)
+            phases.append(phase)
+        assert compactions >= 1
+        if w > 4:  # four errors are too few for any Hoeffding test to pass
+            assert {"stable", "warning", "drift"} <= set(phases)
+
+    def test_roundtrip_right_after_a_compaction(self):
+        w = 64
+        det, oracle = DriftDetector(max_window=w), WindowOracle(max_window=w)
+        errors = drifting_errors(11, 3 * w, 2000)
+        for k, e in enumerate(errors):
+            compacts = det._end == 2 * w
+            det.step(e)
+            oracle.step(e)
+            if compacts:
+                break
+        assert compacts and det._start == 0
+        clone = DriftDetector.from_snapshot(json.loads(json.dumps(det.snapshot())))
+        assert np.array_equal(clone.window, det.window)
+        for e in errors[k + 1:]:
+            phase = oracle.step(e)
+            assert det.step(e) == phase == clone.step(e)
+            assert (clone.cut, clone.streak) == (oracle.cut, oracle.streak)
+            assert np.array_equal(clone.window, oracle.window)
 
 
 def pair_moments(y1, y2):
@@ -660,6 +761,34 @@ class TestEnsembleSnapshot:
         }[layer]
         with pytest.raises(DataError, match=match):
             load(old)
+
+    @pytest.mark.parametrize("section, match", [
+        ("member", "'member' lacks keys: beta, bootstrapping, bootstrap_count, "
+                   "bootstrap_chunks, model$"),
+        ("selectors", "'selectors' lacks keys: ofs_b$"),
+        ("al", r"'al' has theta 0\.99 outside \[0\.5, 0\.95\]$"),
+        ("standardizer", "'standardizer' lacks keys: m2$"),
+    ])
+    def test_bad_section_is_data_error_naming_it(self, section, match):
+        cfg = base_cfg(n_features=3, chunk_size=100)
+        ens, sel = Ensemble(cfg), Selectors(cfg)
+        ens.train_chunk(next(iter(sea_chunks(100, 100))), sel)
+        state = json.loads(json.dumps(ens.snapshot()))
+        selectors = json.loads(json.dumps(sel.snapshot()))
+        if section == "member":
+            state["members"][0] = {"uid": 0}
+        elif section == "standardizer":
+            del state["standardizer"]["m2"]
+        elif section == "selectors":
+            del selectors["ofs_b"]
+        else:
+            selectors["al"]["theta"] = 0.99
+        load, snap = (
+            (Ensemble.from_snapshot, state) if section in ("member", "standardizer")
+            else (Selectors.from_snapshot, selectors)
+        )
+        with pytest.raises(DataError, match=match):
+            load(snap)
 
     def test_scoring_does_not_change_hash(self):
         cfg = base_cfg(n_features=3, chunk_size=100)

@@ -12,6 +12,7 @@ from evofuzzy.core import DataError
 from evofuzzy.rules import (
     EmptyModelError,
     GrowDecision,
+    RdeState,
     RuleBank,
     RuleClassifier,
     _chi2_quantile,
@@ -473,6 +474,45 @@ class TestUpdateWinner:
         assert model.rules.inv[0, 1] == before
 
 
+    def test_rank_one_update_matches_explicit_inverse(self, monkeypatch):
+        """2,000 unmasked multivariate updates take the Sherman-Morrison
+        step, and the stored inverse matches the inverse of the covariance
+        recurrence run explicitly."""
+        repairs = []
+        repair = rules_module._repair_spd
+        monkeypatch.setattr(rules_module, "_repair_spd", lambda m: repairs.append(1) or repair(m))
+        rng = np.random.default_rng(8)
+        a = rng.normal(size=(4, 4))
+        xs = rng.multivariate_normal(np.zeros(4), a @ a.T + 0.1 * np.eye(4), size=2001)
+        model = RuleClassifier(4, 2, kind="multivariate")
+        model.add_rule(xs[0], np.array([1.0, 0.0]), None)
+        center, cov = xs[0].copy(), np.linalg.inv(model.rules.inv[0])
+        for n, x in enumerate(xs[1:], start=2):
+            model.update_winner(x, 1, 0)
+            d = x - center
+            center += d / n
+            cov = (n - 1) / n * (cov + np.outer(d, d) / n)
+        assert not repairs
+        oracle = np.linalg.inv(cov)
+        assert np.linalg.norm(model.rules.inv[0] - oracle) <= 1e-9 * np.linalg.norm(oracle)
+        model.check_invariants()
+
+    @pytest.mark.parametrize("mask", [None, np.array([1.0, 0.0, 1.0])], ids=["unmasked", "masked"])
+    def test_explicit_repair_path_near_the_floor(self, monkeypatch, mask):
+        """An inverse near 1/EIG_FLOOR, or a partial mask, takes the
+        explicit path with both repairs, and the bank stays valid."""
+        repairs = []
+        repair = rules_module._repair_spd
+        monkeypatch.setattr(rules_module, "_repair_spd", lambda m: repairs.append(1) or repair(m))
+        model = RuleClassifier(3, 2, kind="multivariate")
+        near = 0.9 / rules_module.EIG_FLOOR if mask is None else 1.0
+        model.rules.append(**make_rule([0.0, 0.0, 0.0], np.diag([near, 1.0, 1.0]), diagonal=False))
+        model.update_winner(np.array([1e-5, 0.5, -0.3]), 1, 0, mask)
+        assert len(repairs) == 2
+        model.check_invariants()
+        assert np.linalg.eigvalsh(model.rules.inv[0])[0] > 0.0
+
+
 class TestWeightedRls:
     def test_matches_closed_form_least_squares(self):
         rng = np.random.default_rng(11)
@@ -504,7 +544,37 @@ class TestWeightedRls:
         assert np.linalg.norm(weights) < before
 
 
+    def test_batched_rows_equal_one_rule_calls(self):
+        rng = np.random.default_rng(12)
+        for _ in range(200):
+            k, e, o = int(rng.integers(1, 6)), int(rng.integers(2, 8)), int(rng.integers(2, 4))
+            a = rng.normal(size=(k, e, e))
+            psi = a @ a.transpose(0, 2, 1) * rng.uniform(0.1, 1e5) + np.eye(e)
+            weights, lam = rng.normal(size=(k, e, o)), rng.uniform(1e-6, 1.0, size=k)
+            x_e = np.concatenate([[1.0], rng.normal(size=e - 1)])
+            t = np.eye(o)[rng.integers(o)]
+            rows_psi, rows_w = psi.copy(), weights.copy()
+            for i in range(k):
+                weighted_rls_update(rows_psi[i], rows_w[i], float(lam[i]), x_e, t, 1e-7)
+            weighted_rls_update(psi, weights, lam, x_e, t, 1e-7)
+            assert np.array_equal(psi, rows_psi) and np.array_equal(weights, rows_w)
+
+
 class TestPrune:
+    def test_batched_potentials_equal_per_center_products(self):
+        rng = np.random.default_rng(13)
+        for _ in range(300):
+            u = int(rng.integers(1, 10))
+            rde = RdeState(u)
+            for x in rng.normal(size=(int(rng.integers(1, 20)), u)) * rng.uniform(0.1, 50.0):
+                rde.update(x)
+            centers = rng.normal(size=(int(rng.integers(1, 8)), u)) * rng.uniform(0.1, 50.0)
+            spread = max(rde.sq_norm_mean - float(rde.mean @ rde.mean), 0.0)
+            rows = [1.0 / (1.0 + float((c - rde.mean) @ (c - rde.mean)) + spread) for c in centers]
+            assert np.array_equal(rde.potential(centers), rows)
+            assert [rde.potential(c) for c in centers] == rows
+
+
     def _two_rule_model(self, monkeypatch, age=1000, age_min=10):
         monkeypatch.setattr(rules_module, "DECAY", 0.9)
         model = RuleClassifier(2, 2, age_min=age_min)
