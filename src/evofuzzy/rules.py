@@ -227,6 +227,10 @@ class RuleBank:
             if col.shape != shape:
                 raise DataError(f"column {name!r} has shape {col.shape}, expected {shape}")
             new[name] = col
+        support = new["class_support"]
+        # update_winner divides by a support less one after counting the sample
+        if (support < 0).any() or (support.sum(axis=1) < 1).any():
+            raise DataError("column 'class_support' needs counts >= 0 and a support >= 1 per rule")
         new["volumes"] = np.array([self.volume(inv) for inv in new["inv"]], dtype=float)
         for name, col in new.items():
             setattr(self, name, np.concatenate([getattr(self, name), col]))
@@ -248,37 +252,28 @@ class RuleBank:
 def weighted_rls_update(
     psi: np.ndarray,
     weights: np.ndarray,
-    lam: np.ndarray | float,
+    lam: float,
     x_e: np.ndarray,
     target: np.ndarray,
     decay_strength: float,
 ) -> None:
-    """One firing-weighted recursive least squares step with weight decay,
-    for k rules at once or for one.
+    """One firing-weighted recursive least squares step with weight decay.
 
-    psi (k, e, e), weights (k, e, O) and lam (k,) hold the k rules'
-    consequent covariances, consequents and firings; one rule may also be
-    passed as psi (e, e), weights (e, O) and a float lam.  Updates psi and
-    the weights in place, rule by rule:
+    Updates the consequent covariance psi and the weights in place:
 
     K    = P x / (1/lam + x P x')
     P    <- P - K x P
     W    <- W + K (t - x W) - 2 c P W      (quadratic decay, gradient 2W)
-
-    Every product is a stacked matmul over the rule axis, so each rule's
-    row is computed exactly as that rule alone.
     """
-    if psi.ndim == 2:
-        return weighted_rls_update(psi[None], weights[None], [lam], x_e, target, decay_strength)
     v = psi @ x_e
-    denom = 1.0 / np.asarray(lam, dtype=float) + (x_e[None, None] @ v[..., None])[:, 0, 0]
-    if (denom <= 0).any():
+    denom = 1.0 / lam + float(x_e @ v)
+    if denom <= 0:
         raise FloatingPointError("consequent covariance lost positive definiteness")
-    k = v / denom[:, None]
-    p = psi - k[:, :, None] * v[:, None, :]
-    psi[...] = 0.5 * (p + p.transpose(0, 2, 1))
-    err = target - (x_e[None, None] @ weights)[:, 0]
-    weights += k[:, :, None] * err[:, None, :]
+    k = v / denom
+    p = psi - np.outer(k, v)
+    psi[...] = 0.5 * (p + p.T)
+    err = target - x_e @ weights
+    weights += np.outer(k, err)
     if decay_strength > 0.0:
         weights -= (2.0 * decay_strength) * (psi @ weights)
 
@@ -577,14 +572,8 @@ class RuleClassifier:
         lam = firings(d2)
         x_e = extended_input(x, mask)
         b = self.rules
-        i = np.flatnonzero(lam > FIRING_EPS)
-        # a run of adjacent firing rows is updated through views, any other
-        # set through copies that are written back
-        rows = slice(i[0], i[-1] + 1) if len(i) and i[-1] - i[0] == len(i) - 1 else i
-        psi, weights = b.rls_cov[rows], b.weights[rows]
-        weighted_rls_update(psi, weights, lam[rows], x_e, t, DECAY_STRENGTH)
-        if rows is i:
-            b.rls_cov[i], b.weights[i] = psi, weights
+        for i in np.nonzero(lam > FIRING_EPS)[0]:
+            weighted_rls_update(b.rls_cov[i], b.weights[i], float(lam[i]), x_e, t, DECAY_STRENGTH)
         pruned = self.prune_check(lam)
         self.rules.age += 1
         if pruned:
