@@ -33,8 +33,6 @@ from .rules import (
 )
 from .selection import (
     ActiveLearnState,
-    ConflictScores,
-    FeatureMask,
     Selectors,
     VirtualConsequentModel,
     apply_mask,

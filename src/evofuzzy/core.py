@@ -9,8 +9,11 @@ statistics without updating them.
 
 from __future__ import annotations
 
+import hashlib
+import math
+from collections import ChainMap
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Optional
+from typing import Iterable, Iterator, NamedTuple, Optional
 
 import numpy as np
 
@@ -33,9 +36,94 @@ class DataError(ValueError):
     """Malformed or insufficient input data (CLI exit code 3)."""
 
 
-def check_section(state, keys, section: str) -> dict:
-    """A snapshot section that must be a dict of exactly these keys; a
-    missing or unknown key raises DataError naming it."""
+class Field(NamedTuple):
+    """One snapshot field of a state class, held in the attribute of the
+    same name.
+
+    kind is int (a count >= 0 unless lo says otherwise), float (finite),
+    bool or str, a State class for a nested section or [cls] for a list
+    of them.  With a shape, the field is an int64 or float64 array whose
+    axes name dimensions: u features, u+1, O classes, D (see DIMS), and
+    any other name, such as R rules, for the size that the section's
+    first array with that axis has.  lo and hi bound the values, hi may
+    name a dimension; none admits None.
+    """
+
+    key: str
+    kind: object
+    shape: tuple = ()
+    lo: object = None
+    hi: object = None
+    none: bool = False
+
+
+class State:
+    """A class whose snapshot is its FIELDS table; snapshot, from_snapshot
+    and digest walk the table in declaration order.
+
+    Loading checks each section's keys and each field's type, dtype,
+    shape and range, and raises a DataError naming the section and the
+    field.  The _complete hook then checks what the table cannot say and
+    rebuilds derived state from the fields (__init__ may call it too); its
+    ValueError or FloatingPointError, which names the field, becomes a
+    DataError naming the section.
+    """
+
+    FIELDS: tuple = ()
+    SECTION = ""
+
+    def _walk(self, leaf) -> dict:
+        """The fields as a dict, nested states walked, leaf(field, value)
+        in place of every other value."""
+        out = {}
+        for f in self.FIELDS:
+            v = getattr(self, f.key)
+            if isinstance(f.kind, list):
+                out[f.key] = [s._walk(leaf) for s in v]
+            else:
+                out[f.key] = leaf(f, v) if f.kind in SCALARS else v._walk(leaf)
+        return out
+
+    def snapshot(self) -> dict:
+        return self._walk(lambda f, v: v.tolist() if f.shape else v)
+
+    def digest(self) -> str:
+        """SHA-256 over each key, each array's dtype, shape and bytes and a
+        canonical form of each scalar, so np.float64 and float agree."""
+        h = hashlib.sha256()
+
+        def leaf(f, v):
+            if f.shape:
+                h.update(f"{f.key}:{v.dtype.str}{v.shape}".encode())
+                h.update(np.ascontiguousarray(v))
+            else:
+                h.update(f"{f.key}={v if v is None else f.kind(v)!r};".encode())
+
+        self._walk(leaf)
+        return h.hexdigest()
+
+    @classmethod
+    def from_snapshot(cls, state: dict):
+        return _load(cls, state, cls.SECTION, ChainMap())
+
+    def _complete(self) -> None:
+        pass
+
+
+SCALARS = (int, float, bool, str)
+
+# The settings that fix a dimension for the whole snapshot, and how: D is
+# the second axis of a full inverse dispersion, None (no axis) for a
+# diagonal one.
+DIMS = {
+    "n_features": lambda v, dims: {"u": v, "u+1": v + 1},
+    "n_classes": lambda v, dims: {"O": v},
+    "kind": lambda v, dims: {"D": dims["u"] if v == "multivariate" else None},
+}
+
+
+def _load(cls, state, section: str, dims: ChainMap):
+    keys = [f.key for f in cls.FIELDS]
     names = set(state) if isinstance(state, dict) else set()
     missing = [k for k in keys if k not in names]
     unknown = sorted(names - set(keys))
@@ -43,7 +131,69 @@ def check_section(state, keys, section: str) -> dict:
         faults = [f"lacks keys: {', '.join(missing)}"] if missing else []
         faults += [f"has unknown keys: {', '.join(unknown)}"] if unknown else []
         raise DataError(f"snapshot section {section!r} {' and '.join(faults)}")
-    return state
+    dims = dims.new_child()  # a size an array binds holds for this section
+    values = [(f, _value(f, state[f.key], section, dims)) for f in cls.FIELDS]
+    obj = cls.__new__(cls)
+    try:
+        for f, v in values:
+            setattr(obj, f.key, v)
+        obj._complete()
+    except (ValueError, FloatingPointError) as e:
+        raise DataError(f"snapshot section {section!r}: {e}") from None
+    return obj
+
+
+def _value(f: Field, v, section: str, dims: ChainMap):
+    """A field's checked value, as its attribute holds it."""
+    where = f"snapshot section {section!r} has {f.key}"
+    if isinstance(f.kind, list):
+        if not isinstance(v, list):
+            raise DataError(f"{where} of type {type(v).__name__}, expected list")
+        return [_load(f.kind[0], s, f.kind[0].SECTION, dims) for s in v]
+    if f.kind not in SCALARS:
+        return _load(f.kind, v, f.key, dims)
+    if f.shape:
+        return _array(f, v, where, dims)
+    if v is None and f.none:
+        return v
+    if not isinstance(v, (int, float) if f.kind is float else f.kind) or (
+        isinstance(v, bool) is not (f.kind is bool)
+    ):
+        raise DataError(f"{where} of type {type(v).__name__}, expected {f.kind.__name__}")
+    v = f.kind(v)
+    lo, hi = _range(f, dims)
+    if f.kind in (int, float) and not (lo <= v <= hi and (f.kind is int or math.isfinite(v))):
+        raise DataError(f"{where} {v!r} outside [{lo}, {hi}]")
+    for name, size in DIMS[f.key](v, dims).items() if f.key in DIMS else ():
+        if dims.maps[-1].setdefault(name, size) != size:
+            raise DataError(f"{where} {v!r}, which does not fit {name} = {dims[name]}")
+    return v
+
+
+def _array(f: Field, v, where: str, dims: ChainMap) -> np.ndarray:
+    try:
+        a = np.asarray(v)
+    except ValueError:  # ragged
+        a = np.asarray(None)
+    if a.size and a.dtype.kind not in ("iu" if f.kind is int else "iuf"):
+        raise DataError(f"{where} that is not an array of {f.kind.__name__}s")
+    if a.shape == (0,) and len(f.shape) > 1:  # no rows
+        a = a.reshape([0] + [dims[n] for n in f.shape[1:] if dims[n] is not None])
+    got = a.shape + (-1,) * len(f.shape)
+    sizes = [dims.setdefault(n, got[i]) for i, n in enumerate(f.shape)]
+    want = tuple(size for size in sizes if size is not None)
+    if a.shape != want:
+        raise DataError(f"{where} of shape {a.shape}, expected {want}")
+    a = a.astype(np.int64 if f.kind is int else float)
+    lo, hi = _range(f, dims)
+    if not (np.isfinite(a).all() and (a >= lo).all() and (a <= hi).all()):
+        raise DataError(f"{where} with a value outside [{lo}, {hi}]")
+    return a
+
+
+def _range(f: Field, dims: ChainMap) -> tuple:
+    lo = (0 if f.kind is int else -math.inf) if f.lo is None else f.lo
+    return lo, math.inf if f.hi is None else dims[f.hi] if isinstance(f.hi, str) else f.hi
 
 
 @dataclass(eq=False)
@@ -66,13 +216,20 @@ class DataChunk:
 
 
 @dataclass
-class StreamConfig:
+class StreamConfig(State):
     """Stream-level knobs shared by the ensemble and its helpers.
 
     ``alpha_drift`` must be stricter (smaller) than ``alpha_warn``; the
     constructor enforces it.  ``ofs_b`` defaults to ``n_features`` which
     disables feature selection.
     """
+
+    FIELDS = (
+        Field("n_features", int), Field("n_classes", int), Field("chunk_size", int),
+        Field("theta", float), Field("delta_rel", float), Field("alpha_warn", float),
+        Field("alpha_drift", float), Field("penalty", float), Field("ofs_b", int),
+        Field("seed", int, lo=-math.inf), Field("base_kind", str), Field("al_conjunction", bool),
+    )
 
     n_features: int
     n_classes: int
@@ -112,8 +269,10 @@ class StreamConfig:
         if self.base_kind not in ("axis_parallel", "multivariate"):
             raise ConfigError("base_kind must be axis_parallel or multivariate")
 
+    _complete = __post_init__
 
-class RunningStandardizer:
+
+class RunningStandardizer(State):
     """Streaming feature standardization via Welford's algorithm.
 
     The update is O(n_features) per sample and numerically stable:
@@ -129,13 +288,20 @@ class RunningStandardizer:
     scales against frozen statistics and is what test blocks use.
     """
 
+    FIELDS = (Field("count", int), Field("mean", float, ("u",)),
+              Field("m2", float, ("u",), lo=0.0))
+    SECTION = "standardizer"
+
     def __init__(self, n_features: int):
         if n_features < 1:
             raise ConfigError("n_features must be >= 1")
-        self.n_features = n_features
         self.count = 0
         self.mean = np.zeros(n_features)
         self.m2 = np.zeros(n_features)
+
+    @property
+    def n_features(self) -> int:
+        return len(self.mean)
 
     @property
     def var(self) -> np.ndarray:
@@ -194,22 +360,6 @@ class RunningStandardizer:
         if self.count < 2:
             return x - self.mean
         return (x - self.mean) / np.maximum(self.std, STD_FLOOR)
-
-    def snapshot(self) -> dict:
-        return {
-            "count": self.count,
-            "mean": self.mean.tolist(),
-            "m2": self.m2.tolist(),
-        }
-
-    @classmethod
-    def from_snapshot(cls, state: dict) -> "RunningStandardizer":
-        state = check_section(state, ("count", "mean", "m2"), "standardizer")
-        s = cls(len(state["mean"]))
-        s.count = int(state["count"])
-        s.mean = np.asarray(state["mean"], dtype=float)
-        s.m2 = np.asarray(state["m2"], dtype=float)
-        return s
 
     def _check(self, x, noun: str) -> np.ndarray:
         """x as floats: one vector (u,) or a block (N, u), whose rows

@@ -10,20 +10,17 @@ mutual information loss are merged, keeping the more accurate one.
 
 from __future__ import annotations
 
-import hashlib
-import json
 import math
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
 
-from .core import DataChunk, DataError, RunningStandardizer, StreamConfig, check_section, onehot
+from .core import DataChunk, DataError, Field, RunningStandardizer, State, StreamConfig, onehot
 from .rules import RuleClassifier, classes
 from .selection import (
     OFS_RATE,
     OFS_REG,
-    ConflictScores,
     Selectors,
     VirtualConsequentModel,
     conflict_input,
@@ -39,7 +36,7 @@ class EmptyEnsembleError(RuntimeError):
 CONFIRM = 3
 
 
-class DriftDetector:
+class DriftDetector(State):
     """Three-state drift detector on a bounded error window.
 
     The window holds per-sample errors, each 0 or 1 (range [a, b] =
@@ -69,29 +66,35 @@ class DriftDetector:
     So the window total and a pinned cut's prefix are two reads, and the
     search for a cut is one vector compare of prefix means plus a table
     of eps(c) against the bound: O(n) while no cut is pinned, with no
-    shift, cumsum or square root over the window.
+    shift, cumsum or square root over the window.  A snapshot holds the
+    window, not the counts, so it does not depend on where the stretch lies.
     """
 
-    KEYS = ("alpha_warn", "alpha_drift", "max_window", "window", "cut", "streak")
+    FIELDS = (
+        Field("alpha_warn", float), Field("alpha_drift", float),
+        Field("max_window", int, lo=2), Field("window", float, ("n",)),
+        Field("cut", int, none=True), Field("streak", int, hi=CONFIRM - 1),
+    )
+    SECTION = "detector"
 
     def __init__(
         self, alpha_warn: float = 0.005, alpha_drift: float = 0.001, max_window: int = 1000
     ):
-        if not 0 < alpha_drift < alpha_warn < 1:
-            raise ValueError("need 0 < alpha_drift < alpha_warn < 1")
         if max_window < 2:
             raise ValueError("max_window must be >= 2")
-        self.alpha_warn = alpha_warn
-        self.alpha_drift = alpha_drift
-        self.max_window = max_window
-        self._ln_w = math.log(1.0 / alpha_warn)
-        self._ln_d = math.log(1.0 / alpha_drift)
-        self._counts = np.arange(1.0, max_window)
+        self.alpha_warn, self.alpha_drift, self.max_window = alpha_warn, alpha_drift, max_window
+        self.reset()
+        self._complete()
+
+    def _complete(self) -> None:
+        if not 0 < self.alpha_drift < self.alpha_warn < 1:
+            raise ValueError("need 0 < alpha_drift < alpha_warn < 1")
+        if not (self.cut is None or 1 <= self.cut < len(self)):
+            raise ValueError(f"cut must be None or in 1..{len(self) - 1}, got {self.cut!r}")
+        self._ln_w = math.log(1.0 / self.alpha_warn)
+        self._ln_d = math.log(1.0 / self.alpha_drift)
+        self._counts = np.arange(1.0, self.max_window)
         self._eps = np.sqrt(self._ln_d / (2.0 * self._counts))
-        self._cum = np.zeros(2 * max_window + 1, dtype=np.int64)
-        self._start = self._end = 0
-        self.cut: Optional[int] = None
-        self.streak = 0
 
     def __len__(self) -> int:
         return self._end - self._start
@@ -100,10 +103,19 @@ class DriftDetector:
     def window(self) -> np.ndarray:
         return np.diff(self._cum[self._start : self._end + 1]).astype(float)
 
+    @window.setter
+    def window(self, errors: np.ndarray) -> None:
+        """Start from a window of errors, each 0 or 1."""
+        if len(errors) > self.max_window:
+            raise ValueError(f"window must list at most {self.max_window} errors")
+        if not np.all((errors == 0.0) | (errors == 1.0)):
+            raise ValueError("window errors must each be 0 or 1")
+        self._cum = np.zeros(2 * self.max_window + 1, dtype=np.int64)
+        self._cum[1 : len(errors) + 1] = np.cumsum(errors.astype(np.int64))
+        self._start, self._end = 0, len(errors)
+
     def reset(self) -> None:
-        self._cum[0] = self._start = self._end = 0
-        self.cut = None
-        self.streak = 0
+        self.window, self.cut, self.streak = np.zeros(0), None, 0
 
     def step(self, err01) -> str:
         if err01 not in (0, 1):
@@ -152,35 +164,6 @@ class DriftDetector:
             return "warning"
         self.streak = 0
         return "warning" if diff >= math.sqrt(scale * self._ln_w) else "stable"
-
-    def snapshot(self) -> dict:
-        return {
-            "alpha_warn": self.alpha_warn,
-            "alpha_drift": self.alpha_drift,
-            "max_window": self.max_window,
-            "window": self.window.tolist(),
-            "cut": self.cut,
-            "streak": self.streak,
-        }
-
-    @classmethod
-    def from_snapshot(cls, state: dict) -> "DriftDetector":
-        state = check_section(state, cls.KEYS, "detector")
-        d = cls(state["alpha_warn"], state["alpha_drift"], state["max_window"])
-        w = np.asarray(state["window"], dtype=float)
-        if w.ndim != 1 or len(w) > d.max_window:
-            raise DataError(f"detector window must list at most {d.max_window} errors")
-        if not np.all((w == 0.0) | (w == 1.0)):
-            raise DataError("detector window errors must each be 0 or 1")
-        cut, streak = state["cut"], state["streak"]
-        if not (cut is None or isinstance(cut, int) and 1 <= cut < len(w)):
-            raise DataError(f"detector cut must be None or in 1..{len(w) - 1}, got {cut!r}")
-        if not (isinstance(streak, int) and 0 <= streak < CONFIRM):
-            raise DataError(f"detector streak must be in 0..{CONFIRM - 1}, got {streak!r}")
-        d._cum[1 : len(w) + 1] = np.cumsum(w.astype(np.int64))
-        d._end = len(w)
-        d.cut, d.streak = cut, streak
-        return d
 
 
 def compression_index(v1: float, v2: float, cov: float) -> float:
@@ -240,13 +223,20 @@ class MciState:
 
 
 @dataclass(eq=False)
-class EnsembleMember:
+class EnsembleMember(State):
     model: RuleClassifier
     beta: float = 1.0
     uid: int = 0
     bootstrapping: bool = False
     bootstrap_count: int = 0
     bootstrap_chunks: int = 0
+
+    FIELDS = (
+        Field("beta", float, lo=0.0, hi=1.0), Field("uid", int), Field("bootstrapping", bool),
+        Field("bootstrap_count", int), Field("bootstrap_chunks", int),
+        Field("model", RuleClassifier),
+    )
+    SECTION = "member"
 
 
 @dataclass
@@ -282,15 +272,19 @@ LOOKAHEAD = 8
 BOOTSTRAP_MIN_SAMPLES = 5
 
 
-class Ensemble:
+class Ensemble(State):
     """Penalty/reward weighted ensemble with an open structure.
 
     One trainer thread mutates an ensemble; scoring a snapshot is safe
     from any number of readers.
     """
 
-    KEYS = ("cfg", "age_min", "standardizer", "detector", "chunk_index", "next_uid", "members")
-    MEMBER_KEYS = ("beta", "uid", "bootstrapping", "bootstrap_count", "bootstrap_chunks", "model")
+    FIELDS = (
+        Field("cfg", StreamConfig), Field("age_min", int),
+        Field("standardizer", RunningStandardizer), Field("detector", DriftDetector),
+        Field("chunk_index", int), Field("next_uid", int), Field("members", [EnsembleMember]),
+    )
+    SECTION = "ensemble"
 
     def __init__(self, cfg: StreamConfig):
         self.cfg = cfg
@@ -304,7 +298,7 @@ class Ensemble:
         # the rule age_min of every member this ensemble creates
         self.age_min = 2 * cfg.chunk_size
         self.chunk_index = 0
-        self._next_uid = 0
+        self.next_uid = 0
 
     # -- membership --------------------------------------------------------
 
@@ -313,9 +307,9 @@ class Ensemble:
             self.cfg.n_features, self.cfg.n_classes, self.cfg.base_kind, self.age_min
         )
         m = EnsembleMember(
-            model=model, beta=1.0, uid=self._next_uid, bootstrapping=bootstrapping
+            model=model, beta=1.0, uid=self.next_uid, bootstrapping=bootstrapping
         )
-        self._next_uid += 1
+        self.next_uid += 1
         self.members.append(m)
         self._normalize_betas()
         return m
@@ -460,7 +454,7 @@ class Ensemble:
         first_look = 1 if cold_start else LOOKAHEAD
         k, look = 0, first_look
         while k < len(zs):
-            mask = selectors.mask.active if selectors.ofs_enabled else None
+            mask = selectors.mask_active if selectors.ofs_enabled else None
             block = zs[k : k + look]
             d2s = {m: m.model.mahalanobis_sq(block, mask) for m in self.members}
             sigma, cls, member_scores = self.predict(block, d2s, mask)
@@ -473,7 +467,7 @@ class Ensemble:
                 p_in = conflict_input([m.model for m in d2s], list(d2s.values()))
                 p_out = conflict_output(sigma)
                 takes = (
-                    selectors.al.decide(ConflictScores(a, b), selectors.conjunction)
+                    selectors.al.decide(a, b, selectors.conjunction)
                     for a, b in zip(p_in.tolist(), p_out.tolist())
                 )
                 r = next((i for i, take in enumerate(takes) if take), None)
@@ -514,7 +508,7 @@ class Ensemble:
                     d2s[m] = m.model.train_sample(z, label, d2s[m], sc, mask)
                     m.bootstrap_count += 1
             if selectors.ofs_enabled:
-                activations += selectors.mask.active
+                activations += selectors.mask_active
                 if cls != label:
                     vm = VirtualConsequentModel(
                         [m.model for m in d2s], OFS_RATE, OFS_REG
@@ -533,60 +527,13 @@ class Ensemble:
         rep.members = len(self.members)
         rep.rules = self.total_rules
         rep.theta_end = selectors.al.theta
-        rep.mask = [int(v) for v in selectors.mask.active]
+        rep.mask = [int(v) for v in selectors.mask_active]
         rep.mask_activations = [int(v) for v in activations]
-        rep.feature_scores = [float(v) for v in selectors.mask.scores]
+        rep.feature_scores = [float(v) for v in selectors.mask_scores]
         rep.betas = [m.beta for m in self.members]
         self.chunk_index += 1
         return rep
 
-    # -- serialization --------------------------------------------------------
-
-    def snapshot(self) -> dict:
-        return {
-            "cfg": asdict(self.cfg),
-            "age_min": self.age_min,
-            "standardizer": self.standardizer.snapshot(),
-            "detector": self.detector.snapshot(),
-            "chunk_index": self.chunk_index,
-            "next_uid": self._next_uid,
-            "members": [
-                {
-                    "beta": m.beta,
-                    "uid": m.uid,
-                    "bootstrapping": m.bootstrapping,
-                    "bootstrap_count": m.bootstrap_count,
-                    "bootstrap_chunks": m.bootstrap_chunks,
-                    "model": m.model.snapshot(),
-                }
-                for m in self.members
-            ],
-        }
-
-    @classmethod
-    def from_snapshot(cls, state: dict) -> "Ensemble":
-        state = check_section(state, cls.KEYS, "ensemble")
-        cfg = check_section(state["cfg"], StreamConfig.__dataclass_fields__, "cfg")
-        ens = cls(StreamConfig(**cfg))
-        ens.age_min = int(state["age_min"])
-        ens.standardizer = RunningStandardizer.from_snapshot(state["standardizer"])
-        ens.detector = DriftDetector.from_snapshot(state["detector"])
-        ens.chunk_index = int(state["chunk_index"])
-        ens._next_uid = int(state["next_uid"])
-        ens.members = []
-        for ms in state["members"]:
-            ms = check_section(ms, cls.MEMBER_KEYS, "member")
-            m = EnsembleMember(
-                model=RuleClassifier.from_snapshot(ms["model"]),
-                beta=float(ms["beta"]),
-                uid=int(ms["uid"]),
-                bootstrapping=bool(ms["bootstrapping"]),
-                bootstrap_count=int(ms["bootstrap_count"]),
-                bootstrap_chunks=int(ms["bootstrap_chunks"]),
-            )
-            ens.members.append(m)
-        return ens
-
     def snapshot_hash(self) -> str:
-        blob = json.dumps(self.snapshot(), sort_keys=True)
-        return hashlib.sha256(blob.encode()).hexdigest()
+        """The digest of the snapshot fields; scoring must leave it as it is."""
+        return self.digest()

@@ -3,8 +3,8 @@
 Hold-out alternates labeled training blocks with frozen test blocks; CV
 bins the data contiguously (stream order preserved inside bins) and
 rotates the held-out bin.  Wall-clock time covers learning and scoring
-only, never data generation.  Test blocks are audited: the model
-snapshot hash must be identical before and after scoring.
+only, never data generation.  Test blocks are audited: the digests of
+the model and the selectors must be identical before and after scoring.
 """
 
 from __future__ import annotations
@@ -110,7 +110,8 @@ def _train_and_score(ens, sel, cfg, train, test, audit_purity: bool, where: tupl
     chunk, so no distance array grows past one chunk of rows.  where
     names the (train, test) blocks in a DataError.  Returns (chunk
     reports, correct test predictions, seconds of learning plus scoring).
-    With audit_purity, scoring must leave the snapshot hash unchanged.
+    With audit_purity, scoring must leave the digests of the learner and
+    the selectors, whose mask the scorer reads, unchanged.
     """
     train_where, test_where = where
     t0 = time.perf_counter()
@@ -121,8 +122,8 @@ def _train_and_score(ens, sel, cfg, train, test, audit_purity: bool, where: tupl
         except DataError as exc:
             raise DataError(f"{_located(train_where, ch, cfg.chunk_size)}: {exc}") from None
     seconds = time.perf_counter() - t0
-    mask = sel.mask.active if sel.ofs_enabled else None
-    before = ens.snapshot_hash() if audit_purity else None
+    mask = sel.mask_active if sel.ofs_enabled else None
+    before = (ens.snapshot_hash(), sel.digest()) if audit_purity else None
     t0 = time.perf_counter()
     correct = 0
     for ch in chunks(test, cfg.chunk_size):
@@ -132,7 +133,7 @@ def _train_and_score(ens, sel, cfg, train, test, audit_purity: bool, where: tupl
             raise DataError(f"{_located(test_where, ch, cfg.chunk_size)}: {exc}") from None
         correct += int(np.count_nonzero(cls == np.array([s.label for s in ch.samples])))
     seconds += time.perf_counter() - t0
-    if audit_purity and ens.snapshot_hash() != before:
+    if audit_purity and (ens.snapshot_hash(), sel.digest()) != before:
         raise RuntimeError(f"{test_where} mutated the model")
     return reports, correct, seconds
 
@@ -151,7 +152,7 @@ def _record(n: int, ens, sel, cfg, reports, cr: float, rt: float) -> dict:
         "warnings": sum(r.warnings for r in reports),
         "merges": sum(r.merges for r in reports),
         "theta": sel.al.theta,
-        "mask": [int(v) for v in sel.mask.active],
+        "mask": [int(v) for v in sel.mask_active],
         "mask_activations": [
             int(v) for v in np.sum([r.mask_activations for r in reports], axis=0)
         ]

@@ -23,7 +23,7 @@ from typing import Optional
 import numpy as np
 from scipy.special import gammaincinv
 
-from .core import DataError, check_section, onehot
+from .core import DataError, Field, State, onehot
 
 # Eigenvalue floor used when repairing a dispersion matrix that lost
 # positive definiteness, and the variance floor for diagonal updates.
@@ -60,7 +60,7 @@ class GrowDecision(Enum):
         return self is not GrowDecision.UPDATE
 
 
-class RdeState:
+class RdeState(State):
     """Recursive density estimate of the stream around a point.
 
     Keeps the running input mean and mean squared norm; density at x is
@@ -75,7 +75,11 @@ class RdeState:
     regime inflates the spread forever and the sparseness gate goes dead.
     """
 
-    KEYS = ("count", "mean", "sq_norm_mean", "dens_mean", "dens_var")
+    FIELDS = (
+        Field("count", int), Field("mean", float, ("u",)), Field("sq_norm_mean", float, lo=0.0),
+        Field("dens_mean", float), Field("dens_var", float, lo=0.0),
+    )
+    SECTION = "rde"
 
     def __init__(self, n_features: int):
         self.count = 0
@@ -113,28 +117,8 @@ class RdeState:
     def dens_std(self) -> float:
         return math.sqrt(max(self.dens_var, 0.0))
 
-    def snapshot(self) -> dict:
-        return {
-            "count": self.count,
-            "mean": self.mean.tolist(),
-            "sq_norm_mean": self.sq_norm_mean,
-            "dens_mean": self.dens_mean,
-            "dens_var": self.dens_var,
-        }
 
-    @classmethod
-    def from_snapshot(cls, state: dict) -> "RdeState":
-        state = check_section(state, cls.KEYS, "rde")
-        r = cls(len(state["mean"]))
-        r.count = int(state["count"])
-        r.mean = np.asarray(state["mean"], dtype=float)
-        r.sq_norm_mean = float(state["sq_norm_mean"])
-        r.dens_mean = float(state["dens_mean"])
-        r.dens_var = float(state["dens_var"])
-        return r
-
-
-class RuleBank:
+class RuleBank(State):
     """Rules as stacked arrays, one row per rule, changed in place.
 
     centers         (R, u)
@@ -148,26 +132,23 @@ class RuleBank:
 
     A row is the only form a rule takes.  Adding and moving rows
     reallocates every array, so a reference to one is only good until
-    the next append or move.
+    the next append or move.  A snapshot holds every column but volumes.
     """
 
-    COLUMNS = (
-        "centers", "inv", "weights", "rls_cov",
-        "class_support", "activity", "peak_potential", "age",
+    FIELDS = (
+        Field("centers", float, ("R", "u")), Field("inv", float, ("R", "u", "D")),
+        Field("weights", float, ("R", "u+1", "O")), Field("rls_cov", float, ("R", "u+1", "u+1")),
+        Field("class_support", int, ("R", "O")), Field("activity", float, ("R",)),
+        Field("peak_potential", float, ("R",)), Field("age", int, ("R",)),
     )
 
     def __init__(self, n_features: int, n_classes: int, diagonal: bool):
-        u, o = n_features, n_classes
-        self.diagonal = diagonal
-        self.centers = np.empty((0, u))
-        self.inv = np.empty((0, u) if diagonal else (0, u, u))
-        self.volumes = np.empty(0)
-        self.weights = np.empty((0, u + 1, o))
-        self.rls_cov = np.empty((0, u + 1, u + 1))
-        self.class_support = np.empty((0, o), dtype=np.int64)
-        self.activity = np.empty(0)
-        self.peak_potential = np.empty(0)
-        self.age = np.empty(0, dtype=np.int64)
+        u = n_features
+        dims = {"R": 0, "u": u, "u+1": u + 1, "O": n_classes, "D": None if diagonal else u}
+        for f in self.FIELDS:
+            shape = [dims[n] for n in f.shape if dims[n] is not None]
+            setattr(self, f.key, np.empty(shape, dtype=np.int64 if f.kind is int else float))
+        self._complete()
 
     def __len__(self) -> int:
         return len(self.centers)
@@ -180,7 +161,7 @@ class RuleBank:
         """det(Sigma) = 1 / det(inv); positive for a valid rule."""
         det = np.prod(inv) if self.diagonal else np.linalg.det(inv)
         if not det > 0:
-            raise FloatingPointError("rule dispersion lost positive definiteness")
+            raise FloatingPointError("rule dispersion (inv) lost positive definiteness")
         return 1.0 / det
 
     def set_inv(self, i: int, inv: np.ndarray) -> None:
@@ -190,50 +171,30 @@ class RuleBank:
 
     def append(self, **row) -> int:
         """Add a rule as the last row, given one value per column in the
-        bank's form; returns its index."""
-        self._extend({name: np.asarray(v)[None] for name, v in row.items()})
+        bank's form; returns its index.  A value of the wrong shape raises
+        ValueError and leaves the bank as it was."""
+        row["volumes"] = self.volume(row["inv"])
+        grown = {}
+        for name, v in row.items():
+            col = getattr(self, name)
+            grown[name] = np.concatenate([col, np.asarray(v, dtype=col.dtype)[None]])
+        self.__dict__.update(grown)
         return len(self) - 1
 
     def move(self, i: int, dst: "RuleBank") -> int:
         """Move row i to the end of bank dst; returns its index there."""
-        for name in self.COLUMNS + ("volumes",):
+        for name in [f.key for f in self.FIELDS] + ["volumes"]:
             col = getattr(self, name)
             setattr(dst, name, np.concatenate([getattr(dst, name), col[i : i + 1]]))
             setattr(self, name, np.delete(col, i, axis=0))
         return len(dst) - 1
 
-    def snapshot(self) -> dict:
-        return {name: getattr(self, name).tolist() for name in self.COLUMNS}
-
-    def load(self, columns: dict) -> None:
-        """Append the rows of a snapshot; volumes are recomputed."""
-        try:
-            self._extend(columns)
-        except (FloatingPointError, TypeError, ValueError) as e:
-            raise DataError(f"rule bank snapshot: {e}") from None
-
-    def _extend(self, columns: dict) -> None:
-        """Append k rows, one (k, ...) array per column, all checked first."""
-        names = set(columns) if isinstance(columns, dict) else set()
-        if names != set(self.COLUMNS):
-            missing = [name for name in self.COLUMNS if name not in names]
-            raise DataError(f"missing columns {missing}, unknown {sorted(names - set(self.COLUMNS))}")
-        new = {}
-        for name in self.COLUMNS:
-            old = getattr(self, name)
-            col = np.asarray(columns[name], dtype=old.dtype)
-            col = col.reshape(old.shape) if col.shape == (0,) else col
-            shape = (len(new.get("centers", col)),) + old.shape[1:]
-            if col.shape != shape:
-                raise DataError(f"column {name!r} has shape {col.shape}, expected {shape}")
-            new[name] = col
-        support = new["class_support"]
+    def _complete(self) -> None:
         # update_winner divides by a support less one after counting the sample
-        if (support < 0).any() or (support.sum(axis=1) < 1).any():
-            raise DataError("column 'class_support' needs counts >= 0 and a support >= 1 per rule")
-        new["volumes"] = np.array([self.volume(inv) for inv in new["inv"]], dtype=float)
-        for name, col in new.items():
-            setattr(self, name, np.concatenate([getattr(self, name), col]))
+        if (self.class_support.sum(axis=1) < 1).any():
+            raise ValueError("class_support has a rule support below 1")
+        self.diagonal = self.inv.ndim == 2
+        self.volumes = np.array([self.volume(inv) for inv in self.inv], dtype=float)
 
     def mahalanobis_sq(self, x: np.ndarray, mask: Optional[np.ndarray] = None) -> np.ndarray:
         """Squared Mahalanobis distance from x to every rule center: (R,)
@@ -294,7 +255,7 @@ def _repair_spd(m: np.ndarray) -> np.ndarray:
     return (v * w) @ v.T
 
 
-class RuleClassifier:
+class RuleClassifier(State):
     """An evolving bank of fuzzy rules plus a bank of pruned (archived) ones.
 
     One trainer mutates a classifier; inference on a snapshot is pure.
@@ -303,22 +264,30 @@ class RuleClassifier:
     (scores and win are None without rules), so each is computed once.
     """
 
-    KEYS = ("n_features", "n_classes", "kind", "age_min", "rde", "rules", "archive")
+    FIELDS = (
+        Field("n_features", int, lo=1), Field("n_classes", int, lo=2), Field("kind", str),
+        Field("age_min", int), Field("rde", RdeState), Field("rules", RuleBank),
+        Field("archive", RuleBank),
+    )
+    SECTION = "model"
 
     def __init__(
         self, n_features: int, n_classes: int, kind: str = "axis_parallel", age_min: int = 500
     ):
-        if kind not in ("axis_parallel", "multivariate"):
-            raise ValueError("kind must be axis_parallel or multivariate")
+        self.kind = kind
+        self._complete()
         self.n_features = n_features
         self.n_classes = n_classes
-        self.kind = kind
         # minimum age (samples) before a rule may be pruned
         self.age_min = age_min
         diagonal = kind == "axis_parallel"
         self.rules = RuleBank(n_features, n_classes, diagonal)
         self.archive = RuleBank(n_features, n_classes, diagonal)
         self.rde = RdeState(n_features)
+
+    def _complete(self) -> None:
+        if self.kind not in ("axis_parallel", "multivariate"):
+            raise ValueError("kind must be axis_parallel or multivariate")
 
     @property
     def volume_cap(self) -> float:
@@ -369,7 +338,7 @@ class RuleClassifier:
 
     def grow_check(
         self,
-        x: np.ndarray,
+        density: float,
         t_onehot: np.ndarray,
         d2: np.ndarray,
         scores: Optional[np.ndarray],
@@ -380,8 +349,9 @@ class RuleClassifier:
 
         Growth requires all three at once: large prediction error, novelty
         past the chi-square Mahalanobis gate, and low stream density where
-        the sample sits.  An oversized winner also forces growth instead
-        of further expansion.
+        the sample sits: density, the stream density at the sample as
+        rde.update returned it.  An oversized winner also forces growth
+        instead of further expansion.
         """
         if not self.rules:
             return GrowDecision.GROW
@@ -390,7 +360,7 @@ class RuleClassifier:
         novel = d2[win] > _chi2_quantile(NOVELTY_Q, max(active, 1))
         sparse = False
         if self.rde.count >= 2:
-            sparse = self.rde.potential(x) < self.rde.dens_mean - DENSITY_SIGMAS * self.rde.dens_std
+            sparse = density < self.rde.dens_mean - DENSITY_SIGMAS * self.rde.dens_std
         if err > ERR_GROW and novel and sparse:
             return GrowDecision.GROW
         if self.rules.volumes[win] > self.volume_cap:
@@ -559,9 +529,9 @@ class RuleClassifier:
         if x.shape != (self.n_features,):
             raise DataError(f"expected {self.n_features} features, got {x.shape}")
         t = onehot(label, self.n_classes)
-        self.rde.update(x)
+        density = self.rde.update(x)
         win = self.winner(d2, label) if self.rules else None
-        if not self.grow_check(x, t, d2, scores, win, mask).grows:
+        if not self.grow_check(density, t, d2, scores, win, mask).grows:
             self.update_winner(x, label, win, mask)
         elif self.recall_check(x, mask) is None:
             self.add_rule(x, t, win, mask)
@@ -579,33 +549,6 @@ class RuleClassifier:
         if pruned:
             d2 = np.delete(d2, [i for i, _ in pruned])
         return d2
-
-    # -- serialization -----------------------------------------------------
-
-    def snapshot(self) -> dict:
-        return {
-            "n_features": self.n_features,
-            "n_classes": self.n_classes,
-            "kind": self.kind,
-            "age_min": self.age_min,
-            "rde": self.rde.snapshot(),
-            "rules": self.rules.snapshot(),
-            "archive": self.archive.snapshot(),
-        }
-
-    @classmethod
-    def from_snapshot(cls, state: dict) -> "RuleClassifier":
-        state = check_section(state, cls.KEYS, "model")
-        model = cls(
-            n_features=int(state["n_features"]),
-            n_classes=int(state["n_classes"]),
-            kind=state["kind"],
-            age_min=int(state["age_min"]),
-        )
-        model.rde = RdeState.from_snapshot(state["rde"])
-        model.rules.load(state["rules"])
-        model.archive.load(state["archive"])
-        return model
 
     def check_invariants(self, tol: float = 1e-10) -> None:
         """Raise AssertionError if any structural invariant is violated."""

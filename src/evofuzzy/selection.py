@@ -17,12 +17,11 @@ features are re-scored every sample, so nothing is forgotten for good.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
 
-from .core import THETA_MAX, THETA_MIN, THETA_STEP, DataError, StreamConfig, check_section
+from .core import THETA_MAX, THETA_MIN, THETA_STEP, Field, State, StreamConfig
 from .rules import RuleClassifier, extended_input, firings
 
 # Step size and L2 weight of the feature-selection SGD.
@@ -30,29 +29,16 @@ OFS_RATE = 0.05
 OFS_REG = 0.01
 
 
-@dataclass
-class ConflictScores:
-    p_input: float
-    p_output: float
-
-
-@dataclass
-class FeatureMask:
-    """Active-feature indicator with the sensitivities that produced it."""
-
-    active: np.ndarray   # (u,) of {0.0, 1.0}
-    scores: np.ndarray   # (u,) nonnegative, sums to 1
-    b: int
-
-
-class ActiveLearnState:
+class ActiveLearnState(State):
     """Adaptive conflict threshold with clamped multiplicative steps.
 
     Accepting shrinks the threshold by (1 - THETA_STEP), rejecting grows
     it by (1 + THETA_STEP); both are clamped to [THETA_MIN, THETA_MAX].
     """
 
-    KEYS = ("theta", "accepted", "seen")
+    FIELDS = (Field("theta", float, lo=THETA_MIN, hi=THETA_MAX),
+              Field("accepted", int), Field("seen", int))
+    SECTION = "al"
 
     def __init__(self, theta: float = 0.7):
         if not THETA_MIN <= theta <= THETA_MAX:
@@ -61,8 +47,8 @@ class ActiveLearnState:
         self.accepted = 0
         self.seen = 0
 
-    def decide(self, scores: ConflictScores, conjunction: bool = False) -> bool:
-        take = accepts(self.theta, scores.p_input, scores.p_output, conjunction)
+    def decide(self, p_input: float, p_output: float, conjunction: bool) -> bool:
+        take = accepts(self.theta, p_input, p_output, conjunction)
         self.seen += 1
         if take:
             self.accepted += 1
@@ -71,27 +57,12 @@ class ActiveLearnState:
             self.theta = min(self.theta * (1.0 + THETA_STEP), THETA_MAX)
         return take
 
-    def snapshot(self) -> dict:
-        return {"theta": self.theta, "accepted": self.accepted, "seen": self.seen}
 
-    @classmethod
-    def from_snapshot(cls, state: dict) -> "ActiveLearnState":
-        theta = check_section(state, cls.KEYS, "al")["theta"]
-        if not (isinstance(theta, (int, float)) and THETA_MIN <= theta <= THETA_MAX):
-            raise DataError(
-                f"snapshot section 'al' has theta {theta!r} outside [{THETA_MIN}, {THETA_MAX}]"
-            )
-        s = cls(theta)
-        s.accepted = int(state["accepted"])
-        s.seen = int(state["seen"])
-        return s
-
-
-def accepts(theta: float, p_input: float, p_output: float, conjunction: bool = False) -> bool:
+def accepts(theta: float, p_input: float, p_output: float, conjunction: bool) -> bool:
     """Acceptance predicate; monotone in theta.
 
-    Disjunctive by default: conflict in either space admits the sample.
-    The conjunctive variant requires conflict in both spaces.
+    Conjunctive: conflict in both spaces admits the sample; disjunctive:
+    conflict in either space does.
     """
     if conjunction:
         return p_input <= theta and p_output <= theta
@@ -231,8 +202,8 @@ def feature_scores(models: Sequence[RuleClassifier], n_features: int) -> np.ndar
     return total / z
 
 
-def apply_mask(scores: np.ndarray, b: int) -> FeatureMask:
-    """Keep the b largest sensitivities active, lowest index on ties."""
+def apply_mask(scores: np.ndarray, b: int) -> np.ndarray:
+    """1.0 for the b largest sensitivities, else 0.0; lowest index on ties."""
     u = len(scores)
     if not 1 <= b <= u:
         raise ValueError("b must be in [1, n_features]")
@@ -240,47 +211,32 @@ def apply_mask(scores: np.ndarray, b: int) -> FeatureMask:
     order = np.lexsort((np.arange(u), -scores))
     active = np.zeros(u)
     active[order[:b]] = 1.0
-    return FeatureMask(active=active, scores=scores.copy(), b=b)
+    return active
 
 
-class Selectors:
-    """Bundle of selection state carried across chunks by the trainer."""
+class Selectors(State):
+    """Selection state carried across chunks: threshold, mask, sensitivities."""
 
-    SETTINGS = ("conjunction", "ofs_b", "n_features")
-    KEYS = SETTINGS + ("al", "mask_active", "mask_scores")
+    FIELDS = (
+        Field("n_features", int, lo=1), Field("ofs_b", int, lo=1, hi="u"),
+        Field("conjunction", bool), Field("al", ActiveLearnState),
+        Field("mask_active", float, ("u",), lo=0.0, hi=1.0),
+        Field("mask_scores", float, ("u",), lo=0.0),
+    )
+    SECTION = "selectors"
 
     def __init__(self, cfg: StreamConfig):
         self.al = ActiveLearnState(cfg.theta)
         self.conjunction = cfg.al_conjunction
         self.ofs_b = cfg.ofs_b
         self.n_features = cfg.n_features
-        self.mask = FeatureMask(
-            active=np.ones(cfg.n_features),
-            scores=np.full(cfg.n_features, 1.0 / cfg.n_features),
-            b=cfg.ofs_b,
-        )
+        self.mask_active = np.ones(cfg.n_features)
+        self.mask_scores = np.full(cfg.n_features, 1.0 / cfg.n_features)
 
     @property
     def ofs_enabled(self) -> bool:
         return self.ofs_b < self.n_features
 
     def refresh_mask(self, models: Sequence[RuleClassifier]) -> None:
-        self.mask = apply_mask(feature_scores(models, self.n_features), self.ofs_b)
-
-    def snapshot(self) -> dict:
-        return {
-            "al": self.al.snapshot(),
-            **{key: getattr(self, key) for key in self.SETTINGS},
-            "mask_active": self.mask.active.tolist(),
-            "mask_scores": self.mask.scores.tolist(),
-        }
-
-    @classmethod
-    def from_snapshot(cls, state: dict) -> "Selectors":
-        state = check_section(state, cls.KEYS, "selectors")
-        s = cls.__new__(cls)
-        s.__dict__.update({key: state[key] for key in cls.SETTINGS})
-        s.al = ActiveLearnState.from_snapshot(state["al"])
-        active, scores = (np.asarray(state[k], dtype=float) for k in ("mask_active", "mask_scores"))
-        s.mask = FeatureMask(active=active, scores=scores, b=s.ofs_b)
-        return s
+        self.mask_scores = feature_scores(models, self.n_features)
+        self.mask_active = apply_mask(self.mask_scores, self.ofs_b)

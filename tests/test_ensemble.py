@@ -252,16 +252,16 @@ class TestDriftDetector:
 
     @pytest.mark.parametrize("override, match", [
         ({"window": [0.0] * 5}, "at most 4 errors"),
-        ({"window": [[0.0, 1.0]]}, "at most 4 errors"),
+        ({"window": [[0.0, 1.0]]}, r"'detector' has window of shape \(1, 2\), expected \(1,\)"),
         ({"window": [0.0, 7.5]}, "must each be 0 or 1"),
         ({"window": [0.0, -0.5]}, "must each be 0 or 1"),
-        ({"window": [1.0, float("nan")]}, "must each be 0 or 1"),
+        ({"window": [1.0, float("nan")]}, r"'detector' has window with a value outside"),
         ({"window": [0.5, 0.5]}, "must each be 0 or 1"),
         ({"cut": 7}, r"cut must be None or in 1\.\.2, got 7"),
         ({"cut": 0}, r"cut must be None or in 1\.\.2, got 0"),
         ({"window": [0.0], "cut": 1}, r"cut must be None or in 1\.\.0, got 1"),
-        ({"streak": 3}, r"streak must be in 0\.\.2, got 3"),
-        ({"streak": -1}, r"streak must be in 0\.\.2, got -1"),
+        ({"streak": 3}, r"'detector' has streak 3 outside \[0, 2\]"),
+        ({"streak": -1}, r"'detector' has streak -1 outside \[0, 2\]"),
         ({"state": "stable"}, "'detector' has unknown keys: state"),
     ], ids=["too_long", "nested", "above_one", "negative", "nan", "half", "cut_past_window",
             "cut_zero", "cut_on_one_error", "streak_at_confirm", "streak_negative", "old_state"])
@@ -917,7 +917,7 @@ def two_region_run(monkeypatch, score_test_rows=False):
         reports.append(ens.train_chunk(ch, sel))
         if score_test_rows:
             for x in np.random.default_rng(ch.index).normal(0.0, 3.0, size=(5, 3)):
-                ens.score_sample(x, sel.mask.active)
+                ens.score_sample(x, sel.mask_active)
     return reports, ens, sel
 
 
@@ -946,8 +946,8 @@ class TestDistancePasses:
             recalls[0] += got is not None
             return got
 
-        def decide(self, scores, conjunction=False):
-            take = inner_decide(self, scores, conjunction)
+        def decide(self, p_input, p_output, conjunction):
+            take = inner_decide(self, p_input, p_output, conjunction)
             log.append(("decide", take))
             return take
 
@@ -1020,6 +1020,6 @@ class TestDegenerateStreams:
                 for m in ens.members:
                     m.model.check_invariants()
                 assert sum(m.beta for m in ens.members) == pytest.approx(1.0, abs=1e-12)
-            mask = sel.mask.active if sel.ofs_enabled else None
+            mask = sel.mask_active if sel.ofs_enabled else None
             for v in rng.normal(size=(20, u)):
                 assert np.all(np.isfinite(ens.score_sample(v, mask)[0]))

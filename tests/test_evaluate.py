@@ -1,3 +1,4 @@
+import copy
 import json
 
 import numpy as np
@@ -229,7 +230,60 @@ class TestChunkedScoring:
             run_cv(samples, small_cfg(chunk_size=100), folds=4)
 
 
+def nudge(a, index):
+    """Move one entry of an array by one ulp, in place."""
+    a[index] = np.nextafter(a[index], np.inf)
+
+
+def move_archive_row(ens, mask):
+    model = ens.members[0].model
+    copy.deepcopy(model.rules).move(0, model.archive)
+
+
+# state a scorer could touch, as a change one score_sample call makes
+MUTATIONS = {
+    "rule-center": lambda ens, mask: nudge(ens.members[0].model.rules.centers, (0, 0)),
+    "archive-row": move_archive_row,
+    "density": lambda ens, mask: nudge(ens.members[0].model.rde.mean, 0),
+    "member-weight": lambda ens, mask: setattr(
+        ens.members[0], "beta", float(np.nextafter(ens.members[0].beta, 0.0))
+    ),
+    "standardizer-mean": lambda ens, mask: nudge(ens.standardizer.mean, 0),
+    "standardizer-count": lambda ens, mask: setattr(
+        ens.standardizer, "count", ens.standardizer.count + 1
+    ),
+    "detector-window": lambda ens, mask: ens.detector.step(1),
+    "mask": lambda ens, mask: mask.__setitem__(0, 1.0 - mask[0]),
+}
+
+
 class TestPurity:
+    @pytest.fixture(params=sorted(MUTATIONS))
+    def mutating_scorer(self, request, monkeypatch):
+        """score_sample mutates one piece of state on its first call."""
+        mutate = MUTATIONS[request.param]
+        inner = Ensemble.score_sample
+        done = []
+
+        def score_sample(self, x, mask=None):
+            if not done:
+                mutate(self, mask)
+            done.append(True)
+            return inner(self, x, mask)
+
+        monkeypatch.setattr(Ensemble, "score_sample", score_sample)
+
+    def test_mutating_scorer_fails_holdout(self, mutating_scorer):
+        proto = EvalProtocol(mode="holdout", train_per_stamp=300, test_per_stamp=100, stamps=3)
+        stream = gen_hyperplane(HyperplaneConfig(n_total=1200, drift_start=600, seed=1))
+        with pytest.raises(RuntimeError, match="test block of stamp 0 mutated the model"):
+            run_holdout(stream, small_cfg(n_features=4, ofs_b=2), proto)
+
+    def test_mutating_scorer_fails_cv(self, mutating_scorer):
+        samples = list(gen_hyperplane(HyperplaneConfig(n_total=1000, drift_start=500, seed=1)))
+        with pytest.raises(RuntimeError, match="test bin 0 mutated the model"):
+            run_cv(samples, small_cfg(n_features=4, ofs_b=2), folds=3)
+
     def test_test_blocks_leave_model_untouched(self):
         # run_holdout audits this itself; this exercises the audit path on
         # a real learner and confirms no exception is raised

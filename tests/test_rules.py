@@ -144,7 +144,7 @@ class TestRuleBank:
         with pytest.raises(ValueError):
             model.rules.append(**make_rule([0.0, 0.0], [[1.0, 0.5], [0.5, 1.0]], diagonal=False))
         assert len(model.rules) == 0
-        for name in RuleBank.COLUMNS + ("volumes",):
+        for name in [f.key for f in RuleBank.FIELDS] + ["volumes"]:
             assert len(getattr(model.rules, name)) == 0
 
     def test_indefinite_dispersion_rejected(self):
@@ -162,7 +162,7 @@ class TestRuleBank:
         model = RuleClassifier(3, 2, kind=kind, age_min=20)
         for _ in range(60):
             train(model, rng.normal(0.0, 2.0, 3), int(rng.integers(1, 3)))
-        names = RuleBank.COLUMNS + ("volumes",)
+        names = [f.key for f in RuleBank.FIELDS] + ["volumes"]
         rules = {name: getattr(model.rules, name).copy() for name in names}
         archive = {name: getattr(model.archive, name).copy() for name in names}
         n, a = len(model.rules), len(model.archive)
@@ -193,14 +193,14 @@ class TestBankLoad:
     def test_missing_column(self, kind):
         state = self.trained_state(kind)
         del state["rules"]["rls_cov"]
-        with pytest.raises(DataError, match=r"missing columns \['rls_cov'\]"):
+        with pytest.raises(DataError, match=r"'rules' lacks keys: rls_cov$"):
             RuleClassifier.from_snapshot(state)
 
     def test_list_of_rules_is_missing_every_column(self):
         state = self.trained_state("axis_parallel")
         rules = state["rules"]
         state["rules"] = [{k: v[i] for k, v in rules.items()} for i in range(len(rules["age"]))]
-        with pytest.raises(DataError, match=r"missing columns \['centers', 'inv',"):
+        with pytest.raises(DataError, match=r"'rules' lacks keys: centers, inv,"):
             RuleClassifier.from_snapshot(state)
 
     @pytest.mark.parametrize("kind", KINDS)
@@ -214,7 +214,7 @@ class TestBankLoad:
         ):
             broken = json.loads(json.dumps(state))
             broken["rules"][name] = bad(broken["rules"][name])
-            with pytest.raises(DataError, match=f"column '{name}' has shape"):
+            with pytest.raises(DataError, match=f"'rules' has {name} of shape"):
                 RuleClassifier.from_snapshot(broken)
 
     @pytest.mark.parametrize("kind", KINDS)
@@ -224,12 +224,15 @@ class TestBankLoad:
         with pytest.raises(DataError, match="positive definiteness"):
             RuleClassifier.from_snapshot(state)
 
-    @pytest.mark.parametrize("support", [[0, 0], [2, -1]], ids=["zero", "negative"])
-    def test_class_support_below_one(self, support):
+    @pytest.mark.parametrize("support, match", [
+        ([0, 0], "'rules': class_support has a rule support below 1$"),
+        ([2, -1], r"'rules' has class_support with a value outside \[0, inf\]$"),
+    ], ids=["zero", "negative"])
+    def test_class_support_below_one(self, support, match):
         """A rule without support would divide by zero in its first update."""
         state = self.trained_state("multivariate")
         state["rules"]["class_support"][1] = support
-        with pytest.raises(DataError, match=r"'class_support' needs counts >= 0 and a support >= 1"):
+        with pytest.raises(DataError, match=match):
             RuleClassifier.from_snapshot(state)
 
 
@@ -331,7 +334,7 @@ class TestGrowCheck:
     def test_empty_model_always_grows(self):
         model = RuleClassifier(2, 2)
         x = np.zeros(2)
-        d = model.grow_check(x, np.array([1.0, 0.0]), *passes(model, x), None)
+        d = model.grow_check(model.rde.potential(x), np.array([1.0, 0.0]), *passes(model, x), None)
         assert d is GrowDecision.GROW
 
     def test_center_hit_with_correct_prediction_updates(self):
@@ -340,7 +343,7 @@ class TestGrowCheck:
         w[0] = [1.0, 0.0]  # predicts class 1 exactly at the center
         model.rules.append(**make_rule([0.0, 0.0], np.eye(2), weights=w, support=5))
         x = np.zeros(2)
-        d = model.grow_check(x, np.array([1.0, 0.0]), *passes(model, x), 0)
+        d = model.grow_check(model.rde.potential(x), np.array([1.0, 0.0]), *passes(model, x), 0)
         assert d is GrowDecision.UPDATE
 
     def test_far_wrong_sample_grows_against_predicate_oracle(self):
@@ -376,7 +379,7 @@ class TestGrowCheck:
             dvar = (1.0 - a) * (dvar + a * delta * delta)
         density_gate = densities[-1] < dmean - rules_module.DENSITY_SIGMAS * math.sqrt(dvar)
         assert err_gate and novelty_gate and density_gate
-        assert model.grow_check(x, t, *passes(model, x), 0) is GrowDecision.GROW
+        assert model.grow_check(model.rde.potential(x), t, *passes(model, x), 0) is GrowDecision.GROW
 
     def test_oversized_winner_forces_growth(self):
         model = RuleClassifier(2, 2)
@@ -385,7 +388,7 @@ class TestGrowCheck:
         # volume = 1/det = 1e4 > 0.25 * 6^2 = 9
         model.rules.append(**make_rule([0.0, 0.0], np.diag([0.01, 0.01]), weights=w))
         x = np.zeros(2)
-        d = model.grow_check(x, np.array([1.0, 0.0]), *passes(model, x), 0)
+        d = model.grow_check(model.rde.potential(x), np.array([1.0, 0.0]), *passes(model, x), 0)
         assert d is GrowDecision.VOLUME_FORCED
         assert d.grows
 

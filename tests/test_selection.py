@@ -9,7 +9,6 @@ from evofuzzy.core import THETA_MIN, StreamConfig
 from evofuzzy.rules import RuleClassifier, extended_input
 from evofuzzy.selection import (
     ActiveLearnState,
-    ConflictScores,
     VirtualConsequentModel,
     accepts,
     apply_mask,
@@ -120,7 +119,7 @@ class TestConflictOutput:
 class TestDecide:
     def test_confident_both_spaces_rejected(self):
         al = ActiveLearnState(theta=0.7)
-        assert not al.decide(ConflictScores(0.9, 0.9))
+        assert not al.decide(0.9, 0.9, False)
 
     def test_disjunct_accepts_boundary_sample(self):
         # conflict in the output space alone admits the sample under the
@@ -131,10 +130,10 @@ class TestDecide:
     def test_threshold_walks_and_clamps(self):
         al = ActiveLearnState(theta=0.7)
         for _ in range(500):
-            al.decide(ConflictScores(1.0, 1.0))  # rejects push theta up
+            al.decide(1.0, 1.0, False)  # rejects push theta up
         assert al.theta == pytest.approx(0.95)
         for _ in range(500):
-            al.decide(ConflictScores(0.0, 0.0))  # accepts pull it down
+            al.decide(0.0, 0.0, False)  # accepts pull it down
         assert al.theta == pytest.approx(0.5)
 
     def test_near_tie_stream_keeps_high_acceptance(self):
@@ -148,7 +147,7 @@ class TestDecide:
         for _ in range(n):
             s = 0.8 + 0.01 * rng.random()
             sigma = np.array([s, s])
-            taken += al.decide(ConflictScores(0.5, conflict_output(sigma)))
+            taken += al.decide(0.5, conflict_output(sigma), False)
         assert taken / n >= 0.9
         assert al.theta == pytest.approx(THETA_MIN)
 
@@ -272,20 +271,20 @@ class TestFeatureScores:
 
 class TestApplyMask:
     def test_full_budget_is_identity(self):
-        fm = apply_mask(np.array([0.2, 0.5, 0.3]), 3)
-        assert np.array_equal(fm.active, [1.0, 1.0, 1.0])
+        mask = apply_mask(np.array([0.2, 0.5, 0.3]), 3)
+        assert np.array_equal(mask, [1.0, 1.0, 1.0])
 
     def test_top_two(self):
-        fm = apply_mask(np.array([0.5, 0.3, 0.2]), 2)
-        assert np.array_equal(fm.active, [1.0, 1.0, 0.0])
+        mask = apply_mask(np.array([0.5, 0.3, 0.2]), 2)
+        assert np.array_equal(mask, [1.0, 1.0, 0.0])
 
     def test_ties_resolve_to_lowest_index(self):
-        fm = apply_mask(np.array([0.3, 0.3, 0.4]), 2)
-        assert np.array_equal(fm.active, [1.0, 0.0, 1.0])
+        mask = apply_mask(np.array([0.3, 0.3, 0.4]), 2)
+        assert np.array_equal(mask, [1.0, 0.0, 1.0])
 
     def test_masking_is_idempotent(self):
         x = np.array([1.0, -2.0, 3.0])
-        mask = apply_mask(np.array([0.6, 0.1, 0.3]), 2).active
+        mask = apply_mask(np.array([0.6, 0.1, 0.3]), 2)
         once = extended_input(x, mask)
         twice = extended_input(x * mask, mask)
         assert np.array_equal(once, twice)
@@ -303,4 +302,4 @@ class TestConfigStubs:
         sel = Selectors(cfg)
         assert sel.ofs_enabled
         assert sel.al.theta == 0.6
-        assert np.array_equal(sel.mask.active, [1.0, 1.0, 1.0])
+        assert np.array_equal(sel.mask_active, [1.0, 1.0, 1.0])

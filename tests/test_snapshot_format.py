@@ -1,0 +1,162 @@
+"""The snapshot format: a pinned fixture, the checked load and the digest."""
+
+import copy
+import json
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from evofuzzy.core import DataError, StreamConfig, chunks
+from evofuzzy.datagen import SeaConfig, gen_sea
+from evofuzzy.ensemble import Ensemble
+from evofuzzy.selection import Selectors
+
+# written by scripts/snapshot_fixture.py; regenerated only on a deliberate
+# change of the format
+FIXTURE = Path(__file__).parent / "data" / "snapshots.json"
+
+
+def fixture() -> dict:
+    return json.loads(FIXTURE.read_text())
+
+
+def dumps(tree) -> str:
+    return json.dumps(tree, sort_keys=True)
+
+
+@pytest.mark.parametrize("run", ["sea-axis", "hyperplane-ofs"])
+def test_fixture_round_trips_byte_for_byte(run):
+    state = fixture()[run]
+    for cls, key in ((Ensemble, "ensemble"), (Selectors, "selectors")):
+        assert dumps(cls.from_snapshot(state[key]).snapshot()) == dumps(state[key])
+
+
+def leaves(tree, path=()):
+    """Paths to one number per field of a snapshot tree: the field itself,
+    or the first entry of an array field."""
+    if isinstance(tree, dict):
+        for key, v in tree.items():
+            yield from leaves(v, path + (key,))
+    elif isinstance(tree, list) and tree and isinstance(tree[0], dict):
+        for i, v in enumerate(tree):
+            yield from leaves(v, path + (i,))
+    elif isinstance(tree, list):
+        while tree and isinstance(tree, list):
+            tree, path = tree[0], path + (0,)
+        if not isinstance(tree, list):
+            yield path
+    elif not isinstance(tree, str) and tree is not None:
+        yield path
+
+
+def edited(tree, path, step):
+    """A copy of tree with the value at path moved by one step up or down
+    (step 1 or -1): one ulp for a float, one for an int, a flipped bool or
+    0/1 entry."""
+    out = copy.deepcopy(tree)
+    *head, last = path
+    node = out
+    for key in head:
+        node = node[key]
+    v = node[last]
+    if isinstance(v, bool):
+        node[last] = not v
+    elif "window" in path or "mask_active" in path:
+        node[last] = 1.0 - v
+    elif isinstance(v, int):
+        node[last] = v + step
+    else:
+        node[last] = float(np.nextafter(v, step * np.inf))
+    return out
+
+
+# settings for which no neighbouring value fits the rest of the snapshot,
+# so the test edits them on the loaded object
+FIXED = {"n_features", "n_classes", "ofs_b", "cut"}
+
+
+@pytest.mark.parametrize("run", ["sea-axis", "hyperplane-ofs"])
+@pytest.mark.parametrize("cls, key", [(Ensemble, "ensemble"), (Selectors, "selectors")])
+def test_digest_survives_json_and_sees_every_field(run, cls, key):
+    """Equal across a JSON round trip; different after a one-ulp (or
+    one-count) edit of any single field, whichever way the field's range
+    admits."""
+    state = fixture()[run][key]
+    loaded = cls.from_snapshot(state)
+    base = loaded.digest()
+    assert cls.from_snapshot(json.loads(dumps(loaded.snapshot()))).digest() == base
+    checked = set()
+    for path in leaves(state):
+        field = next(k for k in reversed(path) if isinstance(k, str))
+        if field in FIXED:
+            changed = owner = cls.from_snapshot(state)
+            for k in path[:-1]:
+                owner = getattr(owner, k) if isinstance(k, str) else owner[k]
+            setattr(owner, field, getattr(owner, field) + 1)
+        else:
+            try:
+                changed = cls.from_snapshot(edited(state, path, 1))
+            except DataError:
+                changed = cls.from_snapshot(edited(state, path, -1))
+        assert changed.digest() != base, path
+        checked.add(field)
+    assert checked >= ({"n_features", "ofs_b", "mask_active", "theta"} if cls is Selectors else
+                       {"n_classes", "centers", "inv", "rls_cov", "age", "beta", "window", "m2"})
+
+
+def loads_of_a_trained_ensemble():
+    cfg = StreamConfig(n_features=3, n_classes=2, chunk_size=100, ofs_b=2)
+    ens, sel = Ensemble(cfg), Selectors(cfg)
+    for ch in chunks(gen_sea(SeaConfig(n_total=300, seed=2)), 100):
+        ens.train_chunk(ch, sel)
+    return json.loads(dumps(ens.snapshot())), json.loads(dumps(sel.snapshot()))
+
+
+# each edit returns the class to load and the section it edited
+
+def set_m2(ens, sel):
+    ens["standardizer"]["m2"] = [1.0]
+    return Ensemble, ens
+
+
+def set_count(ens, sel):
+    ens["standardizer"]["count"] = -5
+    return Ensemble, ens
+
+
+def set_mask(ens, sel):
+    sel["mask_active"] = [1.0]
+    return Selectors, sel
+
+
+def set_ofs_b(ens, sel):
+    sel["ofs_b"], sel["n_features"] = 99, -2
+    return Selectors, sel
+
+
+def set_beta(ens, sel):
+    ens["members"][0]["beta"] = float("nan")
+    return Ensemble, ens
+
+
+def set_rde_mean(ens, sel):
+    ens["members"][0]["model"]["rde"]["mean"] = [0.5]
+    return Ensemble, ens
+
+
+@pytest.mark.parametrize("edit, match", [
+    (set_m2, r"'standardizer' has m2 of shape \(1,\), expected \(3,\)$"),
+    (set_count, r"'standardizer' has count -5 outside \[0, inf\]$"),
+    (set_mask, r"'selectors' has mask_active of shape \(1,\), expected \(3,\)$"),
+    (set_ofs_b, r"'selectors' has n_features -2 outside \[1, inf\]$"),
+    (set_beta, r"'member' has beta nan outside \[0\.0, 1\.0\]$"),
+    (set_rde_mean, r"'rde' has mean of shape \(1,\), expected \(3,\)$"),
+], ids=["standardizer-m2", "standardizer-count", "selectors-mask", "selectors-ofs_b",
+        "member-beta", "rde-mean"])
+def test_load_hole_is_data_error_naming_section_and_field(edit, match):
+    ens, sel = loads_of_a_trained_ensemble()
+    cls, state = edit(ens, sel)
+    with pytest.raises(DataError, match=match):
+        cls.from_snapshot(state)
+
