@@ -34,7 +34,6 @@ from .rules import (
 from .selection import (
     ActiveLearnState,
     Selectors,
-    VirtualConsequentModel,
     apply_mask,
     conflict_input,
     conflict_output,

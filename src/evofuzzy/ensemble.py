@@ -18,14 +18,7 @@ import numpy as np
 
 from .core import DataChunk, DataError, Field, RunningStandardizer, State, StreamConfig, onehot
 from .rules import RuleClassifier, classes
-from .selection import (
-    OFS_RATE,
-    OFS_REG,
-    Selectors,
-    VirtualConsequentModel,
-    conflict_input,
-    conflict_output,
-)
+from .selection import Selectors, conflict_input, conflict_output
 
 
 class EmptyEnsembleError(RuntimeError):
@@ -300,6 +293,19 @@ class Ensemble(State):
         self.chunk_index = 0
         self.next_uid = 0
 
+    def _complete(self) -> None:
+        """The members and the detector are what cfg makes."""
+        cfg, det = self.cfg, self.detector
+        for m in self.members:
+            if m.model.kind != cfg.base_kind:
+                raise ValueError(f"member {m.uid} has kind {m.model.kind!r}, "
+                                 f"but cfg base_kind {cfg.base_kind!r}")
+        for key, want in (("alpha_warn", cfg.alpha_warn), ("alpha_drift", cfg.alpha_drift),
+                          ("max_window", DETECTOR_CHUNKS * cfg.chunk_size)):
+            if getattr(det, key) != want:
+                raise ValueError(f"detector {key} {getattr(det, key)!r} differs from {want!r}, "
+                                 "which cfg sets")
+
     # -- membership --------------------------------------------------------
 
     def _new_member(self, bootstrapping: bool = False) -> EnsembleMember:
@@ -454,7 +460,7 @@ class Ensemble(State):
         first_look = 1 if cold_start else LOOKAHEAD
         k, look = 0, first_look
         while k < len(zs):
-            mask = selectors.mask_active if selectors.ofs_enabled else None
+            mask = selectors.mask
             block = zs[k : k + look]
             d2s = {m: m.model.mahalanobis_sq(block, mask) for m in self.members}
             sigma, cls, member_scores = self.predict(block, d2s, mask)
@@ -507,14 +513,9 @@ class Ensemble(State):
                     sc = m.model.infer(z, d2s[m], mask)[0] if m.model.rules else None
                     d2s[m] = m.model.train_sample(z, label, d2s[m], sc, mask)
                     m.bootstrap_count += 1
-            if selectors.ofs_enabled:
-                activations += selectors.mask_active
-                if cls != label:
-                    vm = VirtualConsequentModel(
-                        [m.model for m in d2s], OFS_RATE, OFS_REG
-                    )
-                    vm.sgd_step(z, t, list(d2s.values()), mask)
-                selectors.refresh_mask([m.model for m in self.members])
+            if mask is not None:
+                activations += mask
+                selectors.learn([m.model for m in d2s], z, t, list(d2s.values()), cls != label)
         for m in self.members:
             if m.bootstrapping:
                 m.bootstrap_chunks += 1

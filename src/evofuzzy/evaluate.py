@@ -103,15 +103,15 @@ def _located(where: str, ch, size: int) -> str:
     return f"{where} (samples {first}-{first + len(ch) - 1})"
 
 
-def _train_and_score(ens, sel, cfg, train, test, audit_purity: bool, where: tuple):
+def _train_and_score(ens, sel, cfg, train, test, where: tuple):
     """Train on one block, then score another against the frozen model.
 
     The test block is scored a chunk at a time, one score_sample call per
     chunk, so no distance array grows past one chunk of rows.  where
     names the (train, test) blocks in a DataError.  Returns (chunk
     reports, correct test predictions, seconds of learning plus scoring).
-    With audit_purity, scoring must leave the digests of the learner and
-    the selectors, whose mask the scorer reads, unchanged.
+    Scoring must leave the digests of the learner and the selectors,
+    whose mask the scorer reads, unchanged.
     """
     train_where, test_where = where
     t0 = time.perf_counter()
@@ -122,18 +122,17 @@ def _train_and_score(ens, sel, cfg, train, test, audit_purity: bool, where: tupl
         except DataError as exc:
             raise DataError(f"{_located(train_where, ch, cfg.chunk_size)}: {exc}") from None
     seconds = time.perf_counter() - t0
-    mask = sel.mask_active if sel.ofs_enabled else None
-    before = (ens.snapshot_hash(), sel.digest()) if audit_purity else None
+    before = ens.snapshot_hash(), sel.digest()
     t0 = time.perf_counter()
     correct = 0
     for ch in chunks(test, cfg.chunk_size):
         try:
-            _, cls = ens.score_sample([s.x for s in ch.samples], mask)
+            _, cls = ens.score_sample([s.x for s in ch.samples], sel.mask)
         except DataError as exc:
             raise DataError(f"{_located(test_where, ch, cfg.chunk_size)}: {exc}") from None
         correct += int(np.count_nonzero(cls == np.array([s.label for s in ch.samples])))
     seconds += time.perf_counter() - t0
-    if audit_purity and (ens.snapshot_hash(), sel.digest()) != before:
+    if (ens.snapshot_hash(), sel.digest()) != before:
         raise RuntimeError(f"{test_where} mutated the model")
     return reports, correct, seconds
 
@@ -186,7 +185,6 @@ def run_holdout(
     protocol: EvalProtocol,
     learner: Optional[Ensemble] = None,
     selectors: Optional[Selectors] = None,
-    audit_purity: bool = True,
 ):
     """Alternating train/test blocks; returns (RunMetrics, learner).
 
@@ -202,7 +200,7 @@ def run_holdout(
         train = _take(it, protocol.train_per_stamp, "train", stamp)
         test = _take(it, protocol.test_per_stamp, "test", stamp)
         reports, correct, seconds = _train_and_score(
-            ens, sel, cfg, train, test, audit_purity,
+            ens, sel, cfg, train, test,
             (f"train block of stamp {stamp}", f"test block of stamp {stamp}"),
         )
         rt += seconds
@@ -210,7 +208,7 @@ def run_holdout(
     return _summarize(series, protocol.stamps * protocol.train_per_stamp, rt), ens
 
 
-def run_cv(dataset, cfg: StreamConfig, folds: int = 10, audit_purity: bool = True):
+def run_cv(dataset, cfg: StreamConfig, folds: int = 10):
     """Contiguous-bin cross validation; returns (RunMetrics, last learner).
 
     Bin f is held out for testing while the remaining bins are streamed
@@ -233,7 +231,7 @@ def run_cv(dataset, cfg: StreamConfig, folds: int = 10, audit_purity: bool = Tru
         ens = Ensemble(cfg)
         sel = Selectors(cfg)
         reports, correct, seconds = _train_and_score(
-            ens, sel, cfg, train, test, audit_purity, (f"train bins of fold {f}", f"test bin {f}")
+            ens, sel, cfg, train, test, (f"train bins of fold {f}", f"test bin {f}")
         )
         rt += seconds
         offered += len(train)

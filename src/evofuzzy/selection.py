@@ -115,74 +115,44 @@ def conflict_output(sigma: np.ndarray):
     return float(conf) if conf.ndim == 0 else conf
 
 
-class VirtualConsequentModel:
-    """All rules of all members viewed as one flat consequent model.
+def consequent_output(models: Sequence[RuleClassifier], x, d2s, mask=None) -> np.ndarray:
+    """Output of all rules of all models viewed as one flat consequent
+    model; d2s holds each model's mahalanobis_sq of x, in model order."""
+    x_e = extended_input(x, mask)
+    weights = (w for m in models for w in m.rules.weights)
+    scores = np.zeros(models[0].n_classes)
+    # accumulated rule by rule, in the flat order of the firings
+    for f, w in zip(firings(np.concatenate(d2s)), weights):
+        scores += f * (x_e @ w)
+    return scores
 
-    The gradient steps write straight into each member's consequent
-    array, so the feature-selection steps and the per-member
-    least-squares updates share the same parameters.  d2s holds each
-    model's mahalanobis_sq of x, in the order of models.
+
+def consequent_gradients(models: Sequence[RuleClassifier], x, t_onehot, d2s, mask=None) -> list:
+    """Gradient of E = 0.5 ||t - y||^2 for the flat model, lam_i
+    outer(x_e, y - t) for rule i: one (R, u+1, O) array per model."""
+    y = consequent_output(models, x, d2s, mask)
+    g = np.outer(extended_input(x, mask), y - t_onehot)
+    splits = np.cumsum([len(m.rules) for m in models])[:-1]
+    return [f[:, None, None] * g for f in np.split(firings(np.concatenate(d2s)), splits)]
+
+
+def sgd_step(models: Sequence[RuleClassifier], x, t_onehot, d2s, mask=None) -> None:
+    """Projected SGD step on the squared error of the flat model.
+
+    Each consequent takes the L2-regularized step
+    W <- (1 - OFS_RATE*OFS_REG) W - OFS_RATE dE/dW and is then projected
+    onto the ball of radius 1/sqrt(OFS_REG).  The writes go straight to
+    each model's consequent array, which its least-squares updates share.
     """
-
-    def __init__(self, models: Sequence[RuleClassifier], rate: float, reg: float):
-        if rate <= 0 or reg <= 0:
-            raise ValueError("rate and reg must be > 0")
-        self.models = list(models)
-        self.rate = rate
-        self.reg = reg
-
-    @property
-    def radius(self) -> float:
-        return 1.0 / math.sqrt(self.reg)
-
-    def predict(self, x: np.ndarray, d2s: Sequence[np.ndarray], mask: Optional[np.ndarray] = None):
-        return self._scores(firings(np.concatenate(d2s)), extended_input(x, mask))
-
-    def _scores(self, lam: np.ndarray, x_e: np.ndarray) -> np.ndarray:
-        # accumulated rule by rule, in the flat order of the firings
-        weights = (w for m in self.models for w in m.rules.weights)
-        scores = np.zeros(self.models[0].n_classes)
-        for f, w in zip(lam, weights):
-            scores += f * (x_e @ w)
-        return scores
-
-    def gradients(
-        self,
-        x: np.ndarray,
-        t_onehot: np.ndarray,
-        d2s: Sequence[np.ndarray],
-        mask: Optional[np.ndarray] = None,
-    ) -> list:
-        """Gradient of E = 0.5 ||t - y||^2, lam_i outer(x_e, y - t) for
-        rule i: one (R, u+1, O) array per model, in the order of models."""
-        lam = firings(np.concatenate(d2s))
-        x_e = extended_input(x, mask)
-        g = np.outer(x_e, self._scores(lam, x_e) - t_onehot)
-        splits = np.cumsum([len(m.rules) for m in self.models])[:-1]
-        return [f[:, None, None] * g for f in np.split(lam, splits)]
-
-    def sgd_step(
-        self,
-        x: np.ndarray,
-        t_onehot: np.ndarray,
-        d2s: Sequence[np.ndarray],
-        mask: Optional[np.ndarray] = None,
-    ) -> None:
-        """Projected SGD step on the squared error.
-
-        Each consequent takes the L2-regularized step
-        W <- (1 - rate*reg) W - rate dE/dW and is then projected onto the
-        ball of radius 1/sqrt(reg).  Writes go to the models' arrays.
-        """
-        shrink = 1.0 - self.rate * self.reg
-        for m, g in zip(self.models, self.gradients(x, t_onehot, d2s, mask)):
-            weights = m.rules.weights
-            weights *= shrink
-            weights -= self.rate * g
-            for w in weights:
-                norm = float(np.linalg.norm(w))
-                if norm > self.radius:
-                    w *= self.radius / norm
+    radius = 1.0 / math.sqrt(OFS_REG)
+    for m, g in zip(models, consequent_gradients(models, x, t_onehot, d2s, mask)):
+        weights = m.rules.weights
+        weights *= 1.0 - OFS_RATE * OFS_REG
+        weights -= OFS_RATE * g
+        for w in weights:
+            norm = float(np.linalg.norm(w))
+            if norm > radius:
+                w *= radius / norm
 
 
 def feature_scores(models: Sequence[RuleClassifier], n_features: int) -> np.ndarray:
@@ -234,9 +204,18 @@ class Selectors(State):
         self.mask_scores = np.full(cfg.n_features, 1.0 / cfg.n_features)
 
     @property
-    def ofs_enabled(self) -> bool:
-        return self.ofs_b < self.n_features
+    def mask(self) -> Optional[np.ndarray]:
+        """The mask the learner applies; None when ofs_b == n_features."""
+        return self.mask_active if self.ofs_b < self.n_features else None
+
+    def learn(self, models: Sequence[RuleClassifier], x, t_onehot, d2s, wrong: bool) -> None:
+        """An SGD step under the mask if the ensemble got the accepted
+        sample wrong, then a fresh mask."""
+        if wrong:
+            sgd_step(models, x, t_onehot, d2s, self.mask)
+        self.refresh_mask(models)
 
     def refresh_mask(self, models: Sequence[RuleClassifier]) -> None:
+        # new arrays, never writes into the old ones, which callers may hold
         self.mask_scores = feature_scores(models, self.n_features)
         self.mask_active = apply_mask(self.mask_scores, self.ofs_b)

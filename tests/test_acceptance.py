@@ -8,17 +8,25 @@ gradient.
 """
 
 import json
+import math
 
 import numpy as np
 import pytest
 
+from evofuzzy import selection
 from evofuzzy.cli import main as cli_main
 from evofuzzy.core import Sample, StreamConfig, chunks
 from evofuzzy.datagen import HyperplaneConfig, SeaConfig, gen_hyperplane, gen_sea
 from evofuzzy.ensemble import DriftDetector, Ensemble, compression_index
 from evofuzzy.evaluate import EvalProtocol, run_cv, run_holdout
 from evofuzzy.rules import RuleClassifier, weighted_rls_update
-from evofuzzy.selection import Selectors, VirtualConsequentModel
+from evofuzzy.selection import (
+    OFS_REG,
+    Selectors,
+    consequent_gradients,
+    consequent_output,
+    sgd_step,
+)
 
 
 def record(report, number, ok, detail):
@@ -104,7 +112,7 @@ class TestCriterion02Hyperplane:
             stream = gen_hyperplane(
                 HyperplaneConfig(n_total=stamps * 1250, drift_start=40_000, seed=seed)
             )
-            metrics, _ = run_holdout(stream, cfg, proto, audit_purity=False)
+            metrics, _ = run_holdout(stream, cfg, proto)
             drifts = [r["n"] for r in metrics.series if r["drifts"] > 0]
             if any(boundary <= d < boundary + 20 for d in drifts):
                 hits += 1
@@ -266,7 +274,7 @@ class TestCriterion07ConsequentLearner:
 
 
 class TestCriterion08FeatureSelectionGradient:
-    def test_finite_differences_and_projection(self, acceptance_report):
+    def test_finite_differences_and_projection(self, acceptance_report, monkeypatch):
         rng = np.random.default_rng(4)
         worst_rel = 0.0
         for _ in range(5):
@@ -284,22 +292,21 @@ class TestCriterion08FeatureSelectionGradient:
                     age=0,
                 )
                 models.append(m)
-            vm = VirtualConsequentModel(models, rate=0.05, reg=0.01)
             x = rng.normal(size=3)
             t = np.array([1.0, 0.0])
-            d2s = [m.mahalanobis_sq(x) for m in vm.models]
+            d2s = [m.mahalanobis_sq(x) for m in models]
 
             def loss():
-                y = vm.predict(x, d2s)
+                y = consequent_output(models, x, d2s)
                 return 0.5 * float((t - y) @ (t - y))
 
             # the full-model gradient is what the update consumes; compare
             # it as one vector so vanishing-firing rules do not reduce the
             # check to finite-difference roundoff dust
-            grads = vm.gradients(x, t, d2s)
+            grads = consequent_gradients(models, x, t, d2s)
             h = 1e-6
             fds = []
-            for w in (w for m in vm.models for w in m.rules.weights):
+            for w in (w for m in models for w in m.rules.weights):
                 fd = np.zeros_like(w)
                 for i in range(4):
                     for j in range(2):
@@ -316,6 +323,7 @@ class TestCriterion08FeatureSelectionGradient:
             rel = np.linalg.norm(g_all - fd_all) / np.linalg.norm(fd_all)
             worst_rel = max(worst_rel, rel)
         bound_ok = True
+        monkeypatch.setattr(selection, "OFS_RATE", 0.5)
         for _ in range(50):
             m = RuleClassifier(3, 2)
             m.rules.append(
@@ -328,10 +336,9 @@ class TestCriterion08FeatureSelectionGradient:
                 peak_potential=0.0,
                 age=0,
             )
-            vm = VirtualConsequentModel([m], rate=0.5, reg=0.01)
             x = rng.normal(size=3)
-            vm.sgd_step(x, np.array([0.0, 1.0]), [m.mahalanobis_sq(x)])
-            if np.linalg.norm(m.rules.weights[0]) > vm.radius + 1e-12:
+            sgd_step([m], x, np.array([0.0, 1.0]), [m.mahalanobis_sq(x)])
+            if np.linalg.norm(m.rules.weights[0]) > 1 / math.sqrt(OFS_REG) + 1e-12:
                 bound_ok = False
         ok = worst_rel <= 1e-4 and bound_ok
         detail = (

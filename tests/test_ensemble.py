@@ -1020,6 +1020,6 @@ class TestDegenerateStreams:
                 for m in ens.members:
                     m.model.check_invariants()
                 assert sum(m.beta for m in ens.members) == pytest.approx(1.0, abs=1e-12)
-            mask = sel.mask_active if sel.ofs_enabled else None
+            mask = sel.mask
             for v in rng.normal(size=(20, u)):
                 assert np.all(np.isfinite(ens.score_sample(v, mask)[0]))

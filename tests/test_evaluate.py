@@ -289,9 +289,7 @@ class TestPurity:
         # a real learner and confirms no exception is raised
         proto = EvalProtocol(mode="holdout", train_per_stamp=200, test_per_stamp=200, stamps=3)
         stream = gen_sea(SeaConfig(n_total=1500, seed=4))
-        metrics, ens = run_holdout(
-            stream, small_cfg(chunk_size=200), proto, audit_purity=True
-        )
+        metrics, ens = run_holdout(stream, small_cfg(chunk_size=200), proto)
         assert metrics.stamps == 3
 
 

@@ -5,16 +5,21 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from evofuzzy import selection
 from evofuzzy.core import THETA_MIN, StreamConfig
 from evofuzzy.rules import RuleClassifier, extended_input
 from evofuzzy.selection import (
+    OFS_REG,
     ActiveLearnState,
-    VirtualConsequentModel,
+    Selectors,
     accepts,
     apply_mask,
     conflict_input,
     conflict_output,
+    consequent_gradients,
+    consequent_output,
     feature_scores,
+    sgd_step,
 )
 
 
@@ -40,8 +45,8 @@ def p_input(models, x):
     return conflict_input(models, [m.mahalanobis_sq(x) for m in models])
 
 
-def distances(vm, x):
-    return [m.mahalanobis_sq(x) for m in vm.models]
+def distances(models, x):
+    return [m.mahalanobis_sq(x) for m in models]
 
 
 class TestConflictInput:
@@ -169,10 +174,9 @@ class TestVirtualModel:
         m = model_with_rules([([0.0, 0.0], [1.0, 1.0], [1, 0], None)])
         w0 = np.array([[1.0, 0.0], [0.4, -0.2], [0.1, 0.3]])
         m.rules.weights[0] = w0
-        vm = VirtualConsequentModel([m], rate=0.05, reg=0.01)
         x = np.zeros(2)  # x_e = (1, 0, 0): prediction is the intercept row
         t = w0[0].copy()
-        vm.sgd_step(x, t, distances(vm, x))
+        sgd_step([m], x, t, distances([m], x))
         assert np.allclose(m.rules.weights[0], (1 - 0.05 * 0.01) * w0, rtol=1e-12)
 
     def test_projection_scale(self):
@@ -182,9 +186,8 @@ class TestVirtualModel:
         w0 = np.zeros((3, 2))
         w0[0, 0] = 20.0
         m.rules.weights[0] = w0
-        vm = VirtualConsequentModel([m], rate=0.05, reg=0.01)
         x = np.zeros(2)
-        vm.sgd_step(x, np.array([w0[0, 0] * (1 - 0.05 * 0.01), 0.0]), distances(vm, x))
+        sgd_step([m], x, np.array([w0[0, 0] * (1 - 0.05 * 0.01), 0.0]), distances([m], x))
         assert np.allclose(m.rules.weights[0], 0.5 * w0, rtol=1e-12)
 
     def test_gradient_matches_central_differences(self):
@@ -195,20 +198,20 @@ class TestVirtualModel:
         b = model_with_rules(
             [([1.0, -1.0], [2.0, 0.5], [1, 3], rng.normal(size=(3, 2)))]
         )
-        vm = VirtualConsequentModel([a, b], rate=0.05, reg=0.01)
+        models = [a, b]
         x = rng.normal(size=2)
         t = np.array([1.0, 0.0])
 
-        d2s = distances(vm, x)
+        d2s = distances(models, x)
 
         def loss():
-            y = vm.predict(x, d2s)
+            y = consequent_output(models, x, d2s)
             return 0.5 * float((t - y) @ (t - y))
 
-        grads = vm.gradients(x, t, d2s)
+        grads = consequent_gradients(models, x, t, d2s)
         h = 1e-6
-        assert len(grads) == len(vm.models)
-        for m, g in zip(vm.models, grads):
+        assert len(grads) == len(models)
+        for m, g in zip(models, grads):
             w = m.rules.weights
             assert g.shape == w.shape
             for idx in np.ndindex(w.shape):
@@ -231,12 +234,13 @@ class TestVirtualModel:
                 ([1.0, 1.0], [1.0, 2.0], [1, 2], 5 * rng.normal(size=(3, 2))),
             ]
         )
-        vm = VirtualConsequentModel([m], rate=0.5, reg=0.01)
-        for _ in range(5):
-            x = rng.normal(size=2)
-            vm.sgd_step(x, np.array([1.0, 0.0]), distances(vm, x))
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(selection, "OFS_RATE", 0.5)
+            for _ in range(5):
+                x = rng.normal(size=2)
+                sgd_step([m], x, np.array([1.0, 0.0]), distances([m], x))
         for w in m.rules.weights:
-            assert np.linalg.norm(w) <= vm.radius + 1e-12
+            assert np.linalg.norm(w) <= 1 / math.sqrt(OFS_REG) + 1e-12
 
 
 class TestFeatureScores:
@@ -297,9 +301,48 @@ class TestApplyMask:
 class TestConfigStubs:
     def test_selectors_inherit_config(self):
         cfg = StreamConfig(n_features=3, n_classes=2, ofs_b=2, theta=0.6)
-        from evofuzzy.selection import Selectors
-
         sel = Selectors(cfg)
-        assert sel.ofs_enabled
+        assert sel.mask is not None
         assert sel.al.theta == 0.6
         assert np.array_equal(sel.mask_active, [1.0, 1.0, 1.0])
+
+
+def two_models(seed):
+    rng = np.random.default_rng(seed)
+    return [
+        model_with_rules([([0.0, 0.0], [1.0, 1.0], [2, 1], rng.normal(size=(3, 2))),
+                          ([1.0, 1.0], [1.0, 2.0], [1, 2], rng.normal(size=(3, 2)))]),
+        model_with_rules([([-1.0, 0.5], [2.0, 0.5], [1, 3], rng.normal(size=(3, 2)))]),
+    ]
+
+
+class TestSelectors:
+    def test_mask_is_none_without_feature_selection(self):
+        assert Selectors(StreamConfig(n_features=3, n_classes=2)).mask is None
+        sel = Selectors(StreamConfig(n_features=3, n_classes=2, ofs_b=2))
+        assert sel.mask is sel.mask_active
+
+    def test_right_answer_keeps_consequents_and_refreshes_mask(self):
+        models = two_models(5)
+        before = [m.rules.weights.copy() for m in models]
+        sel = Selectors(StreamConfig(n_features=2, n_classes=2, ofs_b=1))
+        old_active, old_scores = sel.mask_active, sel.mask_scores
+        x = np.array([0.3, -0.7])
+        sel.learn(models, x, np.array([1.0, 0.0]), distances(models, x), wrong=False)
+        for m, w in zip(models, before):
+            assert np.array_equal(m.rules.weights, w)
+        assert np.array_equal(sel.mask_scores, feature_scores(models, 2))
+        assert np.array_equal(sel.mask_active, apply_mask(sel.mask_scores, 1))
+        assert not np.array_equal(sel.mask_scores, old_scores)
+        assert not np.array_equal(sel.mask_active, old_active)
+
+    def test_wrong_answer_steps_under_the_mask(self):
+        sel = Selectors(StreamConfig(n_features=2, n_classes=2, ofs_b=1))
+        sel.mask_active = np.array([0.0, 1.0])
+        models, expected = two_models(6), two_models(6)
+        x, t = np.array([0.3, -0.7]), np.array([1.0, 0.0])
+        sgd_step(expected, x, t, distances(expected, x), np.array([0.0, 1.0]))
+        sel.learn(models, x, t, distances(models, x), wrong=True)
+        for m, e in zip(models, expected):
+            assert np.array_equal(m.rules.weights, e.rules.weights)
+        assert np.array_equal(sel.mask_scores, feature_scores(models, 2))

@@ -1,6 +1,7 @@
 """The snapshot format: a pinned fixture, the checked load and the digest."""
 
 import copy
+import importlib.util
 import json
 from pathlib import Path
 
@@ -13,7 +14,7 @@ from evofuzzy.ensemble import Ensemble
 from evofuzzy.selection import Selectors
 
 # written by scripts/snapshot_fixture.py; regenerated only on a deliberate
-# change of the format
+# change of behaviour or format
 FIXTURE = Path(__file__).parent / "data" / "snapshots.json"
 
 
@@ -23,6 +24,21 @@ def fixture() -> dict:
 
 def dumps(tree) -> str:
     return json.dumps(tree, sort_keys=True)
+
+
+def test_fixture_is_what_training_writes():
+    """Retraining the fixture's two runs writes the fixture byte for byte.
+
+    This pins the training arithmetic, feature selection included, as
+    well as the format.  Regenerate the fixture with
+    scripts/snapshot_fixture.py only on a deliberate change of behaviour
+    or format.
+    """
+    script = Path(__file__).parent.parent / "scripts" / "snapshot_fixture.py"
+    spec = importlib.util.spec_from_file_location("snapshot_fixture", script)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    assert (dumps(module.snapshots()) + "\n").encode() == FIXTURE.read_bytes()
 
 
 @pytest.mark.parametrize("run", ["sea-axis", "hyperplane-ofs"])
@@ -72,8 +88,10 @@ def edited(tree, path, step):
 
 
 # settings for which no neighbouring value fits the rest of the snapshot,
-# so the test edits them on the loaded object
-FIXED = {"n_features", "n_classes", "ofs_b", "cut"}
+# so the test edits them on the loaded object; the ensemble's cfg fixes
+# the detector's alphas and max_window, and chunk_size fixes max_window
+FIXED = {"n_features", "n_classes", "ofs_b", "cut", "alpha_warn", "alpha_drift", "chunk_size",
+         "max_window"}
 
 
 @pytest.mark.parametrize("run", ["sea-axis", "hyperplane-ofs"])
@@ -160,3 +178,20 @@ def test_load_hole_is_data_error_naming_section_and_field(edit, match):
     with pytest.raises(DataError, match=match):
         cls.from_snapshot(state)
 
+
+
+@pytest.mark.parametrize("section, key, value, match", [
+    ("cfg", "base_kind", "multivariate",
+     r"'ensemble': member 0 has kind 'axis_parallel', but cfg base_kind 'multivariate'$"),
+    ("detector", "max_window", 67,
+     r"'ensemble': detector max_window 67 differs from 120, which cfg sets$"),
+    ("detector", "alpha_warn", 0.2,
+     r"'ensemble': detector alpha_warn 0\.2 differs from 0\.005, which cfg sets$"),
+], ids=["base_kind", "max_window", "alpha_warn"])
+def test_sections_that_disagree_are_data_error_naming_ensemble(section, key, value, match):
+    """Each section loads alone, but the members and the detector must be
+    what the ensemble's cfg makes."""
+    state = fixture()["sea-axis"]["ensemble"]
+    state[section][key] = value
+    with pytest.raises(DataError, match=match):
+        Ensemble.from_snapshot(state)
