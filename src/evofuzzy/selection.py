@@ -118,11 +118,14 @@ def conflict_output(sigma: np.ndarray):
 def consequent_output(models: Sequence[RuleClassifier], x, d2s, mask=None) -> np.ndarray:
     """Output of all rules of all models viewed as one flat consequent
     model; d2s holds each model's mahalanobis_sq of x, in model order."""
-    x_e = extended_input(x, mask)
+    return _output(models, firings(np.concatenate(d2s)), extended_input(x, mask))
+
+
+def _output(models: Sequence[RuleClassifier], lam: np.ndarray, x_e: np.ndarray) -> np.ndarray:
+    # accumulated rule by rule, in the flat order of the firings
     weights = (w for m in models for w in m.rules.weights)
     scores = np.zeros(models[0].n_classes)
-    # accumulated rule by rule, in the flat order of the firings
-    for f, w in zip(firings(np.concatenate(d2s)), weights):
+    for f, w in zip(lam, weights):
         scores += f * (x_e @ w)
     return scores
 
@@ -130,10 +133,11 @@ def consequent_output(models: Sequence[RuleClassifier], x, d2s, mask=None) -> np
 def consequent_gradients(models: Sequence[RuleClassifier], x, t_onehot, d2s, mask=None) -> list:
     """Gradient of E = 0.5 ||t - y||^2 for the flat model, lam_i
     outer(x_e, y - t) for rule i: one (R, u+1, O) array per model."""
-    y = consequent_output(models, x, d2s, mask)
-    g = np.outer(extended_input(x, mask), y - t_onehot)
+    lam = firings(np.concatenate(d2s))
+    x_e = extended_input(x, mask)
+    g = np.outer(x_e, _output(models, lam, x_e) - t_onehot)
     splits = np.cumsum([len(m.rules) for m in models])[:-1]
-    return [f[:, None, None] * g for f in np.split(firings(np.concatenate(d2s)), splits)]
+    return [f[:, None, None] * g for f in np.split(lam, splits)]
 
 
 def sgd_step(models: Sequence[RuleClassifier], x, t_onehot, d2s, mask=None) -> None:
