@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Write the five reference metrics files a refactor is compared on.
+"""Write the six reference metrics files a refactor is compared on.
 
     python3 scripts/reference_runs.py OUT_DIR
 
@@ -13,6 +13,8 @@ Runs, one after the other, on the package under this checkout's src/:
                          --drift-start 10000 --seed 3
     cv-mv.jsonl          the cv.jsonl run with --base multivariate --ofs-b 2,
                          multivariate rules under a feature mask
+    cv7.jsonl            the cv.jsonl run with --folds 7; its bins of
+                         2,858 and 2,857 samples end inside a chunk of 250
 
 The CSV lives in a temporary directory, so the working tree is left as
 it was.  Compare two OUT_DIRs with scripts/same_metrics.py A_DIR B_DIR.
@@ -47,6 +49,8 @@ def main(argv) -> int:
                           "--folds", "5", "--ofs-b", "2"]),
             ("cv-mv.jsonl", ["-m", "evofuzzy", "run", "--data", csv, "--mode", "cv",
                              "--folds", "5", "--base", "multivariate", "--ofs-b", "2"]),
+            ("cv7.jsonl", ["-m", "evofuzzy", "run", "--data", csv, "--mode", "cv",
+                           "--folds", "7", "--ofs-b", "2"]),
         ]
         for name, args in runs:
             cmd = [sys.executable, *map(str, args)]

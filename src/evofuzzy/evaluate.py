@@ -9,6 +9,7 @@ the model and the selectors must be identical before and after scoring.
 
 from __future__ import annotations
 
+import copy
 import itertools
 import json
 import time
@@ -18,7 +19,7 @@ from typing import Iterable, Optional
 
 import numpy as np
 
-from .core import ConfigError, DataError, StreamConfig, chunks
+from .core import ConfigError, DataChunk, DataError, StreamConfig, chunks
 from .ensemble import Ensemble
 from .selection import Selectors
 
@@ -103,38 +104,46 @@ def _located(where: str, ch, size: int) -> str:
     return f"{where} (samples {first}-{first + len(ch) - 1})"
 
 
-def _train_and_score(ens, sel, cfg, train, test, where: tuple):
+def _train_and_score(ens, sel, cfg, train, test, where: tuple, reports=None, fork_at=None):
     """Train on one block, then score another against the frozen model.
 
-    The test block is scored a chunk at a time, one score_sample call per
-    chunk, so no distance array grows past one chunk of rows.  where
-    names the (train, test) blocks in a DataError.  Returns (chunk
-    reports, correct test predictions, seconds of learning plus scoring).
-    Scoring must leave the digests of the learner and the selectors,
-    whose mask the scorer reads, unchanged.
+    Training resumes at chunk len(reports) of train's own chunk sequence,
+    so chunk indices and DataError texts are the whole block's; with
+    fork_at, a deep copy of (ens, sel, reports) is taken once that many
+    chunks are trained.  The test block is scored a chunk at a time,
+    one score_sample call per chunk, so no distance array grows past one
+    chunk of rows.  where names the (train, test) blocks in a DataError.
+    Returns (chunk reports, correct test predictions, seconds of learning
+    plus scoring, the copy or None).  Scoring must leave the digests of
+    the learner and the selectors, whose mask the scorer reads, unchanged.
     """
     train_where, test_where = where
+    size = cfg.chunk_size
+    reports = [] if reports is None else reports
+    fork = None
     t0 = time.perf_counter()
-    reports = []
-    for ch in chunks(train, cfg.chunk_size):
+    for i in range(len(reports), -(-len(train) // size)):
+        if i == fork_at:
+            fork = copy.deepcopy((ens, sel, reports))
+        ch = DataChunk(train[i * size:(i + 1) * size], i)
         try:
             reports.append(ens.train_chunk(ch, sel))
         except DataError as exc:
-            raise DataError(f"{_located(train_where, ch, cfg.chunk_size)}: {exc}") from None
+            raise DataError(f"{_located(train_where, ch, size)}: {exc}") from None
     seconds = time.perf_counter() - t0
     before = ens.snapshot_hash(), sel.digest()
     t0 = time.perf_counter()
     correct = 0
-    for ch in chunks(test, cfg.chunk_size):
+    for ch in chunks(test, size):
         try:
             _, cls = ens.score_sample([s.x for s in ch.samples], sel.mask)
         except DataError as exc:
-            raise DataError(f"{_located(test_where, ch, cfg.chunk_size)}: {exc}") from None
+            raise DataError(f"{_located(test_where, ch, size)}: {exc}") from None
         correct += int(np.count_nonzero(cls == np.array([s.label for s in ch.samples])))
     seconds += time.perf_counter() - t0
     if (ens.snapshot_hash(), sel.digest()) != before:
         raise RuntimeError(f"{test_where} mutated the model")
-    return reports, correct, seconds
+    return reports, correct, seconds, fork
 
 
 def _record(n: int, ens, sel, cfg, reports, cr: float, rt: float) -> dict:
@@ -199,7 +208,7 @@ def run_holdout(
     for stamp in range(protocol.stamps):
         train = _take(it, protocol.train_per_stamp, "train", stamp)
         test = _take(it, protocol.test_per_stamp, "test", stamp)
-        reports, correct, seconds = _train_and_score(
+        reports, correct, seconds, _ = _train_and_score(
             ens, sel, cfg, train, test,
             (f"train block of stamp {stamp}", f"test block of stamp {stamp}"),
         )
@@ -212,26 +221,35 @@ def run_cv(dataset, cfg: StreamConfig, folds: int = 10):
     """Contiguous-bin cross validation; returns (RunMetrics, last learner).
 
     Bin f is held out for testing while the remaining bins are streamed
-    in their original order into a fresh learner.
+    in their original order into a learner.  Folds f and f+1 train on the
+    same bins 0..f-1 first, in the same order, so fold f+1 starts from a
+    deep copy of fold f's learner, selectors and chunk reports, taken
+    once fold f has trained the whole chunks of those bins.  The learner
+    is deterministic, so every record equals that of a fresh learner per
+    fold, rt excepted: ts, drifts, merges and mask activations include
+    the shared chunks, and rt counts each of them once, in the fold that
+    trained it.  A k-fold run trains (k-1)(k+2)/2 bins instead of k(k-1).
     """
     if folds < 2:
         raise ConfigError(f"folds must be >= 2, got {folds}")
     samples = list(dataset)
     if len(samples) < folds:
         raise DataError(f"need at least {folds} samples for {folds} folds")
-    bins = np.array_split(np.arange(len(samples)), folds)
+    q, r = divmod(len(samples), folds)
+    edges = [f * q + min(f, r) for f in range(folds + 1)]  # np.array_split's bins
     series = []
     offered = 0
     rt = 0.0
     ens = None
+    fork = None
     for f in range(folds):
-        test_idx = set(bins[f].tolist())
-        train = [s for i, s in enumerate(samples) if i not in test_idx]
-        test = [samples[i] for i in bins[f]]
-        ens = Ensemble(cfg)
-        sel = Selectors(cfg)
-        reports, correct, seconds = _train_and_score(
-            ens, sel, cfg, train, test, (f"train bins of fold {f}", f"test bin {f}")
+        lo, hi = edges[f], edges[f + 1]
+        train = samples[:lo] + samples[hi:]
+        test = samples[lo:hi]
+        ens, sel, reports = fork or (Ensemble(cfg), Selectors(cfg), [])
+        reports, correct, seconds, fork = _train_and_score(
+            ens, sel, cfg, train, test, (f"train bins of fold {f}", f"test bin {f}"),
+            reports, lo // cfg.chunk_size if f + 1 < folds else None,
         )
         rt += seconds
         offered += len(train)

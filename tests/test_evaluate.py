@@ -9,6 +9,8 @@ from evofuzzy.datagen import HyperplaneConfig, SeaConfig, gen_hyperplane, gen_se
 from evofuzzy.ensemble import ChunkReport, Ensemble
 from evofuzzy.evaluate import (
     EvalProtocol,
+    _record,
+    _train_and_score,
     count_parameters,
     read_metrics,
     run_cv,
@@ -140,6 +142,70 @@ class TestRunCv:
         assert metrics.ts > 0
 
 
+def cv_fresh_per_fold(samples, cfg, folds):
+    """Cross validation with a fresh learner per fold, each trained on the
+    other bins in stream order: the records (rt 0) and the last learner."""
+    series = []
+    for f, held in enumerate(np.array_split(np.arange(len(samples)), folds)):
+        held = set(held.tolist())
+        train = [s for i, s in enumerate(samples) if i not in held]
+        test = [s for i, s in enumerate(samples) if i in held]
+        ens, sel = Ensemble(cfg), Selectors(cfg)
+        reports, correct, _, _ = _train_and_score(
+            ens, sel, cfg, train, test, (f"train bins of fold {f}", f"test bin {f}")
+        )
+        series.append(_record(f, ens, sel, cfg, reports, correct / len(test), 0.0))
+    return series, ens
+
+
+def without_rt(series):
+    return [{k: v for k, v in rec.items() if k != "rt"} for rec in series]
+
+
+class TestSharedPrefix:
+    """Fold f+1 starts from a copy of fold f's learner after their common
+    bins; that must give the records of a fresh learner per fold."""
+
+    @pytest.fixture(scope="class")
+    def stream(self):
+        return list(gen_hyperplane(HyperplaneConfig(n_total=1003, drift_start=500, seed=5)))
+
+    # (kind, ofs_b, folds, chunk size): ofs_b 4 is u, 2 is below it; with
+    # chunk 37 each fold from 2 on starts from a copy taken inside a chunk,
+    # and so does fold 2 with chunk 334 on 3 folds
+    @pytest.mark.parametrize("kind,ofs_b,folds,chunk", [
+        ("axis_parallel", 4, 2, 37),
+        ("axis_parallel", 2, 3, 334),
+        ("multivariate", 2, 5, 37),
+        ("multivariate", 4, 7, 37),
+    ])
+    def test_records_equal_a_fresh_learner_per_fold(self, stream, kind, ofs_b, folds, chunk):
+        cfg = StreamConfig(n_features=4, n_classes=2, chunk_size=chunk, base_kind=kind,
+                           ofs_b=ofs_b)
+        metrics, ens = run_cv(stream, cfg, folds=folds)
+        series, fresh = cv_fresh_per_fold(stream, cfg, folds)
+        assert without_rt(metrics.series) == without_rt(series)
+        assert ens.digest() == fresh.digest()
+
+    def test_five_folds_train_fourteen_bins(self, stream, monkeypatch):
+        # 1000 samples, 5 bins of 4 chunks of 50: (5-1)(5+2)/2 = 14 bins,
+        # 56 chunks, where a fresh learner per fold trains 20 bins, 80 chunks
+        calls = []
+        inner = Ensemble.train_chunk
+
+        def train_chunk(self, chunk, selectors):
+            calls.append(chunk.index)
+            return inner(self, chunk, selectors)
+
+        monkeypatch.setattr(Ensemble, "train_chunk", train_chunk)
+        run_cv(stream[:1000], small_cfg(n_features=4, chunk_size=50), folds=5)
+        assert len(calls) == 56
+        # fold f >= 2 resumes at chunk 4(f-1), the first it does not share
+        breaks = [k + 1 for k in range(len(calls) - 1) if calls[k + 1] != calls[k] + 1]
+        assert [calls[k] for k in [0] + breaks] == [0, 0, 4, 8, 12]
+        assert [calls[k - 1] for k in breaks + [len(calls)]] == [15] * 5
+
+
 class TestCountParameters:
     def test_axis_parallel_rule_count(self):
         cfg = StreamConfig(n_features=2, n_classes=2, chunk_size=10)
@@ -260,18 +326,21 @@ MUTATIONS = {
 class TestPurity:
     @pytest.fixture(params=sorted(MUTATIONS))
     def mutating_scorer(self, request, monkeypatch):
-        """score_sample mutates one piece of state on its first call."""
+        """score_sample mutates one piece of state on its first call, or,
+        once a test sets trigger["row"], on its first call whose first row
+        equals that one."""
         mutate = MUTATIONS[request.param]
         inner = Ensemble.score_sample
-        done = []
+        trigger = {"row": None, "done": False}
 
         def score_sample(self, x, mask=None):
-            if not done:
+            if not trigger["done"] and (trigger["row"] is None or np.array_equal(x[0], trigger["row"])):
+                trigger["done"] = True
                 mutate(self, mask)
-            done.append(True)
             return inner(self, x, mask)
 
         monkeypatch.setattr(Ensemble, "score_sample", score_sample)
+        return trigger
 
     def test_mutating_scorer_fails_holdout(self, mutating_scorer):
         proto = EvalProtocol(mode="holdout", train_per_stamp=300, test_per_stamp=100, stamps=3)
@@ -282,6 +351,15 @@ class TestPurity:
     def test_mutating_scorer_fails_cv(self, mutating_scorer):
         samples = list(gen_hyperplane(HyperplaneConfig(n_total=1000, drift_start=500, seed=1)))
         with pytest.raises(RuntimeError, match="test bin 0 mutated the model"):
+            run_cv(samples, small_cfg(n_features=4, ofs_b=2), folds=3)
+
+    def test_mutating_scorer_fails_a_forked_fold(self, mutating_scorer):
+        # bins of 334, 333 and 333: fold 2 is the first that starts from a
+        # copy of a trained learner, fold 1's after bin 0; its test bin
+        # starts at sample 667
+        samples = list(gen_hyperplane(HyperplaneConfig(n_total=1000, drift_start=500, seed=1)))
+        mutating_scorer["row"] = samples[667].x
+        with pytest.raises(RuntimeError, match="test bin 2 mutated the model"):
             run_cv(samples, small_cfg(n_features=4, ofs_b=2), folds=3)
 
     def test_test_blocks_leave_model_untouched(self):
