@@ -13,13 +13,19 @@ Runs, one after the other, on the package under this checkout's src/:
                          --drift-start 10000 --seed 3
     cv-mv.jsonl          the cv.jsonl run with --base multivariate --ofs-b 2,
                          multivariate rules under a feature mask
-    cv7.jsonl            the cv.jsonl run with --folds 7; its bins of
-                         2,858 and 2,857 samples end inside a chunk of 250
+    cv7.jsonl            evofuzzy run --data h.csv --config cv7.json, where
+                         cv7.json holds {"mode": "cv", "folds": 7,
+                         "ofs_b": 2}: the cv.jsonl run with --folds 7,
+                         its settings read through the config-file path;
+                         its bins of 2,858 and 2,857 samples end inside a
+                         chunk of 250
 
-The CSV lives in a temporary directory, so the working tree is left as
-it was.  Compare two OUT_DIRs with scripts/same_metrics.py A_DIR B_DIR.
+The CSV and the config file live in a temporary directory, so the
+working tree is left as it was.  Compare two OUT_DIRs with
+scripts/same_metrics.py A_DIR B_DIR.
 """
 
+import json
 import os
 import subprocess
 import sys
@@ -39,6 +45,8 @@ def main(argv) -> int:
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     with tempfile.TemporaryDirectory() as tmp:
         csv = Path(tmp) / "h.csv"
+        cv7 = Path(tmp) / "cv7.json"
+        cv7.write_text(json.dumps({"mode": "cv", "folds": 7, "ofs_b": 2}))
         runs = [  # (metrics file or None, arguments to the interpreter)
             ("sea.jsonl", [SCRIPTS / "run_sea.py"]),
             ("hyperplane.jsonl", [SCRIPTS / "run_hyperplane.py"]),
@@ -49,8 +57,7 @@ def main(argv) -> int:
                           "--folds", "5", "--ofs-b", "2"]),
             ("cv-mv.jsonl", ["-m", "evofuzzy", "run", "--data", csv, "--mode", "cv",
                              "--folds", "5", "--base", "multivariate", "--ofs-b", "2"]),
-            ("cv7.jsonl", ["-m", "evofuzzy", "run", "--data", csv, "--mode", "cv",
-                           "--folds", "7", "--ofs-b", "2"]),
+            ("cv7.jsonl", ["-m", "evofuzzy", "run", "--data", csv, "--config", cv7]),
         ]
         for name, args in runs:
             cmd = [sys.executable, *map(str, args)]

@@ -1,7 +1,9 @@
 """Command-line interface: generate streams, run experiments, report.
 
 Exit codes: 0 success, 2 configuration error, 3 data error.  A JSON
-config file can prefill any flag of ``run``; explicit flags win.
+config file holds run flags by dest, "ofs_b": 2 for --ofs-b 2; its
+entries are parsed as flags ahead of the command line's, so explicit
+flags win.
 """
 
 from __future__ import annotations
@@ -24,6 +26,20 @@ from .evaluate import EvalProtocol, read_metrics, run_cv, run_holdout, write_met
 
 _BASE_KINDS = {"axis": "axis_parallel", "multivariate": "multivariate"}
 
+# the config and generator of each stream kind, and the flags that set a
+# config field, by dest: the shared ones, then the kind's own gen flags
+_STREAM_FLAGS = {"n": "n_total", "noise": "noise_frac", "seed": "seed"}
+_GENERATORS = {
+    "sea": (SeaConfig, gen_sea, {"thresholds": "thresholds", "minority": "minority_frac"}),
+    "hyperplane": (HyperplaneConfig, gen_hyperplane,
+                   {"d": "n_features", "drift_start": "drift_start"}),
+}
+
+
+def thresholds(text: str) -> tuple:
+    """A comma-separated threshold schedule, such as 4,7,4,7."""
+    return tuple(float(v) for v in text.split(","))
+
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -33,49 +49,43 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     gen = sub.add_parser("gen", help="generate a synthetic stream as CSV")
-    gen.add_argument("kind", choices=["sea", "hyperplane"])
-    gen.add_argument("--n", type=int, default=None, help="total samples")
-    gen.add_argument("--seed", type=int, default=0)
-    gen.add_argument("--noise", type=float, default=0.0, help="label flip fraction")
+    gen.add_argument("kind", choices=sorted(_GENERATORS))
+    gen.add_argument("--n", type=int, help="total samples")
+    gen.add_argument("--seed", type=int)
+    gen.add_argument("--noise", type=float, help="label flip fraction")
     gen.add_argument("--out", default=None, help="output CSV (default stdout)")
-    gen.add_argument("--thresholds", default="4,7,4,7", help="sea threshold schedule")
-    gen.add_argument("--minority", type=float, default=0.25, help="sea minority share")
-    gen.add_argument("--d", type=int, default=4, help="hyperplane dimensions")
-    gen.add_argument("--drift-start", type=int, default=40_000)
+    gen.add_argument("--thresholds", type=thresholds, help="sea threshold schedule")
+    gen.add_argument("--minority", type=float, help="sea minority share")
+    gen.add_argument("--d", type=int, help="hyperplane dimensions")
+    gen.add_argument("--drift-start", type=int)
 
     run = sub.add_parser("run", help="run an experiment")
     src = run.add_mutually_exclusive_group(required=True)
     src.add_argument("--data", help="CSV stream file")
-    src.add_argument("--gen", dest="gen", choices=["sea", "hyperplane"])
+    src.add_argument("--gen", dest="gen", choices=sorted(_GENERATORS))
     run.add_argument("--n", type=int, default=None, help="generated stream length")
-    run.add_argument("--mode", choices=["holdout", "cv"], default="holdout")
+    run.add_argument("--mode", choices=["holdout", "cv"], default=EvalProtocol.mode)
     run.add_argument("--folds", type=int, default=10)
     run.add_argument("--chunk", type=int, default=None, help="chunk size (default: train block)")
-    run.add_argument("--stamps", type=int, default=200)
-    run.add_argument("--train", type=int, default=250)
-    run.add_argument("--test", type=int, default=250)
-    run.add_argument("--base", choices=sorted(_BASE_KINDS), default="axis")
-    run.add_argument("--theta", type=float, default=0.7)
-    al = run.add_mutually_exclusive_group()
-    al.add_argument(
-        "--al-conjunction",
-        dest="al_conjunction",
-        action="store_true",
-        default=True,
-        help="require conflict in both spaces to accept (default)",
+    run.add_argument("--stamps", type=int, default=EvalProtocol.stamps)
+    run.add_argument("--train", type=int, default=EvalProtocol.train_per_stamp)
+    run.add_argument("--test", type=int, default=EvalProtocol.test_per_stamp)
+    run.add_argument(
+        "--base", choices=sorted(_BASE_KINDS),
+        default={v: k for k, v in _BASE_KINDS.items()}[StreamConfig.base_kind],
     )
-    al.add_argument(
-        "--al-disjunction",
-        dest="al_conjunction",
-        action="store_false",
-        help="accept on conflict in either space (ablation)",
-    )
-    run.add_argument("--delta-rel", type=float, default=0.02)
-    run.add_argument("--alpha-warn", type=float, default=0.005)
-    run.add_argument("--alpha-drift", type=float, default=0.001)
-    run.add_argument("--p", type=float, default=0.5, help="penalty/reward factor")
-    run.add_argument("--ofs-b", type=int, default=None, help="active feature budget")
-    run.add_argument("--seed", type=int, default=0)
+    run.add_argument("--theta", type=float, default=StreamConfig.theta)
+    run.add_argument("--al-conjunction", dest="al_conjunction", action="store_true",
+                     default=StreamConfig.al_conjunction,
+                     help="require conflict in both spaces to accept (default)")
+    run.add_argument("--al-disjunction", dest="al_conjunction", action="store_false",
+                     help="accept on conflict in either space (ablation)")
+    run.add_argument("--delta-rel", type=float, default=StreamConfig.delta_rel)
+    run.add_argument("--alpha-warn", type=float, default=StreamConfig.alpha_warn)
+    run.add_argument("--alpha-drift", type=float, default=StreamConfig.alpha_drift)
+    run.add_argument("--p", type=float, default=StreamConfig.penalty, help="penalty/reward factor")
+    run.add_argument("--ofs-b", type=int, default=StreamConfig.ofs_b, help="active feature budget")
+    run.add_argument("--seed", type=int, default=StreamConfig.seed)
     run.add_argument("--metrics", default=None, help="metrics output file")
     run.add_argument("--config", default=None, help="JSON config file (flags override)")
 
@@ -85,50 +95,49 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _apply_config_file(parser, argv):
-    """Load --config defaults before the real parse; flags still override."""
+def _config_flags(parser, argv) -> list:
+    """The run flags that the --config file in argv stands for, [] without one.
+
+    Each key is a run flag's dest and stands for that flag with its value:
+    "ofs_b": 2 for --ofs-b=2, "al_conjunction": false for --al-disjunction;
+    null leaves the key out.
+    """
     probe = argparse.ArgumentParser(add_help=False)
     probe.add_argument("--config", default=None)
-    known, _ = probe.parse_known_args(argv)
-    if not known.config:
-        return
+    path = probe.parse_known_args(argv)[0].config
+    if not path:
+        return []
     try:
-        with open(known.config) as fh:
-            cfg = json.load(fh)
+        with open(path) as fh:
+            entries = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
-        raise ConfigError(f"cannot read config file {known.config}: {exc}")
-    if not isinstance(cfg, dict):
+        raise ConfigError(f"cannot read config file {path}: {exc}")
+    if not isinstance(entries, dict):
         raise ConfigError("config file must hold a JSON object")
-    run_parser = None
-    for action in parser._subparsers._group_actions:
-        run_parser = action.choices.get("run")
-    valid = {a.dest for a in run_parser._actions}
-    unknown = set(cfg) - valid
+    # every run dest, read off the shortest run command line
+    keys = set(vars(parser.parse_args(["run", "--gen", "sea"]))) - {"command", "config"}
+    unknown = set(entries) - keys
     if unknown:
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-    run_parser.set_defaults(**cfg)
+    flags = []
+    for key, value in entries.items():
+        if key == "al_conjunction" and isinstance(value, bool):
+            flags.append("--al-conjunction" if value else "--al-disjunction")
+        elif value is not None:
+            flags.append(f"--{key.replace('_', '-')}={value}")
+    return flags
+
+
+def _generated(kind: str, args):
+    """(stream, config) of a generator, the config set by the flags given only."""
+    cls, gen, own = _GENERATORS[kind]
+    given = {field: getattr(args, flag, None) for flag, field in {**_STREAM_FLAGS, **own}.items()}
+    cfg = cls(**{field: v for field, v in given.items() if v is not None})
+    return gen(cfg), cfg
 
 
 def _cmd_gen(args) -> int:
-    if args.kind == "sea":
-        thresholds = tuple(float(v) for v in str(args.thresholds).split(","))
-        cfg = SeaConfig(
-            n_total=args.n if args.n is not None else 100_000,
-            thresholds=thresholds,
-            minority_frac=args.minority,
-            noise_frac=args.noise,
-            seed=args.seed,
-        )
-        stream = gen_sea(cfg)
-    else:
-        cfg = HyperplaneConfig(
-            n_total=args.n if args.n is not None else 120_000,
-            n_features=args.d,
-            drift_start=args.drift_start,
-            noise_frac=args.noise,
-            seed=args.seed,
-        )
-        stream = gen_hyperplane(cfg)
+    stream, _ = _generated(args.kind, args)
     if args.out:
         n = write_csv(stream, args.out)
         print(f"wrote {n} samples to {args.out}")
@@ -142,24 +151,17 @@ def _make_stream(args):
     if args.data:
         u, o = csv_dims(args.data)
         return load_csv(args.data, n_classes=o), u, o
-    if args.gen == "sea":
-        cfg = SeaConfig(
-            n_total=args.n if args.n is not None else 100_000, seed=args.seed
-        )
-        return gen_sea(cfg), cfg.n_features, 2
-    cfg = HyperplaneConfig(
-        n_total=args.n if args.n is not None else 120_000, seed=args.seed
-    )
-    return gen_hyperplane(cfg), cfg.n_features, 2
+    stream, cfg = _generated(args.gen, args)
+    return stream, cfg.n_features, 2
 
 
 def _cmd_run(args) -> int:
+    protocol = EvalProtocol(args.mode, args.train, args.test, args.stamps)
     stream, u, o = _make_stream(args)
-    chunk = args.chunk if args.chunk is not None else args.train
     cfg = StreamConfig(
         n_features=u,
         n_classes=o,
-        chunk_size=chunk,
+        chunk_size=args.chunk if args.chunk is not None else args.train,
         theta=args.theta,
         delta_rel=args.delta_rel,
         alpha_warn=args.alpha_warn,
@@ -170,13 +172,7 @@ def _cmd_run(args) -> int:
         base_kind=_BASE_KINDS[args.base],
         al_conjunction=args.al_conjunction,
     )
-    if args.mode == "holdout":
-        protocol = EvalProtocol(
-            mode="holdout",
-            train_per_stamp=args.train,
-            test_per_stamp=args.test,
-            stamps=args.stamps,
-        )
+    if protocol.mode == "holdout":
         metrics, _ = run_holdout(stream, cfg, protocol)
     else:
         metrics, _ = run_cv(stream, cfg, folds=args.folds)
@@ -212,9 +208,11 @@ def _cmd_report(args) -> int:
 
 
 def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else list(argv)
     parser = build_parser()
     try:
-        _apply_config_file(parser, argv if argv is not None else sys.argv[1:])
+        if argv[:1] == ["run"]:
+            argv = ["run", *_config_flags(parser, argv[1:]), *argv[1:]]
         args = parser.parse_args(argv)
         if args.command == "gen":
             return _cmd_gen(args)

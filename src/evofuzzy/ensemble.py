@@ -243,8 +243,6 @@ class ChunkReport:
     drifts: int = 0
     warnings: int = 0
     merges: int = 0
-    members: int = 0
-    rules: int = 0
     theta_start: float = 0.0
     theta_end: float = 0.0
     mask: list = field(default_factory=list)
@@ -275,7 +273,7 @@ class Ensemble(State):
     FIELDS = (
         Field("cfg", StreamConfig), Field("age_min", int),
         Field("standardizer", RunningStandardizer), Field("detector", DriftDetector),
-        Field("chunk_index", int), Field("next_uid", int), Field("members", [EnsembleMember]),
+        Field("next_uid", int), Field("members", [EnsembleMember]),
     )
     SECTION = "ensemble"
 
@@ -290,7 +288,6 @@ class Ensemble(State):
         self.standardizer = RunningStandardizer(cfg.n_features)
         # the rule age_min of every member this ensemble creates
         self.age_min = 2 * cfg.chunk_size
-        self.chunk_index = 0
         self.next_uid = 0
 
     def _complete(self) -> None:
@@ -525,14 +522,11 @@ class Ensemble(State):
                 ):
                     m.bootstrapping = False
         rep.merges = len(self.merge_check(mci))
-        rep.members = len(self.members)
-        rep.rules = self.total_rules
         rep.theta_end = selectors.al.theta
         rep.mask = [int(v) for v in selectors.mask_active]
         rep.mask_activations = [int(v) for v in activations]
         rep.feature_scores = [float(v) for v in selectors.mask_scores]
         rep.betas = [m.beta for m in self.members]
-        self.chunk_index += 1
         return rep
 
     def snapshot_hash(self) -> str:

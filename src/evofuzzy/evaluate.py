@@ -33,11 +33,11 @@ class EvalProtocol:
 
     def __post_init__(self):
         if self.mode not in ("holdout", "cv"):
-            raise DataError("mode must be holdout or cv")
+            raise ConfigError("mode must be holdout or cv")
         if self.mode == "holdout" and (
             self.train_per_stamp < 1 or self.test_per_stamp < 1 or self.stamps < 1
         ):
-            raise DataError("holdout needs positive stamps and block sizes")
+            raise ConfigError("holdout needs positive stamps and block sizes")
 
 
 @dataclass
@@ -198,11 +198,21 @@ def run_holdout(
     """Alternating train/test blocks; returns (RunMetrics, learner).
 
     Each sample is consumed at most once.  Test blocks use frozen
-    statistics and perform no learning or selection updates.
+    statistics and perform no learning or selection updates.  A learner
+    or selectors passed in, say restored from snapshots, must have been
+    built from cfg: a ConfigError names the first setting that differs.
     """
     it = iter(stream)
     ens = learner if learner is not None else Ensemble(cfg)
     sel = selectors if selectors is not None else Selectors(cfg)
+    built = [(f"learner {f.key}", getattr(ens.cfg, f.key), getattr(cfg, f.key))
+             for f in StreamConfig.FIELDS]
+    built += [("selectors n_features", sel.n_features, cfg.n_features),
+              ("selectors ofs_b", sel.ofs_b, cfg.ofs_b),
+              ("selectors conjunction", sel.conjunction, cfg.al_conjunction)]
+    for name, have, want in built:
+        if have != want:
+            raise ConfigError(f"{name} is {have!r}, but cfg has {want!r}")
     series = []
     rt = 0.0
     for stamp in range(protocol.stamps):

@@ -36,22 +36,17 @@ class ActiveLearnState(State):
     it by (1 + THETA_STEP); both are clamped to [THETA_MIN, THETA_MAX].
     """
 
-    FIELDS = (Field("theta", float, lo=THETA_MIN, hi=THETA_MAX),
-              Field("accepted", int), Field("seen", int))
+    FIELDS = (Field("theta", float, lo=THETA_MIN, hi=THETA_MAX),)
     SECTION = "al"
 
     def __init__(self, theta: float = 0.7):
         if not THETA_MIN <= theta <= THETA_MAX:
             raise ValueError("theta must lie within its clamp bounds")
         self.theta = theta
-        self.accepted = 0
-        self.seen = 0
 
     def decide(self, p_input: float, p_output: float, conjunction: bool) -> bool:
         take = accepts(self.theta, p_input, p_output, conjunction)
-        self.seen += 1
         if take:
-            self.accepted += 1
             self.theta = max(self.theta * (1.0 - THETA_STEP), THETA_MIN)
         else:
             self.theta = min(self.theta * (1.0 + THETA_STEP), THETA_MAX)

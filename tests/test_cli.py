@@ -31,6 +31,12 @@ class TestGen:
         assert code == 0
         assert csv_dims(out) == (5, 2)
 
+    def test_thresholds_that_are_not_numbers_exit_2(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run_cli("gen", "sea", "--n", "10", "--thresholds", "4,x")
+        assert exc.value.code == 2
+        assert "argument --thresholds: invalid thresholds value: '4,x'" in capsys.readouterr().err
+
     def test_stdout_default(self, capsys):
         assert run_cli("gen", "sea", "--n", "3") == 0
         lines = capsys.readouterr().out.strip().splitlines()
@@ -88,6 +94,11 @@ class TestRun:
         code = run_cli("run", "--gen", "sea", "--n", "2000", "--mode", "cv", "--folds", folds)
         assert code == 2
         assert f"folds must be >= 2, got {folds}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag", ["--stamps", "--train"])
+    def test_nonpositive_holdout_size_is_config_error(self, capsys, flag):
+        assert run_cli("run", "--gen", "sea", "--n", "1000", flag, "0") == 2
+        assert "holdout needs positive stamps and block sizes" in capsys.readouterr().err
 
     def test_data_error_exit_code(self, tmp_path):
         assert run_cli("run", "--data", str(tmp_path / "missing.csv")) == 3
@@ -179,6 +190,87 @@ class TestRun:
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"bogus_knob": 1}))
         assert run_cli("run", "--gen", "sea", "--config", str(cfg)) == 2
+
+
+def run_records(*args) -> list:
+    """The chunk records of a CLI run, rt left out; the last arg is the
+    metrics path."""
+    assert run_cli(*args) == 0
+    records, _ = read_metrics(args[-1])
+    return [{k: v for k, v in rec.items() if k != "rt"} for rec in records]
+
+
+class TestConfigFile:
+    """A config file's entries are parsed as the run flags they name,
+    ahead of the command line's own flags."""
+
+    @pytest.fixture
+    def csv(self, tmp_path):
+        path = tmp_path / "h.csv"
+        run_cli("gen", "hyperplane", "--n", "1200", "--drift-start", "600", "--seed", "3",
+                "--out", str(path))
+        return path
+
+    def test_settings_from_a_file_equal_the_same_flags(self, tmp_path, csv):
+        settings = {
+            "mode": "cv", "folds": 3, "chunk": 100, "base": "multivariate", "theta": 0.8,
+            "delta_rel": 0.05, "alpha_warn": 0.01, "alpha_drift": 0.002, "p": 0.4,
+            "ofs_b": 2, "seed": 3, "al_conjunction": False,
+        }
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(settings))
+        from_file = run_records("run", "--data", str(csv), "--config", str(cfg),
+                                "--metrics", str(tmp_path / "a.jsonl"))
+        flags = [
+            "--mode", "cv", "--folds", "3", "--chunk", "100", "--base", "multivariate",
+            "--theta", "0.8", "--delta-rel", "0.05", "--alpha-warn", "0.01",
+            "--alpha-drift", "0.002", "--p", "0.4", "--ofs-b", "2", "--seed", "3",
+            "--al-disjunction",
+        ]
+        from_flags = run_records("run", "--data", str(csv), *flags,
+                                 "--metrics", str(tmp_path / "b.jsonl"))
+        assert len(from_file) == 3
+        assert from_file == from_flags
+        default = run_records("run", "--data", str(csv), "--mode", "cv", "--folds", "3",
+                              "--chunk", "100", "--metrics", str(tmp_path / "c.jsonl"))
+        assert default != from_flags
+
+    def test_flags_beat_the_file_and_null_leaves_the_default(self, tmp_path, csv):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"al_conjunction": False, "theta": None, "ofs_b": None}))
+        args = ("run", "--data", str(csv), "--stamps", "2", "--train", "200", "--test", "100")
+        from_file = run_records(*args, "--config", str(cfg), "--al-conjunction",
+                                "--metrics", str(tmp_path / "a.jsonl"))
+        assert from_file == run_records(*args, "--metrics", str(tmp_path / "b.jsonl"))
+
+    @pytest.mark.parametrize("entries, message", [
+        ({"mode": "holdot"}, "argument --mode: invalid choice: 'holdot'"),
+        ({"base": "multi"}, "argument --base: invalid choice: 'multi'"),
+        ({"theta": [0.8]}, "argument --theta: invalid float value: '[0.8]'"),
+        ({"ofs_b": 2.5}, "argument --ofs-b: invalid int value: '2.5'"),
+        ({"al_conjunction": "no"}, "argument --al-conjunction: ignored explicit argument 'no'"),
+    ], ids=["mode", "base", "theta", "ofs_b", "al_conjunction"])
+    def test_bad_value_exits_2_as_the_flag_would(self, tmp_path, capsys, entries, message):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(entries))
+        with pytest.raises(SystemExit) as exc:
+            run_cli("run", "--gen", "sea", "--n", "600", "--stamps", "1", "--train", "200",
+                    "--test", "100", "--config", str(cfg))
+        assert exc.value.code == 2
+        assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("in_file, on_line", [("data", "gen"), ("gen", "data")])
+    def test_source_in_the_file_conflicts_with_the_other_on_the_command_line(
+        self, tmp_path, capsys, csv, in_file, on_line
+    ):
+        source = {"data": str(csv), "gen": "sea"}
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({in_file: source[in_file]}))
+        with pytest.raises(SystemExit) as exc:
+            run_cli("run", f"--{on_line}", source[on_line], "--n", "600", "--stamps", "1",
+                    "--train", "200", "--test", "100", "--config", str(cfg))
+        assert exc.value.code == 2
+        assert "not allowed with argument" in capsys.readouterr().err
 
 
 class TestReport:

@@ -4,7 +4,7 @@ import json
 import numpy as np
 import pytest
 
-from evofuzzy.core import DataError, Sample, StreamConfig
+from evofuzzy.core import ConfigError, DataError, Sample, StreamConfig
 from evofuzzy.datagen import HyperplaneConfig, SeaConfig, gen_hyperplane, gen_sea
 from evofuzzy.ensemble import ChunkReport, Ensemble
 from evofuzzy.evaluate import (
@@ -37,16 +37,16 @@ class CountingStream:
 
 
 class ConstantLearner:
-    """Duck-typed learner that always predicts one class and never learns."""
+    """Duck-typed learner that always predicts one class and never learns;
+    cfg is the StreamConfig it runs with."""
 
-    def __init__(self, cls=1):
+    def __init__(self, cfg, cls=1):
+        self.cfg = cfg
         self.cls = cls
         self.members = []
         self.total_rules = 0
-        self.chunk_index = 0
 
     def train_chunk(self, chunk, selectors):
-        self.chunk_index += 1
         return ChunkReport(index=chunk.index, seen=len(chunk))
 
     def score_sample(self, x, mask=None):
@@ -81,9 +81,8 @@ class TestRunHoldout:
             for _ in range(10):
                 samples.append(Sample(np.zeros(3), label))
         proto = EvalProtocol(mode="holdout", train_per_stamp=100, test_per_stamp=100, stamps=2)
-        metrics, _ = run_holdout(
-            samples, small_cfg(chunk_size=100), proto, learner=ConstantLearner(cls=1)
-        )
+        cfg = small_cfg(chunk_size=100)
+        metrics, _ = run_holdout(samples, cfg, proto, learner=ConstantLearner(cfg, cls=1))
         assert metrics.cr == pytest.approx(0.5)
 
     def test_exhausted_stream_names_the_stamp(self):
@@ -102,6 +101,39 @@ class TestRunHoldout:
                 assert key in rec
         assert metrics.offered == 600
         assert 0 <= metrics.accepted_frac <= 1
+
+    @pytest.mark.parametrize("learner_kw, selectors_kw, match", [
+        (dict(chunk_size=100), {}, r"^learner chunk_size is 100, but cfg has 250$"),
+        ({}, dict(ofs_b=2), r"^selectors ofs_b is 2, but cfg has 3$"),
+        ({}, dict(al_conjunction=False), r"^selectors conjunction is False, but cfg has True$"),
+        (dict(theta=0.8), dict(ofs_b=2), r"^learner theta is 0\.8, but cfg has 0\.7$"),
+    ], ids=["learner-chunk", "selectors-ofs_b", "selectors-conjunction", "learner-first"])
+    def test_learner_and_selectors_not_built_from_cfg_are_config_error(
+        self, learner_kw, selectors_kw, match
+    ):
+        cfg = small_cfg(chunk_size=250)
+        proto = EvalProtocol(mode="holdout", train_per_stamp=250, test_per_stamp=250, stamps=2)
+        stream = CountingStream(gen_sea(SeaConfig(n_total=1000, seed=0)))
+        learner = Ensemble(small_cfg(**{"chunk_size": 250, **learner_kw}))
+        selectors = Selectors(small_cfg(**{"chunk_size": 250, **selectors_kw}))
+        with pytest.raises(ConfigError, match=match):
+            run_holdout(stream, cfg, proto, learner=learner, selectors=selectors)
+        assert stream.pulled == 0
+
+
+class TestEvalProtocol:
+    @pytest.mark.parametrize("kw, match", [
+        (dict(mode="holdot"), "mode must be holdout or cv"),
+        (dict(stamps=0), "holdout needs positive stamps and block sizes"),
+        (dict(train_per_stamp=0), "holdout needs positive stamps and block sizes"),
+        (dict(test_per_stamp=-1), "holdout needs positive stamps and block sizes"),
+    ])
+    def test_bad_setting_is_config_error(self, kw, match):
+        with pytest.raises(ConfigError, match=match):
+            EvalProtocol(**kw)
+
+    def test_cv_ignores_the_block_sizes(self):
+        assert EvalProtocol(mode="cv", stamps=0).mode == "cv"
 
 
 class TestRunCv:

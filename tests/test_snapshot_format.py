@@ -180,6 +180,24 @@ def test_load_hole_is_data_error_naming_section_and_field(edit, match):
 
 
 
+@pytest.mark.parametrize("path, dropped", [
+    (("ensemble",), "chunk_index"),
+    (("selectors", "al"), "accepted"),
+    (("selectors", "al"), "seen"),
+])
+def test_dropped_key_is_data_error_naming_it(path, dropped):
+    """Ensemble.chunk_index and the active-learning counts accepted and
+    seen left the format; a snapshot that still holds one fails."""
+    state = fixture()["sea-axis"]
+    node = state
+    for key in path:
+        node = node[key]
+    node[dropped] = 12
+    cls = Ensemble if path[0] == "ensemble" else Selectors
+    with pytest.raises(DataError, match=f"^snapshot section '{path[-1]}' has unknown keys: {dropped}$"):
+        cls.from_snapshot(state[path[0]])
+
+
 @pytest.mark.parametrize("section, key, value, match", [
     ("cfg", "base_kind", "multivariate",
      r"'ensemble': member 0 has kind 'axis_parallel', but cfg base_kind 'multivariate'$"),
