@@ -8,7 +8,8 @@ Exits 0 when every record matches; otherwise prints the first record
 that differs and exits 1.  rt is wall-clock time, so it is the one field
 that differs between otherwise identical runs.  Given two directories,
 compares each *.jsonl in A_DIR with the file of the same name in B_DIR
-and exits 1 if any of them differs or is missing from B_DIR.
+and exits 1 if any of them differs, if the two do not hold the same
+*.jsonl names, or if they hold none.
 """
 
 import json
@@ -44,13 +45,20 @@ def main(argv) -> int:
     a, b = map(Path, argv)
     if not a.is_dir():
         return 0 if same_file(a, b) else 1
+    names_a = {p.name for p in a.glob("*.jsonl")}
+    if not names_a:
+        print(f"{a}: no *.jsonl files to compare")
+        return 1
     ok = True
-    for path_a in sorted(a.glob("*.jsonl")):
-        path_b = b / path_a.name
+    for name in sorted(names_a | {p.name for p in b.glob("*.jsonl")}):
+        path_a, path_b = a / name, b / name
         if not path_b.is_file():
             print(f"{path_b}: missing")
             ok = False
-        elif not same_file(path_a, path_b, f"{path_a.name}: "):
+        elif not path_a.is_file():
+            print(f"{path_b}: not in {a}")
+            ok = False
+        elif not same_file(path_a, path_b, f"{name}: "):
             ok = False
     return 0 if ok else 1
 

@@ -74,16 +74,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--base", choices=sorted(_BASE_KINDS),
         default={v: k for k, v in _BASE_KINDS.items()}[StreamConfig.base_kind],
     )
-    run.add_argument("--theta", type=float, default=StreamConfig.theta)
-    run.add_argument("--al-conjunction", dest="al_conjunction", action="store_true",
-                     default=StreamConfig.al_conjunction,
-                     help="require conflict in both spaces to accept (default)")
-    run.add_argument("--al-disjunction", dest="al_conjunction", action="store_false",
-                     help="accept on conflict in either space (ablation)")
     run.add_argument("--delta-rel", type=float, default=StreamConfig.delta_rel)
-    run.add_argument("--alpha-warn", type=float, default=StreamConfig.alpha_warn)
-    run.add_argument("--alpha-drift", type=float, default=StreamConfig.alpha_drift)
-    run.add_argument("--p", type=float, default=StreamConfig.penalty, help="penalty/reward factor")
     run.add_argument("--ofs-b", type=int, default=StreamConfig.ofs_b, help="active feature budget")
     run.add_argument("--seed", type=int, default=StreamConfig.seed)
     run.add_argument("--metrics", default=None, help="metrics output file")
@@ -98,9 +89,8 @@ def build_parser() -> argparse.ArgumentParser:
 def _config_flags(parser, argv) -> list:
     """The run flags that the --config file in argv stands for, [] without one.
 
-    Each key is a run flag's dest and stands for that flag with its value:
-    "ofs_b": 2 for --ofs-b=2, "al_conjunction": false for --al-disjunction;
-    null leaves the key out.
+    Each key is a run flag's dest and stands for that flag with its value,
+    "ofs_b": 2 for --ofs-b=2; null leaves the key out.
     """
     probe = argparse.ArgumentParser(add_help=False)
     probe.add_argument("--config", default=None)
@@ -119,18 +109,18 @@ def _config_flags(parser, argv) -> list:
     unknown = set(entries) - keys
     if unknown:
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-    flags = []
-    for key, value in entries.items():
-        if key == "al_conjunction" and isinstance(value, bool):
-            flags.append("--al-conjunction" if value else "--al-disjunction")
-        elif value is not None:
-            flags.append(f"--{key.replace('_', '-')}={value}")
-    return flags
+    return [f"--{key.replace('_', '-')}={value}" for key, value in entries.items()
+            if value is not None]
 
 
 def _generated(kind: str, args):
-    """(stream, config) of a generator, the config set by the flags given only."""
+    """(stream, config) of a generator, the config set by the flags given
+    only; a given flag of another stream kind is a ConfigError."""
     cls, gen, own = _GENERATORS[kind]
+    foreign = [f"--{flag.replace('_', '-')}" for other, (_, _, flags) in _GENERATORS.items()
+               if other != kind for flag in flags if getattr(args, flag, None) is not None]
+    if foreign:
+        raise ConfigError(f"{kind} streams take no {', '.join(foreign)}")
     given = {field: getattr(args, flag, None) for flag, field in {**_STREAM_FLAGS, **own}.items()}
     cfg = cls(**{field: v for field, v in given.items() if v is not None})
     return gen(cfg), cfg
@@ -149,6 +139,8 @@ def _cmd_gen(args) -> int:
 def _make_stream(args):
     """Returns (sample iterable, n_features, n_classes)."""
     if args.data:
+        if args.n is not None:
+            raise ConfigError("--n sets the length of a generated stream, not of --data")
         u, o = csv_dims(args.data)
         return load_csv(args.data, n_classes=o), u, o
     stream, cfg = _generated(args.gen, args)
@@ -162,15 +154,10 @@ def _cmd_run(args) -> int:
         n_features=u,
         n_classes=o,
         chunk_size=args.chunk if args.chunk is not None else args.train,
-        theta=args.theta,
         delta_rel=args.delta_rel,
-        alpha_warn=args.alpha_warn,
-        alpha_drift=args.alpha_drift,
-        penalty=args.p,
         ofs_b=args.ofs_b,
         seed=args.seed,
         base_kind=_BASE_KINDS[args.base],
-        al_conjunction=args.al_conjunction,
     )
     if protocol.mode == "holdout":
         metrics, _ = run_holdout(stream, cfg, protocol)

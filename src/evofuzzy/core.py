@@ -21,8 +21,9 @@ import numpy as np
 # instead of dividing by zero.
 STD_FLOOR = 1e-8
 
-# The active-learning threshold moves by this factor per decision and
-# stays within [THETA_MIN, THETA_MAX].
+# The active-learning threshold starts at THETA_INIT, moves by this factor
+# per decision and stays within [THETA_MIN, THETA_MAX].
+THETA_INIT = 0.7
 THETA_STEP = 0.01
 THETA_MIN = 0.5
 THETA_MAX = 0.95
@@ -219,33 +220,22 @@ class DataChunk:
 class StreamConfig(State):
     """Stream-level knobs shared by the ensemble and its helpers.
 
-    ``alpha_drift`` must be stricter (smaller) than ``alpha_warn``; the
-    constructor enforces it.  ``ofs_b`` defaults to ``n_features`` which
-    disables feature selection.
+    ``ofs_b`` defaults to ``n_features`` which disables feature selection.
     """
 
     FIELDS = (
         Field("n_features", int), Field("n_classes", int), Field("chunk_size", int),
-        Field("theta", float), Field("delta_rel", float), Field("alpha_warn", float),
-        Field("alpha_drift", float), Field("penalty", float), Field("ofs_b", int),
-        Field("seed", int, lo=-math.inf), Field("base_kind", str), Field("al_conjunction", bool),
+        Field("delta_rel", float), Field("ofs_b", int), Field("seed", int, lo=-math.inf),
+        Field("base_kind", str),
     )
 
     n_features: int
     n_classes: int
     chunk_size: int = 250
-    theta: float = 0.7
     delta_rel: float = 0.02
-    alpha_warn: float = 0.005
-    alpha_drift: float = 0.001
-    penalty: float = 0.5
     ofs_b: Optional[int] = None
     seed: int = 0
     base_kind: str = "axis_parallel"
-    # conjunctive acceptance (conflict required in both spaces) matches the
-    # discard rule of the reference pseudocode and the reported label budgets;
-    # the disjunctive reading is available for ablation
-    al_conjunction: bool = True
 
     def __post_init__(self):
         if self.n_features < 1:
@@ -254,14 +244,8 @@ class StreamConfig(State):
             raise ConfigError("n_classes must be >= 2")
         if self.chunk_size < 1:
             raise ConfigError("chunk_size must be >= 1")
-        if not THETA_MIN <= self.theta <= THETA_MAX:
-            raise ConfigError(f"theta must be in [{THETA_MIN}, {THETA_MAX}]")
         if self.delta_rel < 0.0:
             raise ConfigError("delta_rel must be >= 0")
-        if not 0.0 < self.alpha_drift < self.alpha_warn < 1.0:
-            raise ConfigError("need 0 < alpha_drift < alpha_warn < 1")
-        if not 0.0 < self.penalty < 1.0:
-            raise ConfigError("penalty must be in (0, 1)")
         if self.ofs_b is None:
             self.ofs_b = self.n_features
         if not 1 <= self.ofs_b <= self.n_features:

@@ -15,7 +15,7 @@ from typing import Iterable, Iterator, Optional
 
 import numpy as np
 
-from .core import DataError, Sample
+from .core import ConfigError, DataError, Sample
 
 _BLOCK = 4096  # candidates drawn per RNG call
 
@@ -35,11 +35,13 @@ class SeaConfig:
 
     def __post_init__(self):
         if self.n_total < 1 or not self.thresholds:
-            raise DataError("need n_total >= 1 and a nonempty threshold schedule")
+            raise ConfigError("need n_total >= 1 and a nonempty threshold schedule")
         if not 0.0 < self.minority_frac < 1.0:
-            raise DataError("minority_frac must be in (0, 1)")
+            raise ConfigError("minority_frac must be in (0, 1)")
         if not 0.0 <= self.noise_frac < 1.0:
-            raise DataError("noise_frac must be in [0, 1)")
+            raise ConfigError("noise_frac must be in [0, 1)")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
 
 
 def sea_label(theta: float, x) -> int:
@@ -99,11 +101,13 @@ class HyperplaneConfig:
 
     def __post_init__(self):
         if self.n_features < 2:
-            raise DataError("need at least 2 features")
+            raise ConfigError("need at least 2 features")
         if not 0 < self.drift_start < self.n_total:
-            raise DataError("drift_start must fall inside the stream")
+            raise ConfigError("drift_start must fall inside the stream")
         if not 0.0 <= self.noise_frac < 1.0:
-            raise DataError("noise_frac must be in [0, 1)")
+            raise ConfigError("noise_frac must be in [0, 1)")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
 
 
 def _unit_positive(rng, d: int) -> np.ndarray:

@@ -28,6 +28,14 @@ class EmptyEnsembleError(RuntimeError):
 # Consecutive drift-level steps the detector needs before it signals drift.
 CONFIRM = 3
 
+# The detector's Hoeffding confidence levels, warning and drift; the drift
+# level is the stricter one.
+ALPHA_WARN = 0.005
+ALPHA_DRIFT = 0.001
+
+# A wrong voter's weight is scaled by PENALTY, a right one's by 2 - PENALTY.
+PENALTY = 0.5
+
 
 class DriftDetector(State):
     """Three-state drift detector on a bounded error window.
@@ -35,7 +43,7 @@ class DriftDetector(State):
     The window holds per-sample errors, each 0 or 1 (range [a, b] =
     [0, 1]).  A cut point splits it into prefix Z and suffix Y.  A
     candidate cut c is accepted when mean(Z) + eps(c) <= mean(X) + eps(n)
-    with the one-sample Hoeffding radius eps(k) = sqrt(ln(1/alpha) / 2k);
+    with the one-sample Hoeffding radius eps(k) = sqrt(ln(1/ALPHA_DRIFT) / 2k);
     the earliest cut found is pinned until it stops holding, slides out,
     or drift fires.
 
@@ -44,12 +52,12 @@ class DriftDetector(State):
 
         eps_a = sqrt(ln(1/alpha) / 2 * (1/c + 1/m))
 
-    at the drift level and at the warning level.  Because the pinned cut
-    is re-tested on every sample, a single crossing is cheap noise; drift
-    is signaled (and the window cleared) only after the drift-level
-    condition holds on CONFIRM consecutive steps, which controls the
-    compounded false-alarm rate while costing a couple of samples of
-    detection delay.  Unconfirmed crossings report warning.
+    at the drift level ALPHA_DRIFT and at the warning level ALPHA_WARN.
+    Because the pinned cut is re-tested on every sample, a single crossing
+    is cheap noise; drift is signaled (and the window cleared) only after
+    the drift-level condition holds on CONFIRM consecutive steps, which
+    controls the compounded false-alarm rate while costing a couple of
+    samples of detection delay.  Unconfirmed crossings report warning.
 
     The window is kept as integer prefix counts of its errors, as in
     HDDM_A's running counts: _cum[j] counts the errors among the first j
@@ -64,28 +72,23 @@ class DriftDetector(State):
     """
 
     FIELDS = (
-        Field("alpha_warn", float), Field("alpha_drift", float),
         Field("max_window", int, lo=2), Field("window", float, ("n",)),
         Field("cut", int, none=True), Field("streak", int, hi=CONFIRM - 1),
     )
     SECTION = "detector"
 
-    def __init__(
-        self, alpha_warn: float = 0.005, alpha_drift: float = 0.001, max_window: int = 1000
-    ):
+    def __init__(self, max_window: int = 1000):
         if max_window < 2:
             raise ValueError("max_window must be >= 2")
-        self.alpha_warn, self.alpha_drift, self.max_window = alpha_warn, alpha_drift, max_window
+        self.max_window = max_window
         self.reset()
         self._complete()
 
     def _complete(self) -> None:
-        if not 0 < self.alpha_drift < self.alpha_warn < 1:
-            raise ValueError("need 0 < alpha_drift < alpha_warn < 1")
         if not (self.cut is None or 1 <= self.cut < len(self)):
             raise ValueError(f"cut must be None or in 1..{len(self) - 1}, got {self.cut!r}")
-        self._ln_w = math.log(1.0 / self.alpha_warn)
-        self._ln_d = math.log(1.0 / self.alpha_drift)
+        self._ln_w = math.log(1.0 / ALPHA_WARN)
+        self._ln_d = math.log(1.0 / ALPHA_DRIFT)
         self._counts = np.arange(1.0, self.max_window)
         self._eps = np.sqrt(self._ln_d / (2.0 * self._counts))
 
@@ -280,11 +283,7 @@ class Ensemble(State):
     def __init__(self, cfg: StreamConfig):
         self.cfg = cfg
         self.members: list[EnsembleMember] = []
-        self.detector = DriftDetector(
-            cfg.alpha_warn,
-            cfg.alpha_drift,
-            max_window=DETECTOR_CHUNKS * cfg.chunk_size,
-        )
+        self.detector = DriftDetector(max_window=DETECTOR_CHUNKS * cfg.chunk_size)
         self.standardizer = RunningStandardizer(cfg.n_features)
         # the rule age_min of every member this ensemble creates
         self.age_min = 2 * cfg.chunk_size
@@ -292,16 +291,14 @@ class Ensemble(State):
 
     def _complete(self) -> None:
         """The members and the detector are what cfg makes."""
-        cfg, det = self.cfg, self.detector
+        cfg, have = self.cfg, self.detector.max_window
         for m in self.members:
             if m.model.kind != cfg.base_kind:
                 raise ValueError(f"member {m.uid} has kind {m.model.kind!r}, "
                                  f"but cfg base_kind {cfg.base_kind!r}")
-        for key, want in (("alpha_warn", cfg.alpha_warn), ("alpha_drift", cfg.alpha_drift),
-                          ("max_window", DETECTOR_CHUNKS * cfg.chunk_size)):
-            if getattr(det, key) != want:
-                raise ValueError(f"detector {key} {getattr(det, key)!r} differs from {want!r}, "
-                                 "which cfg sets")
+        want = DETECTOR_CHUNKS * cfg.chunk_size
+        if have != want:
+            raise ValueError(f"detector max_window {have!r} differs from {want!r}, which cfg sets")
 
     # -- membership --------------------------------------------------------
 
@@ -373,14 +370,13 @@ class Ensemble(State):
     def reward_penalize(self, preds: list, true_label: int) -> None:
         """Scale each voter's weight by its verdict, then renormalize.
 
-        wrong: beta <- beta * p; right: beta <- min(beta * (2 - p), 1).
+        wrong: beta <- beta * PENALTY; right: beta <- min(beta * (2 - PENALTY), 1).
         """
-        p = self.cfg.penalty
         for m, pred in zip(self.voters(), preds):
             if pred != true_label:
-                m.beta *= p
+                m.beta *= PENALTY
             else:
-                m.beta = min(m.beta * (2.0 - p), 1.0)
+                m.beta = min(m.beta * (2.0 - PENALTY), 1.0)
         self._normalize_betas()
 
     def select_winner(self, stats: MciState) -> int:
@@ -469,10 +465,7 @@ class Ensemble(State):
             else:
                 p_in = conflict_input([m.model for m in d2s], list(d2s.values()))
                 p_out = conflict_output(sigma)
-                takes = (
-                    selectors.al.decide(a, b, selectors.conjunction)
-                    for a, b in zip(p_in.tolist(), p_out.tolist())
-                )
+                takes = (selectors.al.decide(a, b) for a, b in zip(p_in.tolist(), p_out.tolist()))
                 r = next((i for i, take in enumerate(takes) if take), None)
             n = len(block) if r is None else r + 1
             rep.seen += n

@@ -208,8 +208,7 @@ def run_holdout(
     built = [(f"learner {f.key}", getattr(ens.cfg, f.key), getattr(cfg, f.key))
              for f in StreamConfig.FIELDS]
     built += [("selectors n_features", sel.n_features, cfg.n_features),
-              ("selectors ofs_b", sel.ofs_b, cfg.ofs_b),
-              ("selectors conjunction", sel.conjunction, cfg.al_conjunction)]
+              ("selectors ofs_b", sel.ofs_b, cfg.ofs_b)]
     for name, have, want in built:
         if have != want:
             raise ConfigError(f"{name} is {have!r}, but cfg has {want!r}")

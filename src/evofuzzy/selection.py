@@ -21,7 +21,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .core import THETA_MAX, THETA_MIN, THETA_STEP, Field, State, StreamConfig
+from .core import THETA_INIT, THETA_MAX, THETA_MIN, THETA_STEP, Field, State, StreamConfig
 from .rules import RuleClassifier, extended_input, firings
 
 # Step size and L2 weight of the feature-selection SGD.
@@ -32,20 +32,19 @@ OFS_REG = 0.01
 class ActiveLearnState(State):
     """Adaptive conflict threshold with clamped multiplicative steps.
 
-    Accepting shrinks the threshold by (1 - THETA_STEP), rejecting grows
-    it by (1 + THETA_STEP); both are clamped to [THETA_MIN, THETA_MAX].
+    The threshold starts at THETA_INIT.  Accepting shrinks it by
+    (1 - THETA_STEP), rejecting grows it by (1 + THETA_STEP); both are
+    clamped to [THETA_MIN, THETA_MAX].
     """
 
     FIELDS = (Field("theta", float, lo=THETA_MIN, hi=THETA_MAX),)
     SECTION = "al"
 
-    def __init__(self, theta: float = 0.7):
-        if not THETA_MIN <= theta <= THETA_MAX:
-            raise ValueError("theta must lie within its clamp bounds")
-        self.theta = theta
+    def __init__(self):
+        self.theta = THETA_INIT
 
-    def decide(self, p_input: float, p_output: float, conjunction: bool) -> bool:
-        take = accepts(self.theta, p_input, p_output, conjunction)
+    def decide(self, p_input: float, p_output: float) -> bool:
+        take = accepts(self.theta, p_input, p_output)
         if take:
             self.theta = max(self.theta * (1.0 - THETA_STEP), THETA_MIN)
         else:
@@ -53,15 +52,14 @@ class ActiveLearnState(State):
         return take
 
 
-def accepts(theta: float, p_input: float, p_output: float, conjunction: bool) -> bool:
+def accepts(theta: float, p_input: float, p_output: float) -> bool:
     """Acceptance predicate; monotone in theta.
 
-    Conjunctive: conflict in both spaces admits the sample; disjunctive:
-    conflict in either space does.
+    Conflict in both spaces admits the sample, as in the discard rule of
+    the reference pseudocode; conflict in either space alone labels about
+    half of a SEA stream, past the reported label budgets.
     """
-    if conjunction:
-        return p_input <= theta and p_output <= theta
-    return p_input <= theta or p_output <= theta
+    return p_input <= theta and p_output <= theta
 
 
 def conflict_input(models: Sequence[RuleClassifier], d2s: Sequence[np.ndarray]):
@@ -188,15 +186,14 @@ class Selectors(State):
 
     FIELDS = (
         Field("n_features", int, lo=1), Field("ofs_b", int, lo=1, hi="u"),
-        Field("conjunction", bool), Field("al", ActiveLearnState),
+        Field("al", ActiveLearnState),
         Field("mask_active", float, ("u",), lo=0.0, hi=1.0),
         Field("mask_scores", float, ("u",), lo=0.0),
     )
     SECTION = "selectors"
 
     def __init__(self, cfg: StreamConfig):
-        self.al = ActiveLearnState(cfg.theta)
-        self.conjunction = cfg.al_conjunction
+        self.al = ActiveLearnState()
         self.ofs_b = cfg.ofs_b
         self.n_features = cfg.n_features
         self.mask_active = np.ones(cfg.n_features)

@@ -37,6 +37,17 @@ class TestGen:
         assert exc.value.code == 2
         assert "argument --thresholds: invalid thresholds value: '4,x'" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("args, message", [
+        (["gen", "sea", "--minority", "1.5"], "minority_frac must be in (0, 1)"),
+        (["gen", "hyperplane", "--seed", "-1"], "seed must be >= 0, got -1"),
+        (["run", "--gen", "sea", "--seed", "-3"], "seed must be >= 0, got -3"),
+        (["gen", "sea", "--d", "5", "--drift-start", "3"], "sea streams take no --d, --drift-start"),
+        (["gen", "hyperplane", "--thresholds", "4,7"], "hyperplane streams take no --thresholds"),
+    ], ids=["minority", "gen-seed", "run-seed", "sea-foreign", "hyperplane-foreign"])
+    def test_bad_stream_setting_is_config_error(self, capsys, args, message):
+        assert run_cli(*args) == 2
+        assert f"config error: {message}" in capsys.readouterr().err
+
     def test_stdout_default(self, capsys):
         assert run_cli("gen", "sea", "--n", "3") == 0
         lines = capsys.readouterr().out.strip().splitlines()
@@ -82,12 +93,24 @@ class TestRun:
         assert len(records) == 3
 
     def test_config_error_exit_code(self):
-        assert run_cli("run", "--gen", "sea", "--n", "600", "--stamps", "1", "--p", "1.5") == 2
+        assert run_cli("run", "--gen", "sea", "--n", "600", "--stamps", "1",
+                       "--delta-rel", "-1") == 2
 
-    def test_theta_outside_its_clamp_is_config_error(self, capsys):
-        code = run_cli("run", "--gen", "sea", "--n", "2000", "--stamps", "2", "--theta", "0.97")
-        assert code == 2
-        assert "theta must be in [0.5, 0.95]" in capsys.readouterr().err
+    @pytest.mark.parametrize("args", [
+        ["--theta", "0.8"], ["--p", "0.4"], ["--alpha-warn", "0.01"], ["--alpha-drift", "0.002"],
+        ["--al-conjunction"], ["--al-disjunction"],
+    ], ids=lambda args: args[0])
+    def test_flag_of_a_constant_exits_2(self, capsys, args):
+        with pytest.raises(SystemExit) as exc:
+            run_cli("run", "--gen", "sea", "--n", "600", "--stamps", "1", *args)
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {' '.join(args)}" in capsys.readouterr().err
+
+    def test_length_of_a_csv_stream_is_config_error(self, tmp_path, capsys):
+        data = tmp_path / "sea.csv"
+        run_cli("gen", "sea", "--n", "600", "--out", str(data))
+        assert run_cli("run", "--data", str(data), "--n", "600", "--stamps", "1") == 2
+        assert "--n sets the length of a generated stream" in capsys.readouterr().err
 
     @pytest.mark.parametrize("folds", ["1", "0"])
     def test_fewer_than_two_folds_is_config_error(self, capsys, folds):
@@ -213,9 +236,8 @@ class TestConfigFile:
 
     def test_settings_from_a_file_equal_the_same_flags(self, tmp_path, csv):
         settings = {
-            "mode": "cv", "folds": 3, "chunk": 100, "base": "multivariate", "theta": 0.8,
-            "delta_rel": 0.05, "alpha_warn": 0.01, "alpha_drift": 0.002, "p": 0.4,
-            "ofs_b": 2, "seed": 3, "al_conjunction": False,
+            "mode": "cv", "folds": 3, "chunk": 100, "base": "multivariate", "delta_rel": 0.05,
+            "ofs_b": 2, "seed": 3,
         }
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps(settings))
@@ -223,9 +245,7 @@ class TestConfigFile:
                                 "--metrics", str(tmp_path / "a.jsonl"))
         flags = [
             "--mode", "cv", "--folds", "3", "--chunk", "100", "--base", "multivariate",
-            "--theta", "0.8", "--delta-rel", "0.05", "--alpha-warn", "0.01",
-            "--alpha-drift", "0.002", "--p", "0.4", "--ofs-b", "2", "--seed", "3",
-            "--al-disjunction",
+            "--delta-rel", "0.05", "--ofs-b", "2", "--seed", "3",
         ]
         from_flags = run_records("run", "--data", str(csv), *flags,
                                  "--metrics", str(tmp_path / "b.jsonl"))
@@ -237,19 +257,18 @@ class TestConfigFile:
 
     def test_flags_beat_the_file_and_null_leaves_the_default(self, tmp_path, csv):
         cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"al_conjunction": False, "theta": None, "ofs_b": None}))
+        cfg.write_text(json.dumps({"base": "multivariate", "delta_rel": None, "ofs_b": None}))
         args = ("run", "--data", str(csv), "--stamps", "2", "--train", "200", "--test", "100")
-        from_file = run_records(*args, "--config", str(cfg), "--al-conjunction",
+        from_file = run_records(*args, "--config", str(cfg), "--base", "axis",
                                 "--metrics", str(tmp_path / "a.jsonl"))
         assert from_file == run_records(*args, "--metrics", str(tmp_path / "b.jsonl"))
 
     @pytest.mark.parametrize("entries, message", [
         ({"mode": "holdot"}, "argument --mode: invalid choice: 'holdot'"),
         ({"base": "multi"}, "argument --base: invalid choice: 'multi'"),
-        ({"theta": [0.8]}, "argument --theta: invalid float value: '[0.8]'"),
+        ({"delta_rel": [0.8]}, "argument --delta-rel: invalid float value: '[0.8]'"),
         ({"ofs_b": 2.5}, "argument --ofs-b: invalid int value: '2.5'"),
-        ({"al_conjunction": "no"}, "argument --al-conjunction: ignored explicit argument 'no'"),
-    ], ids=["mode", "base", "theta", "ofs_b", "al_conjunction"])
+    ], ids=["mode", "base", "delta_rel", "ofs_b"])
     def test_bad_value_exits_2_as_the_flag_would(self, tmp_path, capsys, entries, message):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps(entries))
@@ -258,6 +277,17 @@ class TestConfigFile:
                     "--test", "100", "--config", str(cfg))
         assert exc.value.code == 2
         assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key, value", [
+        ("theta", 0.7), ("p", 0.5), ("alpha_warn", 0.005), ("alpha_drift", 0.001),
+        ("al_conjunction", True),
+    ], ids=["theta", "p", "alpha_warn", "alpha_drift", "al_conjunction"])
+    def test_key_of_a_constant_exits_2(self, tmp_path, capsys, key, value):
+        """A file that still sets what is now a constant, even to its value."""
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({key: value}))
+        assert run_cli("run", "--gen", "sea", "--n", "600", "--config", str(cfg)) == 2
+        assert f"unknown config keys: ['{key}']" in capsys.readouterr().err
 
     @pytest.mark.parametrize("in_file, on_line", [("data", "gen"), ("gen", "data")])
     def test_source_in_the_file_conflicts_with_the_other_on_the_command_line(
@@ -329,6 +359,14 @@ class TestSameMetrics:
         (b / "y.jsonl").unlink()
         out = self.compare(a, b)
         assert out.returncode == 1 and "y.jsonl: missing" in out.stdout
+        (a / "y.jsonl").unlink()
+        (b / "z.jsonl").write_text('{"record": "summary", "cr": 0.5, "rt": 1.0}\n')
+        out = self.compare(a, b)
+        assert out.returncode == 1 and "z.jsonl: not in" in out.stdout
+        for path in (*a.iterdir(), *b.iterdir()):
+            path.unlink()
+        out = self.compare(a, b)
+        assert out.returncode == 1 and "no *.jsonl files" in out.stdout
 
 
 class TestScripts:

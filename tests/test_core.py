@@ -175,10 +175,6 @@ class TestChunks:
 
 
 class TestStreamConfig:
-    def test_alpha_ordering_enforced(self):
-        with pytest.raises(ConfigError):
-            StreamConfig(n_features=2, n_classes=2, alpha_warn=0.001, alpha_drift=0.005)
-
     def test_ofs_b_defaults_to_all_features(self):
         cfg = StreamConfig(n_features=4, n_classes=2)
         assert cfg.ofs_b == 4

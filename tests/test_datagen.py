@@ -3,7 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
-from evofuzzy.core import DataError
+from evofuzzy.core import ConfigError, DataError
 from evofuzzy.datagen import (
     HyperplaneConfig,
     SeaConfig,
@@ -102,7 +102,7 @@ class TestGenHyperplane:
         assert all(np.array_equal(x.x, y.x) and x.label == y.label for x, y in zip(a, b))
 
     def test_drift_start_validated(self):
-        with pytest.raises(DataError):
+        with pytest.raises(ConfigError):
             HyperplaneConfig(n_total=100, drift_start=100)
 
 

@@ -903,14 +903,13 @@ def two_region_stream(rng, u, lengths, far=6.0):
 def two_region_run(monkeypatch, score_test_rows=False):
     """Train on a two-region stream with a drift member, a recall and
     feature selection; returns (chunk reports, ensemble, selectors)."""
-    cfg = StreamConfig(n_features=3, n_classes=2, chunk_size=100, ofs_b=2,
-                       al_conjunction=False)
+    cfg = StreamConfig(n_features=3, n_classes=2, chunk_size=100, ofs_b=2)
     monkeypatch.setattr(rules_module, "POTENTIAL_FRAC", 0.6)
     monkeypatch.setattr(rules_module, "DENSITY_SIGMAS", 1.0)
     ens = Ensemble(cfg)
     ens.age_min = 30
     sel = Selectors(cfg)
-    rng = np.random.default_rng(1)
+    rng = np.random.default_rng(8)
     reports = []
     for ch in chunks(two_region_stream(rng, 3, (300, 1500, 500)), cfg.chunk_size):
         reports.append(ens.train_chunk(ch, sel))
@@ -945,8 +944,8 @@ class TestDistancePasses:
             recalls[0] += got is not None
             return got
 
-        def decide(self, p_input, p_output, conjunction):
-            take = inner_decide(self, p_input, p_output, conjunction)
+        def decide(self, p_input, p_output):
+            take = inner_decide(self, p_input, p_output)
             log.append(("decide", take))
             return take
 

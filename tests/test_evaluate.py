@@ -105,9 +105,8 @@ class TestRunHoldout:
     @pytest.mark.parametrize("learner_kw, selectors_kw, match", [
         (dict(chunk_size=100), {}, r"^learner chunk_size is 100, but cfg has 250$"),
         ({}, dict(ofs_b=2), r"^selectors ofs_b is 2, but cfg has 3$"),
-        ({}, dict(al_conjunction=False), r"^selectors conjunction is False, but cfg has True$"),
-        (dict(theta=0.8), dict(ofs_b=2), r"^learner theta is 0\.8, but cfg has 0\.7$"),
-    ], ids=["learner-chunk", "selectors-ofs_b", "selectors-conjunction", "learner-first"])
+        (dict(delta_rel=0.05), dict(ofs_b=2), r"^learner delta_rel is 0\.05, but cfg has 0\.02$"),
+    ], ids=["learner-chunk", "selectors-ofs_b", "learner-first"])
     def test_learner_and_selectors_not_built_from_cfg_are_config_error(
         self, learner_kw, selectors_kw, match
     ):

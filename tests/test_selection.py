@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from evofuzzy import selection
-from evofuzzy.core import THETA_MIN, StreamConfig
+from evofuzzy.core import THETA_INIT, THETA_MIN, StreamConfig
 from evofuzzy.rules import RuleClassifier, extended_input
 from evofuzzy.selection import (
     OFS_REG,
@@ -123,22 +123,21 @@ class TestConflictOutput:
 
 class TestDecide:
     def test_confident_both_spaces_rejected(self):
-        al = ActiveLearnState(theta=0.7)
-        assert not al.decide(0.9, 0.9, False)
+        al = ActiveLearnState()
+        assert not al.decide(0.9, 0.9)
 
-    def test_disjunct_accepts_boundary_sample(self):
-        # conflict in the output space alone admits the sample under the
-        # disjunctive reading
-        assert accepts(0.7, 0.9, 0.5, conjunction=False)
-        assert not accepts(0.7, 0.9, 0.5, conjunction=True)
+    def test_conflict_in_one_space_alone_is_rejected(self):
+        assert not accepts(0.7, 0.9, 0.5)
+        assert not accepts(0.7, 0.5, 0.9)
+        assert accepts(0.7, 0.5, 0.5)
 
     def test_threshold_walks_and_clamps(self):
-        al = ActiveLearnState(theta=0.7)
+        al = ActiveLearnState()
         for _ in range(500):
-            al.decide(1.0, 1.0, False)  # rejects push theta up
+            al.decide(1.0, 1.0)  # rejects push theta up
         assert al.theta == pytest.approx(0.95)
         for _ in range(500):
-            al.decide(0.0, 0.0, False)  # accepts pull it down
+            al.decide(0.0, 0.0)  # accepts pull it down
         assert al.theta == pytest.approx(0.5)
 
     def test_near_tie_stream_keeps_high_acceptance(self):
@@ -152,7 +151,7 @@ class TestDecide:
         for _ in range(n):
             s = 0.8 + 0.01 * rng.random()
             sigma = np.array([s, s])
-            taken += al.decide(0.5, conflict_output(sigma), False)
+            taken += al.decide(0.5, conflict_output(sigma))
         assert taken / n >= 0.9
         assert al.theta == pytest.approx(THETA_MIN)
 
@@ -161,12 +160,11 @@ class TestDecide:
         st.floats(0.0, 1.0),
         st.floats(0.0, 1.0),
         st.floats(0.0, 1.0),
-        st.booleans(),
     )
-    def test_acceptance_monotone_in_theta(self, t1, t2, p_in, p_out, conj):
+    def test_acceptance_monotone_in_theta(self, t1, t2, p_in, p_out):
         lo, hi = min(t1, t2), max(t1, t2)
-        if accepts(lo, p_in, p_out, conj):
-            assert accepts(hi, p_in, p_out, conj)
+        if accepts(lo, p_in, p_out):
+            assert accepts(hi, p_in, p_out)
 
 
 class TestVirtualModel:
@@ -300,10 +298,10 @@ class TestApplyMask:
 
 class TestConfigStubs:
     def test_selectors_inherit_config(self):
-        cfg = StreamConfig(n_features=3, n_classes=2, ofs_b=2, theta=0.6)
+        cfg = StreamConfig(n_features=3, n_classes=2, ofs_b=2)
         sel = Selectors(cfg)
         assert sel.mask is not None
-        assert sel.al.theta == 0.6
+        assert sel.al.theta == THETA_INIT
         assert np.array_equal(sel.mask_active, [1.0, 1.0, 1.0])
 
 

@@ -41,6 +41,21 @@ def test_fixture_is_what_training_writes():
     assert (dumps(module.snapshots()) + "\n").encode() == FIXTURE.read_bytes()
 
 
+def test_fixture_keeps_the_cases_its_script_names():
+    """The states that scripts/snapshot_fixture.py promises, so that a
+    regenerated fixture still covers them: sea-axis has a drift member and
+    an archived rule; hyperplane-ofs has an archived rule, a pinned
+    detector cut and a 2-of-4 feature mask."""
+    sea, hyp = fixture()["sea-axis"], fixture()["hyperplane-ofs"]
+
+    def archived(ens):
+        return sum(len(m["model"]["archive"]["centers"]) for m in ens["members"])
+
+    assert len(sea["ensemble"]["members"]) == 2 and archived(sea["ensemble"]) >= 1
+    assert archived(hyp["ensemble"]) >= 1 and hyp["ensemble"]["detector"]["cut"] is not None
+    assert hyp["selectors"]["ofs_b"] == 2 and sorted(hyp["selectors"]["mask_active"]) == [0, 0, 1, 1]
+
+
 @pytest.mark.parametrize("run", ["sea-axis", "hyperplane-ofs"])
 def test_fixture_round_trips_byte_for_byte(run):
     state = fixture()[run]
@@ -89,9 +104,8 @@ def edited(tree, path, step):
 
 # settings for which no neighbouring value fits the rest of the snapshot,
 # so the test edits them on the loaded object; the ensemble's cfg fixes
-# the detector's alphas and max_window, and chunk_size fixes max_window
-FIXED = {"n_features", "n_classes", "ofs_b", "cut", "alpha_warn", "alpha_drift", "chunk_size",
-         "max_window"}
+# the detector's max_window, and chunk_size fixes max_window
+FIXED = {"n_features", "n_classes", "ofs_b", "cut", "chunk_size", "max_window"}
 
 
 @pytest.mark.parametrize("run", ["sea-axis", "hyperplane-ofs"])
@@ -184,15 +198,21 @@ def test_load_hole_is_data_error_naming_section_and_field(edit, match):
     (("ensemble",), "chunk_index"),
     (("selectors", "al"), "accepted"),
     (("selectors", "al"), "seen"),
+    (("ensemble", "cfg"), "al_conjunction, alpha_drift, alpha_warn, penalty, theta"),
+    (("ensemble", "detector"), "alpha_drift, alpha_warn"),
+    (("selectors",), "conjunction"),
 ])
 def test_dropped_key_is_data_error_naming_it(path, dropped):
     """Ensemble.chunk_index and the active-learning counts accepted and
-    seen left the format; a snapshot that still holds one fails."""
+    seen left the format, and so did the settings that became constants:
+    theta, penalty, the detector alphas and the acceptance reading.  A
+    snapshot that still holds any of them fails, naming each."""
     state = fixture()["sea-axis"]
     node = state
     for key in path:
         node = node[key]
-    node[dropped] = 12
+    for key in dropped.split(", "):
+        node[key] = 12
     cls = Ensemble if path[0] == "ensemble" else Selectors
     with pytest.raises(DataError, match=f"^snapshot section '{path[-1]}' has unknown keys: {dropped}$"):
         cls.from_snapshot(state[path[0]])
@@ -203,9 +223,7 @@ def test_dropped_key_is_data_error_naming_it(path, dropped):
      r"'ensemble': member 0 has kind 'axis_parallel', but cfg base_kind 'multivariate'$"),
     ("detector", "max_window", 67,
      r"'ensemble': detector max_window 67 differs from 120, which cfg sets$"),
-    ("detector", "alpha_warn", 0.2,
-     r"'ensemble': detector alpha_warn 0\.2 differs from 0\.005, which cfg sets$"),
-], ids=["base_kind", "max_window", "alpha_warn"])
+], ids=["base_kind", "max_window"])
 def test_sections_that_disagree_are_data_error_naming_ensemble(section, key, value, match):
     """Each section loads alone, but the members and the detector must be
     what the ensemble's cfg makes."""
