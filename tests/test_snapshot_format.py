@@ -104,7 +104,7 @@ def edited(tree, path, step):
 
 # settings for which no neighbouring value fits the rest of the snapshot,
 # so the test edits them on the loaded object; the ensemble's cfg fixes
-# the detector's max_window, and chunk_size fixes max_window
+# the detector's max_window through chunk_size
 FIXED = {"n_features", "n_classes", "ofs_b", "cut", "chunk_size", "max_window"}
 
 
