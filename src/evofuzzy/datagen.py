@@ -91,7 +91,7 @@ class HyperplaneConfig:
 
     n_total: int = 120_000
     n_features: int = 4
-    drift_start: int = 40_000
+    drift_start: Optional[int] = None  # n_total // 3 by default
     ramp_frac: float = 0.2
     noise_frac: float = 0.0
     seed: int = 0
@@ -102,6 +102,8 @@ class HyperplaneConfig:
     def __post_init__(self):
         if self.n_features < 2:
             raise ConfigError("need at least 2 features")
+        if self.drift_start is None:
+            self.drift_start = self.n_total // 3
         if not 0 < self.drift_start < self.n_total:
             raise ConfigError("drift_start must fall inside the stream")
         if not 0.0 <= self.noise_frac < 1.0:
@@ -222,4 +224,6 @@ def csv_dims(path) -> tuple:
             raise DataError(f"{path}:{lineno}: {exc}") from None
     if max_label < 1:
         raise DataError(f"{path}: no labeled rows")
+    if max_label < 2:
+        raise DataError(f"{path}: every label is 1, so the stream has one class")
     return len(row) - 1, max_label

@@ -224,38 +224,33 @@ class EnsembleMember(State):
     beta: float = 1.0
     uid: int = 0
     bootstrapping: bool = False
-    bootstrap_count: int = 0
     bootstrap_chunks: int = 0
 
     FIELDS = (
         Field("beta", float, lo=0.0, hi=1.0), Field("uid", int), Field("bootstrapping", bool),
-        Field("bootstrap_count", int), Field("bootstrap_chunks", int),
-        Field("model", RuleClassifier),
+        Field("bootstrap_chunks", int), Field("model", RuleClassifier),
     )
     SECTION = "member"
 
 
 @dataclass
 class ChunkReport:
-    """Per-chunk counters and selection telemetry."""
+    """What happened in one chunk; the learner holds the state at its end."""
 
-    index: int
-    seen: int = 0
     accepted: int = 0
     correct: int = 0
     drifts: int = 0
     warnings: int = 0
     merges: int = 0
-    theta_start: float = 0.0
-    theta_end: float = 0.0
     mask: list = field(default_factory=list)
     mask_activations: list = field(default_factory=list)
-    feature_scores: list = field(default_factory=list)
-    betas: list = field(default_factory=list)
 
 
 # The drift detector's window, in chunks.
 DETECTOR_CHUNKS = 4
+
+# A rule's minimum age before it may be pruned, in chunks.
+AGE_CHUNKS = 2
 
 # Rows of the first block pass after an accept; a block that the
 # threshold rejects whole is followed by one twice as long.
@@ -274,9 +269,9 @@ class Ensemble(State):
     """
 
     FIELDS = (
-        Field("cfg", StreamConfig), Field("age_min", int),
-        Field("standardizer", RunningStandardizer), Field("detector", DriftDetector),
-        Field("next_uid", int), Field("members", [EnsembleMember]),
+        Field("cfg", StreamConfig), Field("standardizer", RunningStandardizer),
+        Field("detector", DriftDetector), Field("next_uid", int),
+        Field("members", [EnsembleMember]),
     )
     SECTION = "ensemble"
 
@@ -285,9 +280,12 @@ class Ensemble(State):
         self.members: list[EnsembleMember] = []
         self.detector = DriftDetector(max_window=DETECTOR_CHUNKS * cfg.chunk_size)
         self.standardizer = RunningStandardizer(cfg.n_features)
-        # the rule age_min of every member this ensemble creates
-        self.age_min = 2 * cfg.chunk_size
         self.next_uid = 0
+
+    @property
+    def age_min(self) -> int:
+        """The rule age_min of every member, which cfg sets."""
+        return AGE_CHUNKS * self.cfg.chunk_size
 
     def _complete(self) -> None:
         """The members and the detector are what cfg makes."""
@@ -296,6 +294,9 @@ class Ensemble(State):
             if m.model.kind != cfg.base_kind:
                 raise ValueError(f"member {m.uid} has kind {m.model.kind!r}, "
                                  f"but cfg base_kind {cfg.base_kind!r}")
+            if m.model.age_min != self.age_min:
+                raise ValueError(f"member {m.uid} has age_min {m.model.age_min!r}, "
+                                 f"but cfg sets {self.age_min!r}")
         want = DETECTOR_CHUNKS * cfg.chunk_size
         if have != want:
             raise ValueError(f"detector max_window {have!r} differs from {want!r}, which cfg sets")
@@ -445,7 +446,7 @@ class Ensemble(State):
         cold_start = not self.members
         if cold_start:
             self._new_member()
-        rep = ChunkReport(index=chunk.index, theta_start=selectors.al.theta)
+        rep = ChunkReport()
         mci = MciState(self.voters(), self.cfg.n_classes)
         activations = np.zeros(self.cfg.n_features)
         zs = self.standardizer.fit_transform([s.x for s in chunk.samples])
@@ -468,7 +469,6 @@ class Ensemble(State):
                 takes = (selectors.al.decide(a, b) for a, b in zip(p_in.tolist(), p_out.tolist()))
                 r = next((i for i, take in enumerate(takes) if take), None)
             n = len(block) if r is None else r + 1
-            rep.seen += n
             rep.correct += int(np.count_nonzero(cls[:n] == labels[k : k + n]))
             k += n
             if r is None:
@@ -502,24 +502,18 @@ class Ensemble(State):
                 if m.bootstrapping:
                     sc = m.model.infer(z, d2s[m], mask)[0] if m.model.rules else None
                     d2s[m] = m.model.train_sample(z, label, d2s[m], sc, mask)
-                    m.bootstrap_count += 1
             if mask is not None:
                 activations += mask
                 selectors.learn([m.model for m in d2s], z, t, list(d2s.values()), cls != label)
         for m in self.members:
             if m.bootstrapping:
                 m.bootstrap_chunks += 1
-                if (
-                    m.bootstrap_count >= BOOTSTRAP_MIN_SAMPLES
-                    or m.bootstrap_chunks >= 2
-                ):
+                # trained only while it bootstraps, so its samples are its rde count
+                if m.model.rde.count >= BOOTSTRAP_MIN_SAMPLES or m.bootstrap_chunks >= 2:
                     m.bootstrapping = False
         rep.merges = len(self.merge_check(mci))
-        rep.theta_end = selectors.al.theta
         rep.mask = [int(v) for v in selectors.mask_active]
         rep.mask_activations = [int(v) for v in activations]
-        rep.feature_scores = [float(v) for v in selectors.mask_scores]
-        rep.betas = [m.beta for m in self.members]
         return rep
 
     def snapshot_hash(self) -> str:

@@ -146,7 +146,7 @@ def _train_and_score(ens, sel, cfg, train, test, where: tuple, reports=None, for
     return reports, correct, seconds, fork
 
 
-def _record(n: int, ens, sel, cfg, reports, cr: float, rt: float) -> dict:
+def _record(n: int, ens, sel, reports, cr: float, rt: float) -> dict:
     """The metrics record of one hold-out stamp or CV fold."""
     return {
         "n": n,
@@ -163,9 +163,7 @@ def _record(n: int, ens, sel, cfg, reports, cr: float, rt: float) -> dict:
         "mask": [int(v) for v in sel.mask_active],
         "mask_activations": [
             int(v) for v in np.sum([r.mask_activations for r in reports], axis=0)
-        ]
-        if any(r.mask_activations for r in reports)
-        else [0] * cfg.n_features,
+        ],
     }
 
 
@@ -222,7 +220,7 @@ def run_holdout(
             (f"train block of stamp {stamp}", f"test block of stamp {stamp}"),
         )
         rt += seconds
-        series.append(_record(stamp, ens, sel, cfg, reports, correct / len(test), rt))
+        series.append(_record(stamp, ens, sel, reports, correct / len(test), rt))
     return _summarize(series, protocol.stamps * protocol.train_per_stamp, rt), ens
 
 
@@ -262,7 +260,7 @@ def run_cv(dataset, cfg: StreamConfig, folds: int = 10):
         )
         rt += seconds
         offered += len(train)
-        series.append(_record(f, ens, sel, cfg, reports, correct / len(test), rt))
+        series.append(_record(f, ens, sel, reports, correct / len(test), rt))
     return _summarize(series, offered, rt), ens
 
 

@@ -126,6 +126,22 @@ class TestRun:
     def test_data_error_exit_code(self, tmp_path):
         assert run_cli("run", "--data", str(tmp_path / "missing.csv")) == 3
 
+    def test_short_generated_hyperplane_run(self, tmp_path, capsys):
+        """The drift start defaults to a third of the stream, so a stream
+        shorter than the default one runs."""
+        assert run_cli("run", "--gen", "hyperplane", "--n", "20000", "--stamps", "2") == 0
+        assert "cr=" in capsys.readouterr().out
+        out = tmp_path / "hyp.csv"
+        assert run_cli("gen", "hyperplane", "--n", "2000", "--out", str(out)) == 0
+        assert sum(1 for _ in load_csv(out)) == 2000
+
+    def test_one_class_csv_is_data_error(self, tmp_path, capsys):
+        data = tmp_path / "one.csv"
+        data.write_text("x1,x2,class\n0.5,1.5,1\n2.0,3.0,1\n")
+        assert run_cli("run", "--data", str(data), "--stamps", "1", "--train", "1",
+                       "--test", "1") == 3
+        assert f"data error: {data}: every label is 1" in capsys.readouterr().err
+
     @pytest.mark.parametrize("bad", ["nan", "inf"])
     def test_nonfinite_csv_value_is_data_error(self, tmp_path, capsys, bad):
         data = tmp_path / "sea.csv"

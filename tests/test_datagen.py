@@ -105,6 +105,10 @@ class TestGenHyperplane:
         with pytest.raises(ConfigError):
             HyperplaneConfig(n_total=100, drift_start=100)
 
+    @pytest.mark.parametrize("n_total, drift_start", [(120_000, 40_000), (2000, 666)])
+    def test_drift_start_defaults_to_a_third_of_the_stream(self, n_total, drift_start):
+        assert HyperplaneConfig(n_total=n_total).drift_start == drift_start
+
 
 class TestCsv:
     def test_small_file_roundtrip(self, tmp_path):

@@ -591,7 +591,6 @@ class TestTrainChunk:
         sel = Selectors(cfg)
         rep = ens.train_chunk(next(iter(sea_chunks(100, 100))), sel)
         assert len(ens.members) == 1
-        assert rep.seen == 100
         assert rep.accepted == 100  # cold-start chunk is fully supervised
 
     def test_drift_detected_soon_after_shift(self):
@@ -617,13 +616,23 @@ class TestTrainChunk:
             assert sum(m.beta for m in ens.members) == pytest.approx(1.0, abs=1e-12)
         assert len(ens.members) <= 2
 
-    def test_each_sample_touched_once(self):
+    def test_each_sample_touched_once(self, monkeypatch):
+        """After the first chunk, the selector decides each row once."""
         cfg = base_cfg(n_features=3, chunk_size=100)
         ens = Ensemble(cfg)
         sel = Selectors(cfg)
-        ch = next(iter(sea_chunks(100, 100)))
-        rep = ens.train_chunk(ch, sel)
-        assert rep.seen == len(ch)
+        first, ch = list(sea_chunks(200, 100))
+        ens.train_chunk(first, sel)
+        calls = []
+        inner = ActiveLearnState.decide
+
+        def decide(self, p_input, p_output):
+            calls.append(1)
+            return inner(self, p_input, p_output)
+
+        monkeypatch.setattr(ActiveLearnState, "decide", decide)
+        ens.train_chunk(ch, sel)
+        assert len(calls) == len(ch)
 
     def test_structural_invariants_after_chunks(self):
         cfg = base_cfg(n_features=3, chunk_size=200)
@@ -668,7 +677,7 @@ class TestTrainChunk:
             assert fresh not in ens.voters()
             ens.train_chunk(next(iter(source)), sel)
         assert not ens.members[-1].bootstrapping
-        assert ens.members[-1].bootstrap_count >= 1
+        assert ens.members[-1].model.rde.count >= 1
 
     def test_empty_chunk_rejected(self):
         cfg = base_cfg()
@@ -711,17 +720,20 @@ class TestEnsembleSnapshot:
         with pytest.raises(DataError, match="'model' has unknown keys: hyper$"):
             Ensemble.from_snapshot(state)
 
-    def test_restored_ensemble_keeps_age_min(self):
+    def test_member_age_min_is_what_cfg_sets(self):
+        """Every member's rule age_min is AGE_CHUNKS chunks; a snapshot
+        whose member holds another is a DataError naming the member."""
         cfg = base_cfg(n_features=3, chunk_size=100)
         ens = Ensemble(cfg)
-        ens.age_min = 77
-        sel = Selectors(cfg)
-        ens.train_chunk(next(iter(sea_chunks(100, 100))), sel)
-        clone = Ensemble.from_snapshot(json.loads(json.dumps(ens.snapshot())))
-        assert clone.age_min == 77
-        assert clone.members[0].model.age_min == 77
-        fresh = clone._new_member()
-        assert fresh.model.age_min == 77
+        ens.train_chunk(next(iter(sea_chunks(100, 100))), Selectors(cfg))
+        assert ens.members[0].model.age_min == ensemble_module.AGE_CHUNKS * 100
+        state = json.loads(json.dumps(ens.snapshot()))
+        clone = Ensemble.from_snapshot(state)
+        assert clone._new_member().model.age_min == 200
+        state["members"][0]["model"]["age_min"] = 7
+        match = "'ensemble': member 0 has age_min 7, but cfg sets 200$"
+        with pytest.raises(DataError, match=match):
+            Ensemble.from_snapshot(state)
 
     # a 'hyper' section, less its age_min, as written while the
     # structure-learning thresholds were settings
@@ -730,7 +742,7 @@ class TestEnsembleSnapshot:
              "decay_strength": 1e-7, "init_spread": 1.0, "rls_init": 1e5}
 
     @pytest.mark.parametrize("layer, match", [
-        ("ensemble", "'ensemble' lacks keys: age_min and has unknown keys: hyper$"),
+        ("ensemble", "'ensemble' has unknown keys: hyper$"),
         ("model", "'model' lacks keys: age_min and has unknown keys: hyper$"),
         ("rde", "'rde' has unknown keys: decay, dens_count$"),
         ("detector", "'detector' has unknown keys: confirm, state$"),
@@ -744,8 +756,8 @@ class TestEnsembleSnapshot:
         ens.train_chunk(next(iter(sea_chunks(100, 100))), sel)
         state = json.loads(json.dumps(ens.snapshot()))
         state["cfg"]["delta_abs"] = None
-        state["hyper"] = dict(self.HYPER, age_min=state.pop("age_min"))
         model = state["members"][0]["model"]
+        state["hyper"] = dict(self.HYPER, age_min=model["age_min"])
         model["hyper"] = dict(self.HYPER, age_min=model.pop("age_min"))
         model["rde"].update(decay=0.99, dens_count=model["rde"]["count"])
         state["detector"].update(confirm=3, state="stable")
@@ -762,8 +774,7 @@ class TestEnsembleSnapshot:
             load(old)
 
     @pytest.mark.parametrize("section, match", [
-        ("member", "'member' lacks keys: beta, bootstrapping, bootstrap_count, "
-                   "bootstrap_chunks, model$"),
+        ("member", "'member' lacks keys: beta, bootstrapping, bootstrap_chunks, model$"),
         ("selectors", "'selectors' lacks keys: ofs_b$"),
         ("al", r"'al' has theta 0\.99 outside \[0\.5, 0\.95\]$"),
         ("standardizer", "'standardizer' lacks keys: m2$"),
@@ -906,8 +917,8 @@ def two_region_run(monkeypatch, score_test_rows=False):
     cfg = StreamConfig(n_features=3, n_classes=2, chunk_size=100, ofs_b=2)
     monkeypatch.setattr(rules_module, "POTENTIAL_FRAC", 0.6)
     monkeypatch.setattr(rules_module, "DENSITY_SIGMAS", 1.0)
+    monkeypatch.setattr(Ensemble, "age_min", 30)
     ens = Ensemble(cfg)
-    ens.age_min = 30
     sel = Selectors(cfg)
     rng = np.random.default_rng(8)
     reports = []

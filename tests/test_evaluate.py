@@ -47,7 +47,7 @@ class ConstantLearner:
         self.total_rules = 0
 
     def train_chunk(self, chunk, selectors):
-        return ChunkReport(index=chunk.index, seen=len(chunk))
+        return ChunkReport(mask_activations=[0] * self.cfg.n_features)
 
     def score_sample(self, x, mask=None):
         rows = np.shape(x)[:-1]
@@ -185,7 +185,7 @@ def cv_fresh_per_fold(samples, cfg, folds):
         reports, correct, _, _ = _train_and_score(
             ens, sel, cfg, train, test, (f"train bins of fold {f}", f"test bin {f}")
         )
-        series.append(_record(f, ens, sel, cfg, reports, correct / len(test), 0.0))
+        series.append(_record(f, ens, sel, reports, correct / len(test), 0.0))
     return series, ens
 
 

@@ -330,6 +330,41 @@ class TestInfer:
         assert np.all(lam >= 0)
 
 
+def winner_model(invs, supports):
+    """Two-feature rules at the origin, rule i with inverse dispersion
+    diagonal invs[i] (volume 1 / invs[i]^2 against a cap of 9) and class
+    supports supports[i]."""
+    model = RuleClassifier(2, 2)
+    for inv in invs:
+        model.rules.append(**make_rule([0.0, 0.0], inv * np.eye(2)))
+    model.rules.class_support[:] = supports
+    return model
+
+
+class TestWinner:
+    def test_within_cap_rule_beats_a_closer_over_cap_rule(self):
+        model = winner_model([0.01, 1.0], [[1, 0], [1, 0]])
+        assert model.rules.volumes[0] > model.volume_cap >= model.rules.volumes[1]
+        assert model.winner(np.array([0.0, 5.0]), 1) == 1
+
+    @pytest.mark.parametrize("d2, win", [([0.0, 5.0], 0), ([5.0, 0.0], 1)])
+    def test_plain_score_decides_when_every_rule_is_over_cap(self, d2, win):
+        model = winner_model([0.01, 0.01], [[1, 0], [1, 0]])
+        assert (model.rules.volumes > model.volume_cap).all()
+        assert model.winner(np.array(d2), 1) == win
+
+    def test_purer_rule_beats_an_equally_close_impure_one(self):
+        # equal supports, so equal priors: only the purity for the label differs
+        model = winner_model([1.0, 1.0], [[1, 3], [3, 1]])
+        assert model.winner(np.array([1.0, 1.0]), 1) == 1
+        assert model.winner(np.array([1.0, 1.0]), 2) == 0
+
+    def test_tie_goes_to_the_lowest_index(self):
+        model = winner_model([1.0, 1.0, 1.0], [[2, 1], [2, 1], [2, 1]])
+        assert model.winner(np.array([2.0, 1.0, 1.0]), 1) == 1
+        assert model.winner(np.array([1.0, 1.0, 1.0]), 2) == 0
+
+
 class TestGrowCheck:
     def test_empty_model_always_grows(self):
         model = RuleClassifier(2, 2)

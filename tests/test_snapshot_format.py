@@ -104,8 +104,8 @@ def edited(tree, path, step):
 
 # settings for which no neighbouring value fits the rest of the snapshot,
 # so the test edits them on the loaded object; the ensemble's cfg fixes
-# the detector's max_window through chunk_size
-FIXED = {"n_features", "n_classes", "ofs_b", "cut", "chunk_size", "max_window"}
+# the detector's max_window and each member's age_min through chunk_size
+FIXED = {"n_features", "n_classes", "ofs_b", "cut", "chunk_size", "max_window", "age_min"}
 
 
 @pytest.mark.parametrize("run", ["sea-axis", "hyperplane-ofs"])
@@ -201,12 +201,16 @@ def test_load_hole_is_data_error_naming_section_and_field(edit, match):
     (("ensemble", "cfg"), "al_conjunction, alpha_drift, alpha_warn, penalty, theta"),
     (("ensemble", "detector"), "alpha_drift, alpha_warn"),
     (("selectors",), "conjunction"),
+    (("ensemble",), "age_min"),
+    (("ensemble", "members", 0), "bootstrap_count"),
 ])
 def test_dropped_key_is_data_error_naming_it(path, dropped):
     """Ensemble.chunk_index and the active-learning counts accepted and
     seen left the format, and so did the settings that became constants:
-    theta, penalty, the detector alphas and the acceptance reading.  A
-    snapshot that still holds any of them fails, naming each."""
+    theta, penalty, the detector alphas and the acceptance reading, and
+    the copies the learner derives: the ensemble's age_min and a member's
+    bootstrap_count.  A snapshot that still holds any of them fails,
+    naming each."""
     state = fixture()["sea-axis"]
     node = state
     for key in path:
@@ -214,7 +218,8 @@ def test_dropped_key_is_data_error_naming_it(path, dropped):
     for key in dropped.split(", "):
         node[key] = 12
     cls = Ensemble if path[0] == "ensemble" else Selectors
-    with pytest.raises(DataError, match=f"^snapshot section '{path[-1]}' has unknown keys: {dropped}$"):
+    section = "member" if path[-1] == 0 else path[-1]
+    with pytest.raises(DataError, match=f"^snapshot section '{section}' has unknown keys: {dropped}$"):
         cls.from_snapshot(state[path[0]])
 
 
