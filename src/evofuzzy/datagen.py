@@ -57,8 +57,11 @@ def hyperplane_label(w, w0: float, x) -> int:
 def gen_sea(cfg: SeaConfig) -> Iterator[Sample]:
     rng = np.random.default_rng(cfg.seed)
     segment = max(cfg.n_total // len(cfg.thresholds), 1)
-    buf = np.empty((0, cfg.n_features))
-    sums = np.empty(0)
+    buf = None
+    # x[0] + x[1] of each row of buf as Python floats: the same IEEE add
+    # as sea_label's, so a candidate is tested and labelled without
+    # touching its row, and only a kept row is copied out
+    sums = []
     pos = 0
     n2 = 0
     for i in range(cfg.n_total):
@@ -66,21 +69,20 @@ def gen_sea(cfg: SeaConfig) -> Iterator[Sample]:
         theta = cfg.thresholds[k]
         force_minority = i > 0 and n2 / i < cfg.minority_frac
         while True:
-            if pos >= len(buf):
+            if pos >= len(sums):
                 buf = rng.uniform(0.0, 10.0, size=(_BLOCK, cfg.n_features))
-                sums = buf[:, 0] + buf[:, 1]
+                sums = (buf[:, 0] + buf[:, 1]).tolist()
                 pos = 0
-            x = buf[pos]
             below = sums[pos] < theta
             pos += 1
             if not force_minority or below:
                 break
-        label = sea_label(theta, x)
+        label = 2 if below else 1
         if label == 2:
             n2 += 1
         if cfg.noise_frac > 0.0 and rng.random() < cfg.noise_frac:
             label = 3 - label
-        yield Sample(x.copy(), label)
+        yield Sample(buf[pos - 1].copy(), label)
 
 
 @dataclass

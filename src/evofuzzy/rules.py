@@ -21,7 +21,6 @@ from functools import cache
 from typing import Optional
 
 import numpy as np
-from scipy.special import gammaincinv
 
 from .core import DataError, Field, State, onehot
 
@@ -239,10 +238,34 @@ def weighted_rls_update(
         weights -= (2.0 * decay_strength) * (psi @ weights)
 
 
+# chi2.ppf(0.95, df) for df = 1..64, written by scripts/chi2_table.py, so
+# that the novelty gate reads its threshold without importing scipy.
+_CHI2_95 = (
+    3.841458820694124, 5.991464547107979, 7.814727903251179, 9.487729036781154, 11.070497693516351,
+    12.591587243743977, 14.067140449340169, 15.50731305586545, 16.918977604620448, 18.307038053275146,
+    19.67513757268249, 21.02606981748307, 22.362032494826934, 23.684791304840576, 24.995790139728616,
+    26.29622760486423, 27.58711163827534, 28.869299430392623, 30.14352720564616, 31.410432844230918,
+    32.670573340917315, 33.92443847144381, 35.17246162690806, 36.41502850180731, 37.65248413348277,
+    38.885138659830055, 40.113272069413625, 41.33713815142739, 42.55696780429269, 43.77297182574219,
+    44.98534328036513, 46.19425952027847, 47.39988391908093, 48.602367367294164, 49.80184956820181,
+    50.99846016571065, 52.192319730102895, 53.383540622969356, 54.572227758941736, 55.75847927888702,
+    56.94238714682408, 58.12403768086803, 59.30351202689981, 60.480886582336446, 61.65623337627955,
+    62.829620411408165, 64.00111197221803, 65.17076890356982, 66.3386488629688, 67.5048065495412,
+    68.66929391228578, 69.83216033984813, 70.99345283378227, 72.15321616702309, 73.31149302908324,
+    74.46832415930936, 75.62374846937608, 76.7778031560615, 77.93052380523042, 79.08194448784874,
+    80.23209784876272, 81.3810151888991, 82.5287265414718, 83.67526074272097,
+)
+
+
 @cache
 def _chi2_quantile(q: float, df: int) -> float:
     """Chi-square quantile: twice the inverse regularized lower incomplete
-    gamma function at df / 2, the same expression as chi2.ppf."""
+    gamma function at df / 2, the same expression as chi2.ppf.  The 0.95
+    quantile up to df 64 comes from _CHI2_95; any other imports scipy."""
+    if q == 0.95 and 1 <= df <= len(_CHI2_95):
+        return _CHI2_95[df - 1]
+    from scipy.special import gammaincinv
+
     return float(2.0 * gammaincinv(df / 2.0, q))
 
 

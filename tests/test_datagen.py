@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 
 import numpy as np
@@ -108,6 +109,44 @@ class TestGenHyperplane:
     @pytest.mark.parametrize("n_total, drift_start", [(120_000, 40_000), (2000, 666)])
     def test_drift_start_defaults_to_a_third_of_the_stream(self, n_total, drift_start):
         assert HyperplaneConfig(n_total=n_total).drift_start == drift_start
+
+
+# SHA-256 of each stream's stacked features (little-endian float64) then
+# its labels (little-endian int64).  A change of values, of the order of
+# RNG calls or of a label changes the digest.
+PINNED = {
+    "sea-default": (
+        lambda: gen_sea(SeaConfig(n_total=20_000)),
+        "a29ff8089e19b48a1e6ecb7257c4c30495170f0107eed53d90c50b549745214e",
+    ),
+    "sea-noise": (
+        lambda: gen_sea(SeaConfig(n_total=20_000, noise_frac=0.1, seed=4)),
+        "77e4752d3ca1c423a2158f36e069dea3da0c02c45120d046dadeae8ea10af298",
+    ),
+    "sea-axis": (
+        lambda: gen_sea(SeaConfig(n_total=25_000, thresholds=(4.0,), seed=7)),
+        "1c08b95b7d41a722bce6ed9c9243c15bb88b64aa328fd048c3e6171a8505881f",
+    ),
+    "hyperplane-default": (
+        lambda: gen_hyperplane(HyperplaneConfig(n_total=20_000)),
+        "2dfb1c6eb447696adb79df82517e602a830d916487d50abe11ce00b8fdb688bc",
+    ),
+    "hyperplane-6-noise": (
+        lambda: gen_hyperplane(
+            HyperplaneConfig(n_total=20_000, n_features=6, noise_frac=0.1, seed=2)
+        ),
+        "599ff4748fa6696a6bcdd42481c90ad69633a6d96843f9a63330df7f76552492",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED))
+def test_generated_stream_is_pinned(name):
+    stream, digest = PINNED[name]
+    samples = list(stream())
+    h = hashlib.sha256(np.stack([s.x for s in samples]).astype("<f8").tobytes())
+    h.update(np.array([s.label for s in samples], dtype="<i8").tobytes())
+    assert h.hexdigest() == digest
 
 
 class TestCsv:

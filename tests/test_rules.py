@@ -15,6 +15,7 @@ from evofuzzy.rules import (
     RdeState,
     RuleBank,
     RuleClassifier,
+    _CHI2_95,
     _chi2_quantile,
     extended_input,
     firings,
@@ -242,7 +243,17 @@ class TestChi2Quantile:
             for df in range(1, 60):
                 assert _chi2_quantile(q, df) == float(chi2.ppf(q, df))
 
+    def test_table_equals_scipy_stats_bit_for_bit(self):
+        assert len(_CHI2_95) == 64
+        for df in range(1, 65):
+            assert _CHI2_95[df - 1].hex() == float(chi2.ppf(0.95, df)).hex()
+
+    def test_quantile_past_the_table_falls_back_to_scipy(self):
+        assert _chi2_quantile(0.95, 65) == float(chi2.ppf(0.95, 65))
+
     def test_package_import_leaves_scipy_stats_out(self):
+        """Neither the import nor a short SEA run (u = 3, so the novelty
+        gate reads the table) loads any part of scipy."""
         import os
         import subprocess
         import sys
@@ -251,11 +262,19 @@ class TestChi2Quantile:
         import evofuzzy
 
         env = dict(os.environ, PYTHONPATH=str(Path(evofuzzy.__file__).parents[1]))
-        code = "import sys, evofuzzy; print('scipy.stats' in sys.modules)"
+        code = (
+            "import sys, evofuzzy as ef\n"
+            "from evofuzzy.rules import _chi2_quantile\n"
+            "print('scipy' in sys.modules)\n"
+            "proto = ef.EvalProtocol('holdout', 250, 250, stamps=4)\n"
+            "cfg = ef.StreamConfig(n_features=3, n_classes=2, chunk_size=250)\n"
+            "ef.run_holdout(ef.gen_sea(ef.SeaConfig(n_total=2000, seed=1)), cfg, proto)\n"
+            "print(_chi2_quantile.cache_info().currsize > 0, 'scipy' in sys.modules)\n"
+        )
         out = subprocess.run(
             [sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env
         )
-        assert out.stdout.strip() == "False"
+        assert out.stdout.split() == ["False", "True", "False"]
 
 
 class TestInfer:
