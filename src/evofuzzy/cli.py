@@ -1,15 +1,13 @@
 """Command-line interface: generate streams, run experiments, report.
 
-Exit codes: 0 success, 2 configuration error, 3 data error.  A JSON
-config file holds run flags by dest, "ofs_b": 2 for --ofs-b 2; its
-entries are parsed as flags ahead of the command line's, so explicit
-flags win.
+Exit codes: 0 success, 2 configuration error, 3 data error.  An
+argument @FILE stands for the arguments in FILE, one per line
+(--ofs-b=2); a later argument wins over an earlier one.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 
 from .core import ConfigError, DataError, StreamConfig
@@ -17,6 +15,7 @@ from .datagen import (
     HyperplaneConfig,
     SeaConfig,
     csv_dims,
+    csv_line,
     gen_hyperplane,
     gen_sea,
     load_csv,
@@ -45,6 +44,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="evofuzzy",
         description="Streaming fuzzy-rule ensemble classifier",
+        fromfile_prefix_chars="@",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -78,39 +78,11 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--ofs-b", type=int, default=StreamConfig.ofs_b, help="active feature budget")
     run.add_argument("--seed", type=int, default=StreamConfig.seed)
     run.add_argument("--metrics", default=None, help="metrics output file")
-    run.add_argument("--config", default=None, help="JSON config file (flags override)")
 
     rep = sub.add_parser("report", help="summarize a metrics file")
     rep.add_argument("--metrics", required=True)
     rep.add_argument("--summary", action="store_true")
     return parser
-
-
-def _config_flags(parser, argv) -> list:
-    """The run flags that the --config file in argv stands for, [] without one.
-
-    Each key is a run flag's dest and stands for that flag with its value,
-    "ofs_b": 2 for --ofs-b=2; null leaves the key out.
-    """
-    probe = argparse.ArgumentParser(add_help=False)
-    probe.add_argument("--config", default=None)
-    path = probe.parse_known_args(argv)[0].config
-    if not path:
-        return []
-    try:
-        with open(path) as fh:
-            entries = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise ConfigError(f"cannot read config file {path}: {exc}")
-    if not isinstance(entries, dict):
-        raise ConfigError("config file must hold a JSON object")
-    # every run dest, read off the shortest run command line
-    keys = set(vars(parser.parse_args(["run", "--gen", "sea"]))) - {"command", "config"}
-    unknown = set(entries) - keys
-    if unknown:
-        raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-    return [f"--{key.replace('_', '-')}={value}" for key, value in entries.items()
-            if value is not None]
 
 
 def _generated(kind: str, args):
@@ -159,10 +131,13 @@ def _cmd_run(args) -> int:
         seed=args.seed,
         base_kind=_BASE_KINDS[args.base],
     )
-    if protocol.mode == "holdout":
-        metrics, _ = run_holdout(stream, cfg, protocol)
-    else:
-        metrics, _ = run_cv(stream, cfg, folds=args.folds)
+    try:
+        metrics, _ = (run_holdout(stream, cfg, protocol) if protocol.mode == "holdout"
+                      else run_cv(stream, cfg, folds=args.folds))
+    except DataError as exc:  # name the CSV line of the row at fault
+        if args.data and exc.row is not None:
+            raise DataError(f"{args.data}:{csv_line(args.data, exc.row)}: {exc}") from None
+        raise
     if args.metrics:
         write_metrics(args.metrics, metrics)
     print(
@@ -195,12 +170,8 @@ def _cmd_report(args) -> int:
 
 
 def main(argv=None) -> int:
-    argv = sys.argv[1:] if argv is None else list(argv)
-    parser = build_parser()
+    args = build_parser().parse_args(argv)
     try:
-        if argv[:1] == ["run"]:
-            argv = ["run", *_config_flags(parser, argv[1:]), *argv[1:]]
-        args = parser.parse_args(argv)
         if args.command == "gen":
             return _cmd_gen(args)
         if args.command == "run":

@@ -34,7 +34,12 @@ class ConfigError(ValueError):
 
 
 class DataError(ValueError):
-    """Malformed or insufficient input data (CLI exit code 3)."""
+    """Malformed or insufficient input data (CLI exit code 3); row indexes
+    the bad row, if any, in the rows that the raising call was given."""
+
+    def __init__(self, message: str, row: Optional[int] = None):
+        super().__init__(message)
+        self.row = row
 
 
 class Field(NamedTuple):
@@ -328,10 +333,8 @@ class RunningStandardizer(State):
         means, m2s = np.array(means).T, np.array(m2s).T  # (N + 1, u), row 0 the prior state
         finite = np.isfinite(m2s).all(axis=1)
         if not finite.all():
-            raise DataError(
-                _row(x, int(np.argmin(finite)) - 1, "chunk")
-                + "feature values overflow the running statistics"
-            )
+            raise _row_error(x, int(np.argmin(finite)) - 1, "chunk",
+                             "feature values overflow the running statistics")
         counts = np.arange(self.count + 1, self.count + len(rows) + 1)[:, None]
         self.count += len(rows)
         self.mean, self.m2 = means[-1].copy(), m2s[-1].copy()
@@ -360,13 +363,13 @@ class RunningStandardizer(State):
             )
         finite = np.isfinite(x).all(axis=-1)
         if not finite.all():
-            raise DataError(_row(x, int(np.argmin(finite)), noun) + "feature values must be finite")
+            raise _row_error(x, int(np.argmin(finite)), noun, "feature values must be finite")
         return x
 
 
-def _row(x: np.ndarray, k: int, noun: str) -> str:
-    """Error prefix naming row k of a block x, empty for one vector."""
-    return f"row {k} of the {noun}: " if x.ndim == 2 else ""
+def _row_error(x: np.ndarray, k: int, noun: str, what: str) -> DataError:
+    """A DataError saying what, naming row k of a block x but no row of a vector."""
+    return DataError(f"row {k} of the {noun}: {what}", k) if x.ndim == 2 else DataError(what)
 
 
 def chunks(source: Iterable[Sample], size: int) -> Iterator[DataChunk]:

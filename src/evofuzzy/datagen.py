@@ -216,6 +216,11 @@ def load_csv(path, n_classes: Optional[int] = None) -> Iterator[Sample]:
         yield Sample(x, label)
 
 
+def csv_line(path, index: int) -> int:
+    """The line of the CSV file that holds sample index, counted from 0."""
+    return next(line for k, (line, _) in enumerate(_csv_rows(path)) if k == index)
+
+
 def csv_dims(path) -> tuple:
     """(n_features, n_classes) from the header and the observed labels."""
     max_label = 0

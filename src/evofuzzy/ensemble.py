@@ -335,18 +335,14 @@ class Ensemble(State):
 
         d2s maps each voter to mahalanobis_sq(z, mask) on its rules.
         Returns (global scores, predicted class, per-voter score list),
-        each per row for a block z (N, u).  Members without rules
-        contribute zero.
+        each per row for a block z (N, u).
         """
         if not self.members:
             raise EmptyEnsembleError("ensemble has no members")
         sigma = np.zeros(z.shape[:-1] + (self.cfg.n_classes,))
         member_scores = []
         for m in self.voters():
-            if m.model.rules:
-                s, _ = m.model.infer(z, d2s[m], mask)
-            else:
-                s = np.zeros_like(sigma)
+            s, _ = m.model.infer(z, d2s[m], mask)
             member_scores.append(s)
             sigma += m.beta * s
         return sigma, classes(sigma), member_scores
@@ -362,8 +358,9 @@ class Ensemble(State):
             sigma, cls, _ = self.predict(z, d2s, mask)
         finite = np.isfinite(sigma).all(axis=-1)
         if not finite.all():
-            where = f"row {int(np.argmin(finite))} of the block" if z.ndim == 2 else "the sample"
-            raise DataError(f"{where} scores non-finite values (a feature value is too large)")
+            row = int(np.argmin(finite)) if z.ndim == 2 else None
+            where = "the sample" if row is None else f"row {row} of the block"
+            raise DataError(f"{where} scores non-finite values (a feature value is too large)", row)
         return sigma, cls
 
     # -- weight adaptation ----------------------------------------------------
@@ -496,14 +493,13 @@ class Ensemble(State):
             else:
                 v = self.select_winner(mci)
                 m = mci.voters[v]
-                sc = member_scores[v] if m.model.rules else None
-                d2s[m] = m.model.train_sample(z, label, d2s[m], sc, mask)
+                d2s[m] = m.model.train_sample(z, label, d2s[m], member_scores[v], mask)
             for m in self.members:
                 if m.bootstrapping:
-                    sc = m.model.infer(z, d2s[m], mask)[0] if m.model.rules else None
+                    sc = m.model.infer(z, d2s[m], mask)[0]
                     d2s[m] = m.model.train_sample(z, label, d2s[m], sc, mask)
+            activations += selectors.mask_active
             if mask is not None:
-                activations += mask
                 selectors.learn([m.model for m in d2s], z, t, list(d2s.values()), cls != label)
         for m in self.members:
             if m.bootstrapping:

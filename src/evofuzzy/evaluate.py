@@ -99,9 +99,12 @@ def _take(it, n: int, what: str, stamp: int) -> list:
     return block
 
 
-def _located(where: str, ch, size: int) -> str:
+def _located(exc: DataError, name: str, at, ch, size: int) -> DataError:
+    """exc from chunk ch of block name, which at maps into the stream: the
+    new error names the block and carries its row as an index in the stream."""
     first = ch.index * size
-    return f"{where} (samples {first}-{first + len(ch) - 1})"
+    row = None if exc.row is None else at(first + exc.row)
+    return DataError(f"{name} (samples {first}-{first + len(ch) - 1}): {exc}", row)
 
 
 def _train_and_score(ens, sel, cfg, train, test, where: tuple, reports=None, fork_at=None):
@@ -112,12 +115,12 @@ def _train_and_score(ens, sel, cfg, train, test, where: tuple, reports=None, for
     fork_at, a deep copy of (ens, sel, reports) is taken once that many
     chunks are trained.  The test block is scored a chunk at a time,
     one score_sample call per chunk, so no distance array grows past one
-    chunk of rows.  where names the (train, test) blocks in a DataError.
+    chunk of rows.  where holds (name, at) of the train and the test block.
     Returns (chunk reports, correct test predictions, seconds of learning
     plus scoring, the copy or None).  Scoring must leave the digests of
     the learner and the selectors, whose mask the scorer reads, unchanged.
     """
-    train_where, test_where = where
+    train_block, test_block = where
     size = cfg.chunk_size
     reports = [] if reports is None else reports
     fork = None
@@ -129,7 +132,7 @@ def _train_and_score(ens, sel, cfg, train, test, where: tuple, reports=None, for
         try:
             reports.append(ens.train_chunk(ch, sel))
         except DataError as exc:
-            raise DataError(f"{_located(train_where, ch, size)}: {exc}") from None
+            raise _located(exc, *train_block, ch, size) from None
     seconds = time.perf_counter() - t0
     before = ens.snapshot_hash(), sel.digest()
     t0 = time.perf_counter()
@@ -138,11 +141,11 @@ def _train_and_score(ens, sel, cfg, train, test, where: tuple, reports=None, for
         try:
             _, cls = ens.score_sample([s.x for s in ch.samples], sel.mask)
         except DataError as exc:
-            raise DataError(f"{_located(test_where, ch, size)}: {exc}") from None
+            raise _located(exc, *test_block, ch, size) from None
         correct += int(np.count_nonzero(cls == np.array([s.label for s in ch.samples])))
     seconds += time.perf_counter() - t0
     if (ens.snapshot_hash(), sel.digest()) != before:
-        raise RuntimeError(f"{test_where} mutated the model")
+        raise RuntimeError(f"{test_block[0]} mutated the model")
     return reports, correct, seconds, fork
 
 
@@ -200,6 +203,8 @@ def run_holdout(
     or selectors passed in, say restored from snapshots, must have been
     built from cfg: a ConfigError names the first setting that differs.
     """
+    if protocol.mode != "holdout":
+        raise ConfigError(f"run_holdout runs mode holdout, not {protocol.mode!r}")
     it = iter(stream)
     ens = learner if learner is not None else Ensemble(cfg)
     sel = selectors if selectors is not None else Selectors(cfg)
@@ -215,9 +220,11 @@ def run_holdout(
     for stamp in range(protocol.stamps):
         train = _take(it, protocol.train_per_stamp, "train", stamp)
         test = _take(it, protocol.test_per_stamp, "test", stamp)
+        first = stamp * (len(train) + len(test))
         reports, correct, seconds, _ = _train_and_score(
             ens, sel, cfg, train, test,
-            (f"train block of stamp {stamp}", f"test block of stamp {stamp}"),
+            ((f"train block of stamp {stamp}", lambda i: first + i),
+             (f"test block of stamp {stamp}", lambda i: first + len(train) + i)),
         )
         rt += seconds
         series.append(_record(stamp, ens, sel, reports, correct / len(test), rt))
@@ -255,7 +262,9 @@ def run_cv(dataset, cfg: StreamConfig, folds: int = 10):
         test = samples[lo:hi]
         ens, sel, reports = fork or (Ensemble(cfg), Selectors(cfg), [])
         reports, correct, seconds, fork = _train_and_score(
-            ens, sel, cfg, train, test, (f"train bins of fold {f}", f"test bin {f}"),
+            ens, sel, cfg, train, test,
+            ((f"train bins of fold {f}", lambda i: i if i < lo else i + hi - lo),
+             (f"test bin {f}", lambda i: lo + i)),
             reports, lo // cfg.chunk_size if f + 1 < folds else None,
         )
         rt += seconds

@@ -45,10 +45,6 @@ INIT_SPREAD = 1.0  # spread of the very first rule
 RLS_INIT = 1e5  # diagonal of a fresh rule's consequent covariance
 
 
-class EmptyModelError(RuntimeError):
-    """Inference was requested from a classifier with no rules."""
-
-
 class GrowDecision(Enum):
     GROW = "grow"
     UPDATE = "update_winner"
@@ -284,7 +280,7 @@ class RuleClassifier(State):
     One trainer mutates a classifier; inference on a snapshot is pure.
     An argument d2 is mahalanobis_sq(x, mask) on the rules as they stand,
     scores is infer(x, d2, mask)[0] on them and win the winner on them
-    (scores and win are None without rules), so each is computed once.
+    (win is None without rules), so each is computed once.
     """
 
     FIELDS = (
@@ -328,11 +324,10 @@ class RuleClassifier(State):
         """Weighted-consequent scores and the predicted class.
 
         scores_o = sum_i lam_i * (x_e @ W_i)_o; the predicted class is the
-        argmax with the lowest index winning ties.  For a block x (N, u)
-        with d2 (N, R) both come back per row.  Pure: no state change.
+        argmax with the lowest index winning ties, so a classifier without
+        rules sums to zero scores and predicts class 1.  For a block x
+        (N, u) with d2 (N, R) both come back per row.  Pure: no state change.
         """
-        if not self.rules:
-            raise EmptyModelError("classifier has no rules")
         lam = firings(d2)
         x_e = extended_input(x, mask)
         per_rule = np.einsum("...e,reo->...ro", x_e, self.rules.weights)
@@ -364,7 +359,7 @@ class RuleClassifier(State):
         density: float,
         t_onehot: np.ndarray,
         d2: np.ndarray,
-        scores: Optional[np.ndarray],
+        scores: np.ndarray,
         win: Optional[int],
         mask: Optional[np.ndarray] = None,
     ) -> GrowDecision:
@@ -543,7 +538,7 @@ class RuleClassifier(State):
         x: np.ndarray,
         label: int,
         d2: np.ndarray,
-        scores: Optional[np.ndarray],
+        scores: np.ndarray,
         mask: Optional[np.ndarray] = None,
     ) -> np.ndarray:
         """One supervised training step: grow/recall/update, fit, prune.
@@ -585,9 +580,9 @@ class RuleClassifier(State):
 
 
 def firings(d2: np.ndarray) -> np.ndarray:
-    """Normalized firing strengths from squared distances; each row of
-    rules (the last axis) sums to 1."""
-    f = np.exp(-(d2 - d2.min(axis=-1, keepdims=True)))  # shift-invariant, avoids underflow
+    """Normalized firings of squared distances, shifted against underflow:
+    each row of rules (the last axis) sums to 1, and no rules give none."""
+    f = np.exp(-(d2 - d2.min(axis=-1, keepdims=True, initial=np.inf)))
     return f / f.sum(axis=-1, keepdims=True)
 
 

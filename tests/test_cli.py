@@ -1,5 +1,4 @@
 import json
-import os
 import subprocess
 import sys
 from pathlib import Path
@@ -202,33 +201,55 @@ class TestRun:
         )
 
     def test_config_file_supplies_defaults(self, tmp_path):
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"stamps": 2, "train": 200, "test": 100, "n": 600}))
+        cfg = tmp_path / "run.args"
+        cfg.write_text("--stamps=2\n--train=200\n--test=100\n--n=600\n")
         metrics_path = tmp_path / "m.jsonl"
         code = run_cli(
-            "run", "--gen", "sea", "--seed", "5",
-            "--config", str(cfg), "--metrics", str(metrics_path),
+            "run", f"@{cfg}", "--gen", "sea", "--seed", "5", "--metrics", str(metrics_path),
         )
         assert code == 0
         records, _ = read_metrics(metrics_path)
         assert len(records) == 2
 
     def test_flags_override_config_file(self, tmp_path):
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"stamps": 9, "train": 200, "test": 100, "n": 600}))
+        """A later argument wins, so a flag after the file beats it and one
+        before it does not: 9 stamps of 300 exhaust 600 samples."""
+        cfg = tmp_path / "run.args"
+        cfg.write_text("--stamps=9\n--train=200\n--test=100\n--n=600\n")
         metrics_path = tmp_path / "m.jsonl"
         code = run_cli(
-            "run", "--gen", "sea", "--config", str(cfg),
-            "--stamps", "2", "--metrics", str(metrics_path),
+            "run", "--gen", "sea", f"@{cfg}", "--stamps", "2", "--metrics", str(metrics_path),
         )
         assert code == 0
         records, _ = read_metrics(metrics_path)
         assert len(records) == 2
+        assert run_cli("run", "--gen", "sea", "--stamps", "2", f"@{cfg}") == 3
 
-    def test_unknown_config_key_rejected(self, tmp_path):
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"bogus_knob": 1}))
-        assert run_cli("run", "--gen", "sea", "--config", str(cfg)) == 2
+    def test_unknown_config_key_rejected(self, tmp_path, capsys):
+        cfg = tmp_path / "run.args"
+        cfg.write_text("--bogus-knob=1\n")
+        with pytest.raises(SystemExit) as exc:
+            run_cli("run", "--gen", "sea", f"@{cfg}")
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --bogus-knob=1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("line, args, message", [
+        (602, ["--stamps", "2"],
+         "train block of stamp 1 (samples 0-249): row 100 of the chunk: feature values overflow"),
+        (802, ["--stamps", "2"],
+         "test block of stamp 1 (samples 0-249): row 50 of the block scores non-finite"),
+        # fold 0 trains on bins 1 and 2, samples 334-999; sample 450 is its row 116
+        (452, ["--mode", "cv", "--folds", "3", "--chunk", "100"],
+         "train bins of fold 0 (samples 100-199): row 16 of the chunk: feature values overflow"),
+    ], ids=["train", "test", "cv-train"])
+    def test_bad_value_names_its_csv_line(self, tmp_path, capsys, line, args, message):
+        data = tmp_path / "sea.csv"
+        run_cli("gen", "sea", "--n", "1000", "--seed", "2", "--out", str(data))
+        lines = data.read_text().splitlines()
+        lines[line - 1] = "1e200," + lines[line - 1].split(",", 1)[1]
+        data.write_text("\n".join(lines) + "\n")
+        assert run_cli("run", "--data", str(data), *args) == 3
+        assert f"data error: {data}:{line}: {message}" in capsys.readouterr().err
 
 
 def run_records(*args) -> list:
@@ -240,8 +261,8 @@ def run_records(*args) -> list:
 
 
 class TestConfigFile:
-    """A config file's entries are parsed as the run flags they name,
-    ahead of the command line's own flags."""
+    """An argument @FILE stands for the arguments in FILE, one per line,
+    read in its place and checked as the command line's own."""
 
     @pytest.fixture
     def csv(self, tmp_path):
@@ -250,19 +271,23 @@ class TestConfigFile:
                 "--out", str(path))
         return path
 
+    def run_with_file(self, tmp_path, *lines, args=("--gen", "sea", "--n", "600")):
+        """run with an argument file of lines, then args; returns the exit code."""
+        cfg = tmp_path / "run.args"
+        cfg.write_text("".join(line + "\n" for line in lines))
+        with pytest.raises(SystemExit) as exc:
+            run_cli("run", f"@{cfg}", *args, "--stamps", "1", "--train", "200", "--test", "100")
+        return exc.value.code
+
     def test_settings_from_a_file_equal_the_same_flags(self, tmp_path, csv):
-        settings = {
-            "mode": "cv", "folds": 3, "chunk": 100, "base": "multivariate", "delta_rel": 0.05,
-            "ofs_b": 2, "seed": 3,
-        }
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps(settings))
-        from_file = run_records("run", "--data", str(csv), "--config", str(cfg),
-                                "--metrics", str(tmp_path / "a.jsonl"))
         flags = [
-            "--mode", "cv", "--folds", "3", "--chunk", "100", "--base", "multivariate",
-            "--delta-rel", "0.05", "--ofs-b", "2", "--seed", "3",
+            "--mode=cv", "--folds=3", "--chunk=100", "--base=multivariate", "--delta-rel=0.05",
+            "--ofs-b=2", "--seed=3",
         ]
+        cfg = tmp_path / "run.args"
+        cfg.write_text("\n".join(flags) + "\n")
+        from_file = run_records("run", f"@{cfg}", "--data", str(csv),
+                                "--metrics", str(tmp_path / "a.jsonl"))
         from_flags = run_records("run", "--data", str(csv), *flags,
                                  "--metrics", str(tmp_path / "b.jsonl"))
         assert len(from_file) == 3
@@ -271,52 +296,50 @@ class TestConfigFile:
                               "--chunk", "100", "--metrics", str(tmp_path / "c.jsonl"))
         assert default != from_flags
 
-    def test_flags_beat_the_file_and_null_leaves_the_default(self, tmp_path, csv):
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"base": "multivariate", "delta_rel": None, "ofs_b": None}))
-        args = ("run", "--data", str(csv), "--stamps", "2", "--train", "200", "--test", "100")
-        from_file = run_records(*args, "--config", str(cfg), "--base", "axis",
-                                "--metrics", str(tmp_path / "a.jsonl"))
-        assert from_file == run_records(*args, "--metrics", str(tmp_path / "b.jsonl"))
-
-    @pytest.mark.parametrize("entries, message", [
-        ({"mode": "holdot"}, "argument --mode: invalid choice: 'holdot'"),
-        ({"base": "multi"}, "argument --base: invalid choice: 'multi'"),
-        ({"delta_rel": [0.8]}, "argument --delta-rel: invalid float value: '[0.8]'"),
-        ({"ofs_b": 2.5}, "argument --ofs-b: invalid int value: '2.5'"),
+    @pytest.mark.parametrize("line, message", [
+        ("--mode=holdot", "argument --mode: invalid choice: 'holdot'"),
+        ("--base=multi", "argument --base: invalid choice: 'multi'"),
+        ("--delta-rel=[0.8]", "argument --delta-rel: invalid float value: '[0.8]'"),
+        ("--ofs-b=2.5", "argument --ofs-b: invalid int value: '2.5'"),
     ], ids=["mode", "base", "delta_rel", "ofs_b"])
-    def test_bad_value_exits_2_as_the_flag_would(self, tmp_path, capsys, entries, message):
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps(entries))
-        with pytest.raises(SystemExit) as exc:
-            run_cli("run", "--gen", "sea", "--n", "600", "--stamps", "1", "--train", "200",
-                    "--test", "100", "--config", str(cfg))
-        assert exc.value.code == 2
+    def test_bad_value_exits_2_as_the_flag_would(self, tmp_path, capsys, line, message):
+        assert self.run_with_file(tmp_path, line) == 2
         assert message in capsys.readouterr().err
 
-    @pytest.mark.parametrize("key, value", [
-        ("theta", 0.7), ("p", 0.5), ("alpha_warn", 0.005), ("alpha_drift", 0.001),
-        ("al_conjunction", True),
+    @pytest.mark.parametrize("line", [
+        "--theta=0.7", "--p=0.5", "--alpha-warn=0.005", "--alpha-drift=0.001",
+        "--al-conjunction",
     ], ids=["theta", "p", "alpha_warn", "alpha_drift", "al_conjunction"])
-    def test_key_of_a_constant_exits_2(self, tmp_path, capsys, key, value):
+    def test_key_of_a_constant_exits_2(self, tmp_path, capsys, line):
         """A file that still sets what is now a constant, even to its value."""
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({key: value}))
-        assert run_cli("run", "--gen", "sea", "--n", "600", "--config", str(cfg)) == 2
-        assert f"unknown config keys: ['{key}']" in capsys.readouterr().err
+        assert self.run_with_file(tmp_path, line) == 2
+        assert f"unrecognized arguments: {line}" in capsys.readouterr().err
 
     @pytest.mark.parametrize("in_file, on_line", [("data", "gen"), ("gen", "data")])
     def test_source_in_the_file_conflicts_with_the_other_on_the_command_line(
         self, tmp_path, capsys, csv, in_file, on_line
     ):
         source = {"data": str(csv), "gen": "sea"}
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({in_file: source[in_file]}))
-        with pytest.raises(SystemExit) as exc:
-            run_cli("run", f"--{on_line}", source[on_line], "--n", "600", "--stamps", "1",
-                    "--train", "200", "--test", "100", "--config", str(cfg))
-        assert exc.value.code == 2
+        code = self.run_with_file(tmp_path, f"--{in_file}={source[in_file]}",
+                                  args=(f"--{on_line}", source[on_line]))
+        assert code == 2
         assert "not allowed with argument" in capsys.readouterr().err
+
+    def test_missing_file_exits_2(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run_cli("run", f"@{tmp_path / 'none.args'}", "--gen", "sea")
+        assert exc.value.code == 2
+        assert "No such file or directory" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("lines, unrecognized", [
+        (["--ofs-b=2", "", "--seed=3"], "unrecognized arguments: \n"),
+        (["--ofs-b 2"], "unrecognized arguments: --ofs-b 2\n"),
+    ], ids=["blank-line", "flag-and-value-on-one-line"])
+    def test_a_line_is_one_argument(self, tmp_path, capsys, lines, unrecognized):
+        """A blank line is an empty argument, and a flag and its value
+        on one line are one argument; neither is a run argument."""
+        assert self.run_with_file(tmp_path, *lines) == 2
+        assert unrecognized in capsys.readouterr().err
 
 
 class TestReport:
@@ -383,18 +406,3 @@ class TestSameMetrics:
             path.unlink()
         out = self.compare(a, b)
         assert out.returncode == 1 and "no *.jsonl files" in out.stdout
-
-
-class TestScripts:
-    def test_run_sea_names_the_metrics_file_it_wrote(self, tmp_path):
-        root = Path(__file__).resolve().parents[1]
-        metrics = tmp_path / "m.jsonl"
-        out = subprocess.run(
-            [sys.executable, str(root / "scripts" / "run_sea.py"), "--n", "2000",
-             "--stamps", "4", "--metrics", str(metrics)],
-            capture_output=True, text=True, cwd=tmp_path,
-            env={**os.environ, "PYTHONPATH": str(root / "src")},
-        )
-        assert out.returncode == 0
-        assert f"metrics written to {metrics}" in out.stdout
-        assert metrics.is_file()

@@ -9,6 +9,7 @@ from evofuzzy.datagen import (
     HyperplaneConfig,
     SeaConfig,
     csv_dims,
+    csv_line,
     gen_hyperplane,
     gen_sea,
     hyperplane_label,
@@ -158,6 +159,11 @@ class TestCsv:
         assert [s.label for s in samples] == [1, 2, 1]
         assert np.array_equal(samples[0].x, [0.5, 1.5])
         assert csv_dims(path) == (2, 2)
+
+    def test_csv_line_counts_the_header_and_blank_lines(self, tmp_path):
+        path = tmp_path / "gaps.csv"
+        path.write_text("x1,class\n0.5,1\n\n2.0,2\n\n\n1.0,1\n")
+        assert [csv_line(path, k) for k in range(3)] == [2, 4, 7]
 
     def test_missing_field_names_line(self, tmp_path):
         path = tmp_path / "bad.csv"

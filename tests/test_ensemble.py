@@ -13,6 +13,7 @@ from evofuzzy.core import DataChunk, DataError, Sample, StreamConfig, chunks
 from evofuzzy.datagen import HyperplaneConfig, SeaConfig, gen_hyperplane, gen_sea
 from evofuzzy.ensemble import (
     DriftDetector,
+    EmptyEnsembleError,
     Ensemble,
     MciState,
     compression_index,
@@ -93,6 +94,11 @@ class TestPredict:
         ens.members[0].beta, ens.members[1].beta = 6.0, 4.0
         _, cls2, _ = vote(ens, np.zeros(2))
         assert cls == cls2
+
+    @pytest.mark.parametrize("x", [np.zeros(2), np.zeros((3, 2))], ids=["vector", "block"])
+    def test_ensemble_without_members_raises(self, x):
+        with pytest.raises(EmptyEnsembleError, match="ensemble has no members"):
+            Ensemble(base_cfg()).score_sample(x)
 
 
 class TestRewardPenalize:

@@ -72,6 +72,16 @@ class TestRunHoldout:
         run_holdout(stream, cfg, proto)
         assert stream.pulled == 1000
 
+    def test_every_accept_counts_every_feature_without_feature_selection(self):
+        """With ofs_b at u, every feature is active, so each accepted
+        sample trains under all of them."""
+        proto = EvalProtocol(mode="holdout", train_per_stamp=250, test_per_stamp=100, stamps=4)
+        metrics, _ = run_holdout(gen_sea(SeaConfig(n_total=1400, seed=1)),
+                                 small_cfg(chunk_size=125), proto)
+        for rec in metrics.series:
+            assert rec["mask"] == [1, 1, 1]
+            assert rec["ts"] > 0 and rec["mask_activations"] == [rec["ts"]] * 3
+
     def test_constant_learner_scores_majority_share(self):
         # alternating blocks of 10 class-1 then 10 class-2 samples make
         # every test block exactly half class 1
@@ -133,6 +143,12 @@ class TestEvalProtocol:
 
     def test_cv_ignores_the_block_sizes(self):
         assert EvalProtocol(mode="cv", stamps=0).mode == "cv"
+
+    def test_holdout_rejects_a_cv_protocol(self):
+        stream = CountingStream(gen_sea(SeaConfig(n_total=1000, seed=1)))
+        with pytest.raises(ConfigError, match="run_holdout runs mode holdout, not 'cv'"):
+            run_holdout(stream, small_cfg(), EvalProtocol(mode="cv", stamps=2))
+        assert stream.pulled == 0
 
 
 class TestRunCv:
@@ -309,8 +325,11 @@ class TestChunkedScoring:
         samples = list(gen_sea(SeaConfig(n_total=1000, seed=1)))
         samples[750 + 120].x[0] = 1e200  # stamp 1, test row 120
         proto = EvalProtocol(mode="holdout", train_per_stamp=250, test_per_stamp=250, stamps=2)
-        with pytest.raises(DataError, match=r"stamp 1 \(samples 100-199\): row 20 of the block"):
+        with pytest.raises(
+            DataError, match=r"stamp 1 \(samples 100-199\): row 20 of the block"
+        ) as exc:
             run_holdout(samples, small_cfg(chunk_size=100), proto)
+        assert exc.value.row == 870
 
     def test_overflowing_train_value_names_its_row(self):
         samples = list(gen_sea(SeaConfig(n_total=1000, seed=1)))
@@ -319,12 +338,16 @@ class TestChunkedScoring:
         with pytest.raises(
             DataError,
             match=r"train block of stamp 1 \(samples 100-199\): row 30 of the chunk: .*overflow",
-        ):
+        ) as exc:
             run_holdout(samples, small_cfg(chunk_size=100), proto)
+        assert exc.value.row == 630
         samples = list(gen_sea(SeaConfig(n_total=1000, seed=1)))
         samples[870].x[0] = 1e200  # in bin 3: training row 620 of fold 0
-        with pytest.raises(DataError, match=r"train bins of fold 0 \(samples 600-699\): row 20 of the chunk"):
+        with pytest.raises(
+            DataError, match=r"train bins of fold 0 \(samples 600-699\): row 20 of the chunk"
+        ) as exc:
             run_cv(samples, small_cfg(chunk_size=100), folds=4)
+        assert exc.value.row == 870
 
 
 def nudge(a, index):

@@ -10,7 +10,6 @@ from scipy.stats import chi2
 import evofuzzy.rules as rules_module
 from evofuzzy.core import DataError
 from evofuzzy.rules import (
-    EmptyModelError,
     GrowDecision,
     RdeState,
     RuleBank,
@@ -60,7 +59,7 @@ KINDS = ("axis_parallel", "multivariate")
 def passes(model, x):
     """The distance and scoring passes a caller of train_sample makes."""
     d2 = model.mahalanobis_sq(x)
-    return d2, (model.infer(x, d2)[0] if model.rules else None)
+    return d2, model.infer(x, d2)[0]
 
 
 def train(model, x, label):
@@ -311,9 +310,12 @@ class TestInfer:
         assert np.allclose(scores, [la, lb], rtol=1e-12)
         assert cls == 1
 
-    def test_empty_model_raises(self):
-        with pytest.raises(EmptyModelError):
-            infer(RuleClassifier(2, 2), np.zeros(2))
+    def test_empty_model_scores_zero(self):
+        model = RuleClassifier(2, 3)
+        scores, cls = infer(model, np.array([0.4, -1.0]))
+        assert np.array_equal(scores, np.zeros(3)) and cls == 1
+        scores, cls = infer(model, np.ones((4, 2)))
+        assert np.array_equal(scores, np.zeros((4, 3))) and np.array_equal(cls, [1, 1, 1, 1])
 
     @pytest.mark.parametrize("kind", KINDS)
     def test_block_rows_match_single_vectors(self, kind):
