@@ -1,7 +1,7 @@
 """Command-line interface: generate streams, run experiments, report.
 
 Exit codes: 0 success, 2 configuration error, 3 data error.  An
-argument @FILE stands for the arguments in FILE, one per line
+argument @FILE of run stands for the arguments in FILE, one per line
 (--ofs-b=2); a later argument wins over an earlier one.
 """
 
@@ -42,9 +42,7 @@ def thresholds(text: str) -> tuple:
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
-        prog="evofuzzy",
-        description="Streaming fuzzy-rule ensemble classifier",
-        fromfile_prefix_chars="@",
+        prog="evofuzzy", description="Streaming fuzzy-rule ensemble classifier"
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -59,7 +57,7 @@ def build_parser() -> argparse.ArgumentParser:
     gen.add_argument("--d", type=int, help="hyperplane dimensions")
     gen.add_argument("--drift-start", type=int)
 
-    run = sub.add_parser("run", help="run an experiment")
+    run = sub.add_parser("run", help="run an experiment", fromfile_prefix_chars="@")
     src = run.add_mutually_exclusive_group(required=True)
     src.add_argument("--data", help="CSV stream file")
     src.add_argument("--gen", dest="gen", choices=sorted(_GENERATORS))

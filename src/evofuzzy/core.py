@@ -318,23 +318,20 @@ class RunningStandardizer(State):
         x = self._check(x, "chunk")
         rows = x.reshape(-1, self.n_features)
         # the recurrence per feature in Python floats: the same IEEE
-        # operations as on numpy vectors, without a numpy call per row
-        means, m2s = [], []
+        # operations as on numpy vectors, without a call per row
+        steps = []
         for col, mean, m2 in zip(rows.T.tolist(), self.mean.tolist(), self.m2.tolist()):
-            col_means, col_m2s = [mean], [m2]
-            for count, v in enumerate(col, self.count + 1):
-                delta = v - mean
-                mean += delta / count
-                m2 += delta * (v - mean)
-                col_means.append(mean)
-                col_m2s.append(m2)
-            means.append(col_means)
-            m2s.append(col_m2s)
-        means, m2s = np.array(means).T, np.array(m2s).T  # (N + 1, u), row 0 the prior state
+            steps.append([(mean, m2)] + [(mean := mean + (delta := v - mean) / count,
+                                          m2 := m2 + delta * (v - mean))
+                                         for count, v in enumerate(col, self.count + 1)])
+        means, m2s = np.array(steps).transpose(2, 1, 0)  # (N + 1, u), row 0 the prior state
         finite = np.isfinite(m2s).all(axis=1)
         if not finite.all():
-            raise _row_error(x, int(np.argmin(finite)) - 1, "chunk",
-                             "feature values overflow the running statistics")
+            k = int(np.argmin(finite)) - 1
+            # a fresh learner's first value overflows only with the second
+            if k == 1 and self.count == 0 and np.abs(rows[0]).max() > np.abs(rows[1]).max():
+                k = 0
+            raise _row_error(x, k, "chunk", "feature values overflow the running statistics")
         counts = np.arange(self.count + 1, self.count + len(rows) + 1)[:, None]
         self.count += len(rows)
         self.mean, self.m2 = means[-1].copy(), m2s[-1].copy()

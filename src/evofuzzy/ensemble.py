@@ -143,7 +143,7 @@ class DriftDetector(State):
             c = c if holds else None
         if c is None:
             ok = (cum[s + 1 : e] - base) / self._counts[: n - 1] + self._eps[: n - 1] <= bound
-            first = int(np.argmax(ok))
+            first = int(ok.argmax())
             c = self.cut = first + 1 if ok[first] else None
             self.streak = 0
         if c is None:
@@ -316,7 +316,7 @@ class Ensemble(State):
         return m
 
     def _normalize_betas(self) -> None:
-        s = sum(m.beta for m in self.members)
+        s = sum([m.beta for m in self.members])
         if s > 0:
             for m in self.members:
                 m.beta /= s
@@ -463,8 +463,8 @@ class Ensemble(State):
             else:
                 p_in = conflict_input([m.model for m in d2s], list(d2s.values()))
                 p_out = conflict_output(sigma)
-                takes = (selectors.al.decide(a, b) for a, b in zip(p_in.tolist(), p_out.tolist()))
-                r = next((i for i, take in enumerate(takes) if take), None)
+                pairs = enumerate(zip(p_in.tolist(), p_out.tolist()))
+                r = next((i for i, (a, b) in pairs if selectors.al.decide(a, b)), None)
             n = len(block) if r is None else r + 1
             rep.correct += int(np.count_nonzero(cls[:n] == labels[k : k + n]))
             k += n

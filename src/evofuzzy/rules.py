@@ -104,9 +104,10 @@ class RdeState(State):
         if self.count == 0:
             return 1.0 if diff.ndim == 1 else np.ones(len(diff))
         spread = max(self.sq_norm_mean - float(self.mean @ self.mean), 0.0)
+        if diff.ndim == 1:
+            return 1.0 / (1.0 + float(diff @ diff) + spread)
         # one (1, u) @ (u, 1) product per row, equal to diff @ diff bit for bit
-        p = 1.0 / (1.0 + (diff[..., None, :] @ diff[..., :, None])[..., 0, 0] + spread)
-        return float(p) if p.ndim == 0 else p
+        return 1.0 / (1.0 + (diff[:, None, :] @ diff[:, :, None])[:, 0, 0] + spread)
 
     @property
     def dens_std(self) -> float:
@@ -119,15 +120,21 @@ class RuleBank(State):
     centers         (R, u)
     inv             inverse dispersions: (R, u) diagonals for axis-parallel
                     rules, (R, u, u) matrices for multivariate ones
-    volumes         (R,) det(Sigma), kept in step with inv by set_inv
     weights         (R, u+1, O) consequents
     rls_cov         (R, u+1, u+1) consequent covariances
-    class_support   (R, O) counts; a rule's support is its row sum
+    class_support   (R, O) counts
     activity, peak_potential, age   (R,)
+
+    and the DERIVED columns, which change only on an accept: volumes (R,)
+    det(Sigma) and norms sqrt(2 pi volumes), kept in step with inv by
+    set_inv; supports (R,) the row sums of class_support, the Laplace
+    purity (R, O) (class_support + 1) / (supports + O) and its log, kept
+    in step by count.
 
     A row is the only form a rule takes.  Adding and moving rows
     reallocates every array, so a reference to one is only good until
-    the next append or move.  A snapshot holds every column but volumes.
+    the next append or move.  A snapshot holds every column but the
+    derived ones, which loading recomputes.
     """
 
     FIELDS = (
@@ -136,6 +143,7 @@ class RuleBank(State):
         Field("class_support", int, ("R", "O")), Field("activity", float, ("R",)),
         Field("peak_potential", float, ("R",)), Field("age", int, ("R",)),
     )
+    DERIVED = ("volumes", "norms", "supports", "purity", "log_purity")
 
     def __init__(self, n_features: int, n_classes: int, diagonal: bool):
         u = n_features
@@ -148,48 +156,59 @@ class RuleBank(State):
     def __len__(self) -> int:
         return len(self.centers)
 
-    @property
-    def supports(self) -> np.ndarray:
-        return self.class_support.sum(axis=1)
-
     def volume(self, inv: np.ndarray) -> float:
         """det(Sigma) = 1 / det(inv); positive for a valid rule."""
-        det = np.prod(inv) if self.diagonal else np.linalg.det(inv)
+        det = inv.prod() if self.diagonal else np.linalg.det(inv)
         if not det > 0:
             raise FloatingPointError("rule dispersion (inv) lost positive definiteness")
         return 1.0 / det
 
-    def set_inv(self, i: int, inv: np.ndarray) -> None:
-        """Store rule i's inverse dispersion and its volume."""
-        self.volumes[i] = self.volume(inv)
+    def set_inv(self, i: int, inv: np.ndarray, volume: Optional[float] = None) -> None:
+        """Store rule i's inverse dispersion, its volume (given or computed) and its norm."""
+        self.volumes[i] = self.volume(inv) if volume is None else volume
+        self.norms[i] = np.sqrt(2.0 * math.pi * self.volumes[i])
         self.inv[i] = inv
+
+    def count(self, i: int, label: int) -> int:
+        """Count a sample of class label in rule i; returns its support."""
+        self.class_support[i, label - 1] += 1
+        self.supports[i] += 1
+        self.purity[i] = (self.class_support[i] + 1.0) / (self.supports[i] + self.purity.shape[1])
+        np.log(self.purity[i], out=self.log_purity[i])
+        return int(self.supports[i])
+
+    def _derive(self, inv: np.ndarray, class_support: np.ndarray) -> dict:
+        """The derived columns of the rows inv and class_support give."""
+        volumes = np.array([self.volume(v) for v in inv], dtype=float)
+        supports = class_support.sum(axis=1)
+        purity = (class_support + 1.0) / (supports[:, None] + class_support.shape[1])
+        return dict(volumes=volumes, norms=np.sqrt(2.0 * math.pi * volumes), supports=supports,
+                    purity=purity, log_purity=np.log(purity))
 
     def append(self, **row) -> int:
         """Add a rule as the last row, given one value per column in the
         bank's form; returns its index.  A value of the wrong shape raises
         ValueError and leaves the bank as it was."""
-        row["volumes"] = self.volume(row["inv"])
-        grown = {}
-        for name, v in row.items():
-            col = getattr(self, name)
-            grown[name] = np.concatenate([col, np.asarray(v, dtype=col.dtype)[None]])
-        self.__dict__.update(grown)
+        rows = {name: np.asarray(v, dtype=getattr(self, name).dtype)[None] for name, v in row.items()}
+        rows.update(self._derive(rows["inv"], rows["class_support"]))
+        self.__dict__.update({name: np.concatenate([getattr(self, name), v])
+                              for name, v in rows.items()})
         return len(self) - 1
 
     def move(self, i: int, dst: "RuleBank") -> int:
         """Move row i to the end of bank dst; returns its index there."""
-        for name in [f.key for f in self.FIELDS] + ["volumes"]:
+        for name in [f.key for f in self.FIELDS] + list(self.DERIVED):
             col = getattr(self, name)
             setattr(dst, name, np.concatenate([getattr(dst, name), col[i : i + 1]]))
             setattr(self, name, np.delete(col, i, axis=0))
         return len(dst) - 1
 
     def _complete(self) -> None:
-        # update_winner divides by a support less one after counting the sample
-        if (self.class_support.sum(axis=1) < 1).any():
-            raise ValueError("class_support has a rule support below 1")
         self.diagonal = self.inv.ndim == 2
-        self.volumes = np.array([self.volume(inv) for inv in self.inv], dtype=float)
+        self.__dict__.update(self._derive(self.inv, self.class_support))
+        # update_winner divides by a support less one after counting the sample
+        if (self.supports < 1).any():
+            raise ValueError("class_support has a rule support below 1")
 
     def mahalanobis_sq(self, x: np.ndarray, mask: Optional[np.ndarray] = None) -> np.ndarray:
         """Squared Mahalanobis distance from x to every rule center: (R,)
@@ -226,10 +245,11 @@ def weighted_rls_update(
     if denom <= 0:
         raise FloatingPointError("consequent covariance lost positive definiteness")
     k = v / denom
-    p = psi - np.outer(k, v)
-    psi[...] = 0.5 * (p + p.T)
+    p = psi - k[:, None] * v
+    np.add(p, p.T, out=psi)
+    psi *= 0.5
     err = target - x_e @ weights
-    weights += np.outer(k, err)
+    weights += k[:, None] * err
     if decay_strength > 0.0:
         weights -= (2.0 * decay_strength) * (psi @ weights)
 
@@ -344,15 +364,14 @@ class RuleClassifier(State):
         firing everywhere keeps absorbing samples and the forced growth that
         is supposed to relieve it never hands the region to the new rules.
         """
+        if len(d2) == 1:
+            return 0
         b = self.rules
-        supports = b.supports
-        log_prior = np.log(supports / supports.sum())
-        purity = (b.class_support[:, label - 1] + 1.0) / (supports + self.n_classes)
-        score = -d2 + log_prior + np.log(purity)
-        legal = b.volumes <= self.volume_cap
-        if legal.any() and not legal.all():
-            score = np.where(legal, score, -np.inf)
-        return int(np.argmax(score))
+        score = -d2 + np.log(b.supports / b.supports.sum()) + b.log_purity[:, label - 1]
+        over = b.volumes > self.volume_cap
+        if over.any() and not over.all():
+            score = np.where(over, -np.inf, score)
+        return int(score.argmax())
 
     def grow_check(
         self,
@@ -371,9 +390,10 @@ class RuleClassifier(State):
         rde.update returned it.  An oversized winner also forces growth
         instead of further expansion.
         """
-        if not self.rules:
+        if win is None:
             return GrowDecision.GROW
-        err = float(np.linalg.norm(t_onehot - scores))
+        e = t_onehot - scores
+        err = math.sqrt(float(e @ e))
         active = self.n_features if mask is None else int(np.count_nonzero(mask))
         novel = d2[win] > _chi2_quantile(NOVELTY_Q, max(active, 1))
         sparse = False
@@ -471,8 +491,7 @@ class RuleClassifier(State):
         updated and repaired explicitly from the old P.
         """
         b = self.rules
-        b.class_support[win, label - 1] += 1
-        n = int(b.class_support[win].sum())
+        n = b.count(win, label)
         d_old = x - b.centers[win]
         if mask is not None:
             d_old = d_old * mask
@@ -480,7 +499,7 @@ class RuleClassifier(State):
         # x - C_new = d_old * (n-1)/n, so the cross outer product stays symmetric
         if b.diagonal:
             live = d_old != 0.0
-            if np.any(live):
+            if live.any():
                 var = 1.0 / b.inv[win]
                 upd = ((n - 1) * var[live] + d_old[live] ** 2 * (n - 1) / n) / n
                 var[live] = np.maximum(upd, EIG_FLOOR)
@@ -492,8 +511,7 @@ class RuleClassifier(State):
                 p_new = (p - v[:, None] * v / (n + float(d_old @ v))) * (n / (n - 1))
                 tr, det = float(p_new.trace()), float(np.linalg.det(p_new))
                 if tr < 1.0 / EIG_FLOOR and det / tr ** (self.n_features - 1) > EIG_FLOOR:
-                    # 1/det is volume(p_new), so the volume stays in step
-                    b.volumes[win], b.inv[win] = 1.0 / det, p_new
+                    b.set_inv(win, p_new, 1.0 / det)  # 1/det is volume(p_new)
                     return
             active = np.ones(self.n_features, dtype=bool) if mask is None else mask > 0
             cov = np.linalg.inv(p)
@@ -519,9 +537,10 @@ class RuleClassifier(State):
         act += (1.0 - DECAY) * lam
         potentials = self.rde.potential(b.centers)
         np.maximum(b.peak_potential, potentials, out=b.peak_potential)
-        if len(b) < 2:
+        n = len(act)
+        if n < 2 or b.age.max() < self.age_min:
             return []
-        inactive = act < PRUNE_FRAC * (act.sum() / len(b))  # np.mean's own arithmetic
+        inactive = act < PRUNE_FRAC * (act.sum() / n)  # np.mean's own arithmetic
         stale = potentials < POTENTIAL_FRAC * b.peak_potential
         flagged = (b.age >= self.age_min) & (inactive | stale)
         if not flagged.any():
@@ -548,7 +567,7 @@ class RuleClassifier(State):
             raise DataError(f"expected {self.n_features} features, got {x.shape}")
         t = onehot(label, self.n_classes)
         density = self.rde.update(x)
-        win = self.winner(d2, label) if self.rules else None
+        win = self.winner(d2, label) if len(d2) else None
         if not self.grow_check(density, t, d2, scores, win, mask).grows:
             self.update_winner(x, label, win, mask)
         elif self.recall_check(x, mask) is None:
@@ -560,7 +579,7 @@ class RuleClassifier(State):
         lam = firings(d2)
         x_e = extended_input(x, mask)
         b = self.rules
-        for i in np.nonzero(lam > FIRING_EPS)[0]:
+        for i in (lam > FIRING_EPS).nonzero()[0]:
             weighted_rls_update(b.rls_cov[i], b.weights[i], float(lam[i]), x_e, t, DECAY_STRENGTH)
         pruned = self.prune_check(lam)
         self.rules.age += 1
@@ -576,13 +595,14 @@ class RuleClassifier(State):
                 eig = inv if b.diagonal else np.linalg.eigvalsh(0.5 * (inv + inv.T))
                 assert eig.min() > -tol
                 assert np.linalg.eigvalsh(0.5 * (psi + psi.T))[0] > -tol
-            assert np.array_equal(b.volumes, [b.volume(inv) for inv in b.inv])
+            for name, col in b._derive(b.inv, b.class_support).items():
+                assert np.array_equal(getattr(b, name), col), f"{name} out of step"
 
 
 def firings(d2: np.ndarray) -> np.ndarray:
     """Normalized firings of squared distances, shifted against underflow:
     each row of rules (the last axis) sums to 1, and no rules give none."""
-    f = np.exp(-(d2 - d2.min(axis=-1, keepdims=True, initial=np.inf)))
+    f = np.exp(d2.min(axis=-1, keepdims=True, initial=np.inf) - d2)
     return f / f.sum(axis=-1, keepdims=True)
 
 

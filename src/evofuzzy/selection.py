@@ -75,14 +75,16 @@ def conflict_input(models: Sequence[RuleClassifier], d2s: Sequence[np.ndarray]):
     is uninformative, 1 / n_classes.
     """
     n_classes = models[0].n_classes
-    banks = [m.rules for m in models]
-    volumes = np.concatenate([b.volumes for b in banks])
-    class_support = np.concatenate([b.class_support for b in banks])
-    supports = class_support.sum(axis=1)
+    if len(models) == 1:
+        b, (d2,) = models[0].rules, d2s
+        supports, pur, norms = b.supports, b.purity, b.norms
+    else:
+        supports, pur, norms = (np.concatenate([getattr(m.rules, k) for m in models])
+                                for k in ("supports", "purity", "norms"))
+        d2 = np.concatenate(d2s, axis=-1)
     prior = supports / supports.sum()
-    pur = (class_support + 1.0) / (supports[:, None] + n_classes)
     with np.errstate(under="ignore", divide="ignore", invalid="ignore"):
-        like = np.exp(-np.concatenate(d2s, axis=-1)) / np.sqrt(2.0 * math.pi * volumes)
+        like = np.exp(-d2) / norms
         # one (1, R) @ (R, O) product per sample, so a block row is
         # computed exactly as the sample alone
         evidence = ((like * prior)[..., None, :] @ pur)[..., 0, :]

@@ -36,6 +36,13 @@ class TestGen:
         assert exc.value.code == 2
         assert "argument --thresholds: invalid thresholds value: '4,x'" in capsys.readouterr().err
 
+    def test_at_path_is_a_path(self, tmp_path, monkeypatch):
+        """Only run reads @FILE argument files; gen writes to a path
+        that starts with @."""
+        monkeypatch.chdir(tmp_path)
+        assert run_cli("gen", "sea", "--n", "3", "--out", "@x.csv") == 0
+        assert sum(1 for _ in load_csv(tmp_path / "@x.csv")) == 3
+
     @pytest.mark.parametrize("args, message", [
         (["gen", "sea", "--minority", "1.5"], "minority_frac must be in (0, 1)"),
         (["gen", "hyperplane", "--seed", "-1"], "seed must be >= 0, got -1"),
@@ -234,6 +241,9 @@ class TestRun:
         assert "unrecognized arguments: --bogus-knob=1" in capsys.readouterr().err
 
     @pytest.mark.parametrize("line, args, message", [
+        # a fresh learner's first value overflows only with its second
+        (2, ["--stamps", "2"],
+         "train block of stamp 0 (samples 0-249): row 0 of the chunk: feature values overflow"),
         (602, ["--stamps", "2"],
          "train block of stamp 1 (samples 0-249): row 100 of the chunk: feature values overflow"),
         (802, ["--stamps", "2"],
@@ -241,7 +251,7 @@ class TestRun:
         # fold 0 trains on bins 1 and 2, samples 334-999; sample 450 is its row 116
         (452, ["--mode", "cv", "--folds", "3", "--chunk", "100"],
          "train bins of fold 0 (samples 100-199): row 16 of the chunk: feature values overflow"),
-    ], ids=["train", "test", "cv-train"])
+    ], ids=["first", "train", "test", "cv-train"])
     def test_bad_value_names_its_csv_line(self, tmp_path, capsys, line, args, message):
         data = tmp_path / "sea.csv"
         run_cli("gen", "sea", "--n", "1000", "--seed", "2", "--out", str(data))

@@ -110,6 +110,15 @@ class TestRunningStandardizer:
             s.fit_transform(x)
         assert s.snapshot() == before
 
+    @pytest.mark.parametrize("bad_row", [0, 1])
+    def test_fresh_learner_names_the_huge_row(self, bad_row):
+        """A fresh learner's first value overflows only with its second,
+        so the one of the larger magnitude is named."""
+        x = np.ones((4, 2))
+        x[bad_row, 0] = -1e200
+        with pytest.raises(DataError, match=f"^row {bad_row} of the chunk: .*overflow"):
+            RunningStandardizer(2).fit_transform(x)
+
     @given(
         st.lists(
             st.lists(

@@ -129,6 +129,17 @@ class TestRuleVolume:
                 assert model.rules.volumes[i] == pytest.approx(1.0 / det, rel=1e-12)
             model.check_invariants()
 
+    @pytest.mark.parametrize("name", RuleBank.DERIVED)
+    def test_invariants_need_each_derived_column_in_step(self, name):
+        for kind in KINDS:
+            model = one_rule_model([0.0, 0.0], np.diag([3.0, 0.7]), kind)
+            train(model, np.array([0.5, -0.2]), 2)
+            model.check_invariants()
+            col = getattr(model.rules, name)
+            col.flat[0] = col.flat[0] + 1 if col.dtype.kind == "i" else np.nextafter(col.flat[0], 9)
+            with pytest.raises(AssertionError, match=f"{name} out of step"):
+                model.check_invariants()
+
     def test_invariants_need_volumes_exactly_in_step(self):
         for kind in KINDS:
             model = one_rule_model([0.0, 0.0], np.diag([3.0, 0.7]), kind)
@@ -356,9 +367,8 @@ def winner_model(invs, supports):
     diagonal invs[i] (volume 1 / invs[i]^2 against a cap of 9) and class
     supports supports[i]."""
     model = RuleClassifier(2, 2)
-    for inv in invs:
-        model.rules.append(**make_rule([0.0, 0.0], inv * np.eye(2)))
-    model.rules.class_support[:] = supports
+    for inv, cs in zip(invs, supports):
+        model.rules.append(**{**make_rule([0.0, 0.0], inv * np.eye(2)), "class_support": cs})
     return model
 
 
@@ -839,6 +849,31 @@ class TestSnapshot:
         assert json.dumps(clone.snapshot()) == blob
         phase([model, clone], [0.0, 0.0], 1, 100, 0.25)
         assert json.dumps(clone.snapshot()) == json.dumps(model.snapshot())
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_roundtrip_rebuilds_the_derived_columns(self, kind, monkeypatch):
+        """A snapshot leaves the derived columns out, and loading
+        recomputes each of them bit for bit, in the archive too."""
+        rng = np.random.default_rng(13)
+        monkeypatch.setattr(rules_module, "POTENTIAL_FRAC", 0.6)
+        monkeypatch.setattr(rules_module, "DENSITY_SIGMAS", 1.0)
+        model = RuleClassifier(2, 3, kind=kind, age_min=30)
+        centers = np.array([[0.0, 0.0], [9.0, 9.0], [0.0, 9.0], [20.0, -20.0]])
+        # three classes, then class 3 alone prunes two rules, then a far
+        # sample grows one
+        for n in range(610):
+            c = int(rng.integers(3)) if n < 300 else 2 if n < 600 else 3
+            train(model, centers[c] + rng.normal(0.0, 0.6, 2), c % 3 + 1)
+        assert len(model.rules) == 2 and len(model.archive) == 2
+        state = json.loads(json.dumps(model.snapshot()))
+        assert not set(RuleBank.DERIVED) & set(state["rules"])
+        clone = RuleClassifier.from_snapshot(state)
+        clone.check_invariants()
+        for bank in ("rules", "archive"):
+            for name in RuleBank.DERIVED:
+                col = getattr(getattr(clone, bank), name)
+                assert np.array_equal(col, getattr(getattr(model, bank), name))
+                assert col.dtype == getattr(getattr(model, bank), name).dtype
 
     def test_infer_is_pure(self):
         model = RuleClassifier(2, 2)
