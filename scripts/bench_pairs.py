@@ -9,9 +9,11 @@ other; the parent runs first in even pairs and the change in odd ones.
 For every end-to-end metric it prints each side's median and quartiles,
 the ratio of the medians, the change's wins (ties count for neither,
 "better" as BENCHMARK.json of CHANGE_DIR says) and whether the gap
-between the medians exceeds the parent's interquartile range.  With
---json PATH the summary is stored in PATH under the workload's name,
-next to what the file already holds.  Nothing in either checkout is
+between the medians exceeds the parent's interquartile range, and for
+each side the raw (unscaled) train seconds per pass, which the run
+leaves in perfbench/out/.  With --json PATH the summary, the raw train
+and harness seconds of every pass included, is stored in PATH under
+the workload's name (or --key), next to what the file already holds.  Nothing in either checkout is
 changed apart from the benchmark's own perfbench/out/.
 """
 
@@ -26,13 +28,15 @@ from pathlib import Path
 
 
 def run_once(root: Path, workload: str, seed: int, seconds: int) -> dict:
+    """The run's result, with the raw wall times of its passes under "wall"."""
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
            "--seconds", str(seconds), "--trace", "0"]
     proc = subprocess.run(cmd, cwd=root, capture_output=True, text=True)
     lines = proc.stdout.strip().splitlines()
     if proc.returncode != 0 or not lines:
         raise RuntimeError(f"{root}: exit {proc.returncode}: {proc.stderr.strip()[-2000:]}")
-    return json.loads(lines[-1])
+    record = root / "perfbench" / "out" / f"{workload}-seed{seed}-trace0.json"
+    return dict(json.loads(lines[-1]), wall=json.loads(record.read_text())["wall"])
 
 
 def quartiles(values: list) -> tuple:
@@ -71,6 +75,7 @@ def main(argv=None) -> int:
     ap.add_argument("--pairs", type=int, default=10)
     ap.add_argument("--seconds", type=int, default=30)
     ap.add_argument("--json", type=Path, help="merge the summary into this file")
+    ap.add_argument("--key", help="the summary's name in --json (default: the workload)")
     args = ap.parse_args(argv)
     spec = json.loads((args.change / "BENCHMARK.json").read_text())
     better = {m["name"]: m["better"] for m in spec["end_to_end"]}
@@ -84,6 +89,9 @@ def main(argv=None) -> int:
 
     metrics = summarize(runs, better)
     failed = {side: [[r["failed"], r["attempted"]] for r in rs] for side, rs in runs.items()}
+    # unscaled seconds of train_chunk and of the rest of the harness, per pass
+    raw = {side: {k: [[p[k] for p in r["wall"]] for r in rs] for k in ("train_s", "harness_s")}
+           for side, rs in runs.items()}
     print(f"{args.workload} seed {args.seed}, {args.pairs} pairs; "
           f"median [q1, q3] per side, ratio change/parent, change wins")
     for name, m in metrics.items():
@@ -93,14 +101,17 @@ def main(argv=None) -> int:
               f" x{m['ratio'] or float('nan'):.3f}  wins {m['wins']}/{args.pairs}"
               f"{'  gap > parent IQR' if m['gap_exceeds_parent_iqr'] else ''}")
     for side, rs in runs.items():
+        train = [t for passes in raw[side]["train_s"] for t in passes]
         print(f"{side}: failed {sum(f for f, _ in failed[side])} of "
               f"{sum(a for _, a in failed[side])} operations, "
-              f"checks passed in {sum(r['correct'] for r in rs)} of {len(rs)} runs")
+              f"checks passed in {sum(r['correct'] for r in rs)} of {len(rs)} runs, "
+              f"raw train seconds per pass median {statistics.median(train):.4g} "
+              f"[{min(train):.4g}, {max(train):.4g}]")
     if args.json:
         store = json.loads(args.json.read_text()) if args.json.is_file() else {}
-        store[args.workload] = {"seed": args.seed, "pairs": args.pairs,
+        store[args.key or args.workload] = {"seed": args.seed, "pairs": args.pairs,
                                 "seconds": args.seconds, "metrics": metrics,
-                                "failed_attempted": failed}
+                                "failed_attempted": failed, "raw_wall_s": raw}
         args.json.write_text(json.dumps(store, indent=1) + "\n")
     return 0
 

@@ -1,22 +1,29 @@
 #!/usr/bin/env python3
-"""Count the Python calls the learner makes per offered and per accepted sample.
+"""Count the Python calls of the learner's train path and of the rest of the harness.
 
     python3 scripts/call_count.py [--workload W ...] [--seed N]
 
 Each workload (sea-axis, hyperplane-mv, sensor-ofs-cv by default) runs
 its seeded streams through the public harness under cProfile, in a
-fresh interpreter, and reports the calls that cProfile counts (Python
-functions and C functions called from Python) divided by the offered
-and by the accepted training samples.  The streams have the shapes of
-the benchmark's workloads of the same names: four SEA streams of 50
-stamps of 250 train / 250 test with axis-parallel rules, four
-hyperplane streams of 10 stamps of 1000 / 250 with multivariate rules
-and a drift at sample 3750, and two 12-channel sensor streams of 2000
-samples through 5-fold CV with a feature budget of 6.  Stream j of
-seed N has seed 1000 N + j.
+fresh interpreter, and counts the calls that cProfile counts (Python
+functions and C functions called from Python).  It reports two counts:
 
-The count is a work measure that needs no quiet machine: it is the same
-on every run of the same code.  Each workload runs twice, and the
+    train path  calls inside Ensemble.train_chunk, per offered sample
+    the rest    every other call of the harness: scoring the test
+                blocks, the audit digests and the records, per scored
+                sample
+
+The streams run twice: once profiled whole, and once with only each
+train_chunk call profiled; the rest is the difference.  The streams
+have the shapes of the benchmark's workloads of the same names: four
+SEA streams of 50 stamps of 250 train / 250 test with axis-parallel
+rules, four hyperplane streams of 10 stamps of 1000 / 250 with
+multivariate rules and a drift at sample 3750, and two 12-channel
+sensor streams of 2000 samples through 5-fold CV with a feature budget
+of 6.  Stream j of seed N has seed 1000 N + j.
+
+A count is a work measure that needs no quiet machine: it is the same
+on every run of the same code.  Each workload is counted twice, and the
 script exits 1 if the two counts differ.  --json PATH writes the
 counts to PATH.
 """
@@ -41,7 +48,7 @@ WORKLOADS = ("sea-axis", "hyperplane-mv", "sensor-ofs-cv")
 
 
 def stream_runs(workload: str, seed: int) -> list:
-    """One zero-argument harness call per stream of the workload."""
+    """(zero-argument harness call, samples it scores) per stream of the workload."""
     import numpy as np
 
     import evofuzzy as ef
@@ -58,7 +65,7 @@ def stream_runs(workload: str, seed: int) -> list:
                        for i in range(p["n"])]
             cfg = ef.StreamConfig(n_features=12, n_classes=2, chunk_size=p["chunk"],
                                   seed=1000 * seed + j, ofs_b=p["budget"])
-            runs.append(lambda s=samples, c=cfg: run_cv(s, c, folds=p["folds"]))
+            runs.append((lambda s=samples, c=cfg: run_cv(s, c, folds=p["folds"]), p["n"]))
         return runs
     p = SEA if workload == "sea-axis" else HYP
     proto = ef.EvalProtocol("holdout", train_per_stamp=p["train"], test_per_stamp=p["test"],
@@ -76,22 +83,37 @@ def stream_runs(workload: str, seed: int) -> list:
                 w_before=w_before, w_after=w_after, w0=0.5 * sum(w_before))))
             cfg = ef.StreamConfig(n_features=4, n_classes=2, chunk_size=p["chunk"], seed=s,
                                   delta_rel=0.5, base_kind="multivariate")
-        runs.append(lambda s=samples, c=cfg: run_holdout(s, c, proto))
+        runs.append((lambda s=samples, c=cfg: run_holdout(s, c, proto), p["stamps"] * p["test"]))
     return runs
 
 
 def count(workload: str, seed: int) -> dict:
     """Profile the workload's harness calls in this interpreter."""
+    from evofuzzy.ensemble import Ensemble
+
     runs = stream_runs(workload, seed)
-    prof = cProfile.Profile()
-    offered = accepted = 0
-    for run in runs:
-        metrics, _ = prof.runcall(run)
+    train = cProfile.Profile()
+    inner = Ensemble.train_chunk
+    Ensemble.train_chunk = lambda ens, chunk, sel: train.runcall(inner, ens, chunk, sel)
+    try:
+        for run, _ in runs:
+            run()
+    finally:
+        Ensemble.train_chunk = inner
+    # runcall counts one call of the profiler's own disable per chunk
+    train_calls = sum(nc for (_, _, name), (_, nc, *_) in pstats.Stats(train).stats.items()
+                      if "_lsprof.Profiler" not in name)
+    whole = cProfile.Profile()
+    offered = accepted = scored = 0
+    for run, n_scored in runs:
+        metrics, _ = whole.runcall(run)
         offered += metrics.offered
         accepted += metrics.ts
-    calls = pstats.Stats(prof).total_calls
-    return dict(calls=calls, offered=offered, accepted=accepted,
-                per_offered=calls / offered, per_accepted=calls / accepted)
+        scored += n_scored
+    rest_calls = pstats.Stats(whole).total_calls - train_calls
+    return dict(train_calls=train_calls, rest_calls=rest_calls, offered=offered,
+                accepted=accepted, scored=scored, train_per_offered=train_calls / offered,
+                rest_per_scored=rest_calls / scored)
 
 
 def main(argv=None) -> int:
@@ -117,10 +139,10 @@ def main(argv=None) -> int:
         c = counts[0]
         same = counts[0] == counts[1]
         status |= not same
-        print(f"{w:14s} {c['calls']:>10,d} calls  {c['offered']:>7,d} offered  "
-              f"{c['accepted']:>6,d} accepted  {c['per_offered']:8.1f}/offered  "
-              f"{c['per_accepted']:8.1f}/accepted  "
-              f"{'repeats' if same else 'DIFFERS: %d then %d' % (c['calls'], counts[1]['calls'])}")
+        print(f"{w:14s} train path {c['train_calls']:>10,d} calls  {c['offered']:>7,d} offered  "
+              f"{c['train_per_offered']:7.1f}/offered   rest {c['rest_calls']:>9,d} calls  "
+              f"{c['scored']:>6,d} scored  {c['rest_per_scored']:6.1f}/scored  "
+              f"{'repeats' if same else 'DIFFERS: %s then %s' % (counts[0], counts[1])}")
         out[w] = dict(seed=args.seed, **c, repeats=same)
     if args.json:
         args.json.write_text(json.dumps(out, indent=1) + "\n")

@@ -10,9 +10,11 @@ statistics without updating them.
 from __future__ import annotations
 
 import hashlib
+import itertools
 import math
 from collections import ChainMap
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Iterable, Iterator, NamedTuple, Optional
 
 import numpy as np
@@ -78,35 +80,39 @@ class State:
     FIELDS: tuple = ()
     SECTION = ""
 
-    def _walk(self, leaf) -> dict:
-        """The fields as a dict, nested states walked, leaf(field, value)
-        in place of every other value."""
-        out = {}
-        for f in self.FIELDS:
-            v = getattr(self, f.key)
-            if isinstance(f.kind, list):
-                out[f.key] = [s._walk(leaf) for s in v]
-            else:
-                out[f.key] = leaf(f, v) if f.kind in SCALARS else v._walk(leaf)
-        return out
+    def __init_subclass__(cls):
+        """PLAN holds (key, how) per field, the table as snapshot and digest
+        walk it: how is list for a list of sections, State for one,
+        np.ndarray for an array, else the scalar's kind."""
+        cls.PLAN = tuple((f.key, list if isinstance(f.kind, list) else State if f.kind not in
+                          SCALARS else np.ndarray if f.shape else f.kind) for f in cls.FIELDS)
 
     def snapshot(self) -> dict:
-        return self._walk(lambda f, v: v.tolist() if f.shape else v)
+        """The fields as a dict, nested states as theirs, arrays as lists."""
+        out = {}
+        for key, kind in self.PLAN:
+            v = getattr(self, key)
+            out[key] = ([s.snapshot() for s in v] if kind is list else v.snapshot()
+                        if kind is State else v.tolist() if kind is np.ndarray else v)
+        return out
 
     def digest(self) -> str:
         """SHA-256 over each key, each array's dtype, shape and bytes and a
-        canonical form of each scalar, so np.float64 and float agree."""
-        h = hashlib.sha256()
+        canonical form of each scalar, so np.float64 and float agree.  One
+        pass collects the parts, which one hash update takes joined."""
+        return hashlib.sha256(b"".join(self._digest_parts([]))).hexdigest()
 
-        def leaf(f, v):
-            if f.shape:
-                h.update(f"{f.key}:{v.dtype.str}{v.shape}".encode())
-                h.update(np.ascontiguousarray(v))
+    def _digest_parts(self, parts: list) -> list:
+        for key, kind in self.PLAN:
+            v = getattr(self, key)
+            if kind is list or kind is State:
+                for s in v if kind is list else (v,):
+                    s._digest_parts(parts)
+            elif kind is np.ndarray:
+                parts += (_array_header(key, v.dtype, v.shape), np.ascontiguousarray(v))
             else:
-                h.update(f"{f.key}={v if v is None else f.kind(v)!r};".encode())
-
-        self._walk(leaf)
-        return h.hexdigest()
+                parts.append(f"{key}={v if v is None else kind(v)!r};".encode())
+        return parts
 
     @classmethod
     def from_snapshot(cls, state: dict):
@@ -117,6 +123,10 @@ class State:
 
 
 SCALARS = (int, float, bool, str)
+
+
+_array_header = lru_cache(maxsize=1024)(  # recurs from one digest to the next
+    lambda key, dtype, shape: f"{key}:{dtype.str}{shape}".encode())
 
 # The settings that fix a dimension for the whole snapshot, and how: D is
 # the second axis of a full inverse dispersion, None (no axis) for a
@@ -377,16 +387,9 @@ def chunks(source: Iterable[Sample], size: int) -> Iterator[DataChunk]:
     """
     if size < 1:
         raise ConfigError("chunk size must be >= 1")
-    buf = []
-    index = 0
-    for s in source:
-        buf.append(s)
-        if len(buf) == size:
-            yield DataChunk(buf, index)
-            buf = []
-            index += 1
-    if buf:
-        yield DataChunk(buf, index)
+    it = iter(source)
+    batches = iter(lambda: list(itertools.islice(it, size)), [])  # until one comes back empty
+    yield from (DataChunk(batch, index) for index, batch in enumerate(batches))
 
 
 def onehot(label: int, n_classes: int) -> np.ndarray:

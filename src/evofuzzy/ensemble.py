@@ -334,18 +334,18 @@ class Ensemble(State):
         """Weighted vote sigma_o = sum_i beta_i y_io over mature members.
 
         d2s maps each voter to mahalanobis_sq(z, mask) on its rules.
-        Returns (global scores, predicted class, per-voter score list),
-        each per row for a block z (N, u).
+        Returns (global scores, predicted class, per-voter list of
+        (scores, class) as infer gives them), each per row for a block
+        z (N, u).
         """
         if not self.members:
             raise EmptyEnsembleError("ensemble has no members")
         sigma = np.zeros(z.shape[:-1] + (self.cfg.n_classes,))
-        member_scores = []
+        votes = []
         for m in self.voters():
-            s, _ = m.model.infer(z, d2s[m], mask)
-            member_scores.append(s)
-            sigma += m.beta * s
-        return sigma, classes(sigma), member_scores
+            votes.append(m.model.infer(z, d2s[m], mask))
+            sigma += m.beta * votes[-1][0]
+        return sigma, classes(sigma), votes
 
     def score_sample(self, x_raw: np.ndarray, mask: Optional[np.ndarray] = None):
         """Frozen scoring of one vector (u,) or a test block (N, u): no
@@ -454,7 +454,7 @@ class Ensemble(State):
             mask = selectors.mask
             block = zs[k : k + look]
             d2s = {m: m.model.mahalanobis_sq(block, mask) for m in self.members}
-            sigma, cls, member_scores = self.predict(block, d2s, mask)
+            sigma, cls, votes = self.predict(block, d2s, mask)
             if cold_start:
                 # the very first chunk trains the first member fully
                 # supervised, so the output confidence is meaningful before
@@ -477,10 +477,10 @@ class Ensemble(State):
                 raise DataError("accepted a sample without a label")
             z, cls = block[r], cls[r]
             d2s = {m: d2[r] for m, d2 in d2s.items()}
-            member_scores = [sc[r] for sc in member_scores]
+            member_scores = [sc[r] for sc, _ in votes]
+            preds = [c[r] for _, c in votes]
             rep.accepted += 1
             t = onehot(label, self.cfg.n_classes)
-            preds = [classes(sc) for sc in member_scores]
             self.reward_penalize(preds, label)
             mci.update(member_scores, preds, label, t)
             phase = self.detector.step(0.0 if cls == label else 1.0)

@@ -83,13 +83,13 @@ def conflict_input(models: Sequence[RuleClassifier], d2s: Sequence[np.ndarray]):
                                 for k in ("supports", "purity", "norms"))
         d2 = np.concatenate(d2s, axis=-1)
     prior = supports / supports.sum()
-    with np.errstate(under="ignore", divide="ignore", invalid="ignore"):
-        like = np.exp(-d2) / norms
-        # one (1, R) @ (R, O) product per sample, so a block row is
-        # computed exactly as the sample alone
-        evidence = ((like * prior)[..., None, :] @ pur)[..., 0, :]
-        z = evidence.sum(axis=-1)
-        p = np.where((z > 0.0) & (z < np.inf), evidence.max(axis=-1) / z, 1.0 / n_classes)
+    like = np.exp(-d2) / norms
+    # one (1, R) @ (R, O) product per sample, so a block row is
+    # computed exactly as the sample alone
+    evidence = ((like * prior)[..., None, :] @ pur)[..., 0, :]
+    z = evidence.sum(axis=-1)
+    p = np.divide(evidence.max(axis=-1), z, out=np.full(np.shape(z), 1.0 / n_classes),
+                  where=(z > 0.0) & (z < np.inf))
     return float(p) if p.ndim == 0 else p
 
 
@@ -105,8 +105,8 @@ def conflict_output(sigma: np.ndarray):
     top2 = np.partition(sigma, -2, axis=-1)
     y2, y1 = top2[..., -2], top2[..., -1]
     denom = y1 + y2
-    with np.errstate(divide="ignore", invalid="ignore"):
-        conf = np.where(denom == 0.0, 0.5, np.minimum(np.maximum(y1 / denom, 0.0), 1.0))
+    conf = np.divide(y1, denom, out=np.full(np.shape(denom), 0.5), where=denom != 0.0)
+    np.minimum(np.maximum(conf, 0.0, out=conf), 1.0, out=conf)
     return float(conf) if conf.ndim == 0 else conf
 
 

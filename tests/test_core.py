@@ -175,6 +175,15 @@ class TestChunks:
         with pytest.raises(ConfigError):
             list(chunks(make_samples(3), 0))
 
+    @pytest.mark.parametrize("n", [0, 4, 10, 11])
+    def test_generator_gives_the_list_chunks(self, n):
+        """A one-pass generator is cut exactly as the list of the same
+        samples, the final partial chunk included."""
+        samples = make_samples(n)
+        want = [(c.index, c.samples) for c in chunks(samples, 5)]
+        assert [(c.index, c.samples) for c in chunks((s for s in samples), 5)] == want
+        assert [len(c) for _, c in want] == [5] * (n // 5) + [n % 5] * (n % 5 > 0)
+
     @given(st.integers(min_value=0, max_value=50), st.integers(min_value=1, max_value=9))
     def test_preserves_count_and_order(self, n, p):
         samples = make_samples(n)

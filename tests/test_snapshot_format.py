@@ -1,6 +1,7 @@
 """The snapshot format: a pinned fixture, the checked load and the digest."""
 
 import copy
+import hashlib
 import importlib.util
 import json
 from pathlib import Path
@@ -135,6 +136,57 @@ def test_digest_survives_json_and_sees_every_field(run, cls, key):
         checked.add(field)
     assert checked >= ({"n_features", "ofs_b", "mask_active", "theta"} if cls is Selectors else
                        {"n_classes", "centers", "inv", "rls_cov", "age", "beta", "window", "m2"})
+
+
+def reference_digest(state) -> str:
+    """SHA-256 over the byte layout the README documents, walked here on
+    its own: in declaration order, each array as its key, dtype and shape
+    then its bytes, each scalar as key=repr(kind(value)); and each nested
+    section in place, adding no bytes of its own."""
+    h = hashlib.sha256()
+
+    def walk(obj):
+        for f in obj.FIELDS:
+            v = getattr(obj, f.key)
+            if isinstance(f.kind, list):
+                for s in v:
+                    walk(s)
+            elif f.kind not in (int, float, bool, str):
+                walk(v)
+            elif f.shape:
+                h.update(f"{f.key}:{v.dtype.str}{v.shape}".encode())
+                h.update(v.tobytes())
+            else:
+                h.update(f"{f.key}={v if v is None else f.kind(v)!r};".encode())
+
+    walk(state)
+    return h.hexdigest()
+
+
+def trained_sea_with_two_members():
+    """A drift member, an archived rule and a 2-of-3 feature mask."""
+    cfg = StreamConfig(n_features=3, n_classes=2, chunk_size=50, ofs_b=2)
+    ens, sel = Ensemble(cfg), Selectors(cfg)
+    for ch in chunks(gen_sea(SeaConfig(n_total=600, seed=3, thresholds=(3.0, 14.0))), 50):
+        ens.train_chunk(ch, sel)
+    return ens, sel
+
+
+@pytest.mark.parametrize("run", ["sea-axis", "hyperplane-ofs", "trained"])
+def test_digest_is_sha256_of_the_documented_layout(run):
+    if run == "trained":
+        ens, sel = trained_sea_with_two_members()
+        assert len(ens.members) >= 2 and any(len(m.model.archive) for m in ens.members)
+    else:
+        ens = Ensemble.from_snapshot(fixture()[run]["ensemble"])
+        sel = Selectors.from_snapshot(fixture()[run]["selectors"])
+    for state in (ens, sel):
+        assert state.digest() == reference_digest(state)
+    assert ens.snapshot_hash() == ens.digest()
+    # scalars are hashed in a canonical form, so numpy scalars agree
+    digest = ens.digest()
+    ens.members[0].beta, ens.next_uid = np.float64(ens.members[0].beta), np.int64(ens.next_uid)
+    assert ens.digest() == digest
 
 
 def loads_of_a_trained_ensemble():
