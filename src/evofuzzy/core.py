@@ -81,19 +81,21 @@ class State:
     SECTION = ""
 
     def __init_subclass__(cls):
-        """PLAN holds (key, how) per field, the table as snapshot and digest
-        walk it: how is list for a list of sections, State for one,
-        np.ndarray for an array, else the scalar's kind."""
-        cls.PLAN = tuple((f.key, list if isinstance(f.kind, list) else State if f.kind not in
-                          SCALARS else np.ndarray if f.shape else f.kind) for f in cls.FIELDS)
+        cls.PLAN = tuple((f.key, _how(f)) for f in cls.FIELDS)
 
     def snapshot(self) -> dict:
         """The fields as a dict, nested states as theirs, arrays as lists."""
         out = {}
-        for key, kind in self.PLAN:
+        for key, how in self.PLAN:
             v = getattr(self, key)
-            out[key] = ([s.snapshot() for s in v] if kind is list else v.snapshot()
-                        if kind is State else v.tolist() if kind is np.ndarray else v)
+            if how is list:
+                out[key] = [s.snapshot() for s in v]
+            elif how is State:
+                out[key] = v.snapshot()
+            elif how is np.ndarray:
+                out[key] = v.tolist()
+            else:
+                out[key] = v
         return out
 
     def digest(self) -> str:
@@ -103,15 +105,17 @@ class State:
         return hashlib.sha256(b"".join(self._digest_parts([]))).hexdigest()
 
     def _digest_parts(self, parts: list) -> list:
-        for key, kind in self.PLAN:
+        for key, how in self.PLAN:
             v = getattr(self, key)
-            if kind is list or kind is State:
-                for s in v if kind is list else (v,):
+            if how is list:
+                for s in v:
                     s._digest_parts(parts)
-            elif kind is np.ndarray:
+            elif how is State:
+                v._digest_parts(parts)
+            elif how is np.ndarray:
                 parts += (_array_header(key, v.dtype, v.shape), np.ascontiguousarray(v))
             else:
-                parts.append(f"{key}={v if v is None else kind(v)!r};".encode())
+                parts.append(f"{key}={v if v is None else how(v)!r};".encode())
         return parts
 
     @classmethod
@@ -125,8 +129,23 @@ class State:
 SCALARS = (int, float, bool, str)
 
 
-_array_header = lru_cache(maxsize=1024)(  # recurs from one digest to the next
-    lambda key, dtype, shape: f"{key}:{dtype.str}{shape}".encode())
+@lru_cache(maxsize=1024)
+def _array_header(key: str, dtype: np.dtype, shape: tuple) -> bytes:
+    """An array's key, dtype and shape as the digest hashes them, cached
+    because the same headers recur from one digest to the next."""
+    return f"{key}:{dtype.str}{shape}".encode()
+
+
+def _how(f: Field):
+    """How snapshot and digest walk a field, once per class (State.PLAN):
+    list for a list of sections, State for one, np.ndarray for an array,
+    else the scalar's kind."""
+    if isinstance(f.kind, list):
+        return list
+    if f.kind not in SCALARS:
+        return State
+    return np.ndarray if f.shape else f.kind
+
 
 # The settings that fix a dimension for the whole snapshot, and how: D is
 # the second axis of a full inverse dispersion, None (no axis) for a

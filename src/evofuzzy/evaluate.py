@@ -76,9 +76,18 @@ def count_parameters(ens: Ensemble) -> int:
     """Stored parameters: center + dispersion + consequent per rule, plus
     one voting weight per member.  Diagonal dispersions count u entries,
     full ones count the upper triangle u(u+1)/2."""
-    u, o = ens.cfg.n_features, ens.cfg.n_classes
-    spread = u if ens.cfg.base_kind == "axis_parallel" else u * (u + 1) // 2
-    return (u + spread + (u + 1) * o) * ens.total_rules + len(ens.members)
+    total = 0
+    for m in ens.members:
+        u = m.model.n_features
+        o = m.model.n_classes
+        per_rule = u + (u + 1) * o
+        if m.model.kind == "axis_parallel":
+            per_rule += u
+        else:
+            per_rule += u * (u + 1) // 2
+        total += per_rule * len(m.model.rules)
+    total += len(ens.members)
+    return total
 
 
 def _take(it, n: int, what: str, stamp: int) -> list:
@@ -132,13 +141,11 @@ def _train_and_score(ens, sel, cfg, train, test, where: tuple, reports=None, for
     for ch in chunks(test, size):
         try:
             _, cls = ens.score_sample([s.x for s in ch.samples], sel.mask)
-            try:
-                labels = np.fromiter((s.label for s in ch.samples), np.int64, len(ch))
-            except TypeError:  # a label is None
-                row = next(i for i, s in enumerate(ch.samples) if s.label is None)
-                raise DataError(f"row {row} of the block has no label", row) from None
         except DataError as exc:
             raise _located(exc, *test_block, ch, size) from None
+        # an unlabeled sample reads as class 0, which is never predicted: a miss
+        labels = np.fromiter((0 if s.label is None else s.label for s in ch.samples),
+                             np.int64, len(ch))
         correct += int(np.count_nonzero(cls == labels))
     seconds += time.perf_counter() - t0
     if (ens.snapshot_hash(), sel.digest()) != before:

@@ -331,15 +331,16 @@ class TestChunkedScoring:
             run_holdout(samples, small_cfg(chunk_size=100), proto)
         assert exc.value.row == 870
 
-    def test_unlabeled_test_sample_names_its_row(self):
-        samples = list(gen_sea(SeaConfig(n_total=1000, seed=1)))
-        samples[750 + 120].label = None  # stamp 1, test row 120
+    def test_unlabeled_test_sample_counts_as_a_miss(self):
         proto = EvalProtocol(mode="holdout", train_per_stamp=250, test_per_stamp=250, stamps=2)
-        with pytest.raises(
-            DataError, match=r"stamp 1 \(samples 100-199\): row 20 of the block has no label$"
-        ) as exc:
-            run_holdout(samples, small_cfg(chunk_size=100), proto)
-        assert exc.value.row == 870
+        correct = {}
+        for label in (None, 1, 2):
+            samples = list(gen_sea(SeaConfig(n_total=1000, seed=1)))
+            samples[750 + 120].label = label  # stamp 1, test row 120
+            m, _ = run_holdout(samples, small_cfg(chunk_size=100), proto)
+            correct[label] = round(m.series[-1]["cr"] * 250)
+        # the frozen model predicts one of the two classes for that row
+        assert sorted(correct[c] for c in (1, 2)) == [correct[None], correct[None] + 1]
 
     def test_overflowing_train_value_names_its_row(self):
         samples = list(gen_sea(SeaConfig(n_total=1000, seed=1)))
