@@ -2,6 +2,7 @@
 """Run the benchmark on two checkouts in alternating pairs and compare.
 
     python3 scripts/bench_pairs.py PARENT_DIR CHANGE_DIR --workload W --seed N --pairs 10
+    python3 scripts/bench_pairs.py PARENT_DIR CHANGE_DIR --workload W --seed N --pairs 0 --setup-runs 10
 
 Each pair runs ``python3 perfbench/run.py --workload W --seed N
 --seconds S --trace 0`` from the root of both checkouts, one after the
@@ -14,14 +15,23 @@ each side the raw (unscaled) train seconds per pass, which the run
 leaves in perfbench/out/.  With --json PATH the summary, the raw train
 and harness seconds of every pass included, is stored in PATH under
 the workload's name, with "(seed N)" after it for a seed other than
-CLAIM_SEED, next to what the file already holds.  Nothing in either
-checkout is changed apart from the benchmark's own perfbench/out/.
+CLAIM_SEED, next to what the file already holds.
+
+With --setup-runs N it also starts ``perfbench/worker.py --mode setup``
+N times in each checkout, alternating as the pairs do and with the
+environment perfbench/run.py gives its workers, and prints each side's
+medians of the unscaled import_s, gen_s and ref_ms (stored under
+"setup" with --json).  So set-up can be compared apart from the
+reference-job scaling of setup_s.  --pairs 0 runs only these.  Nothing
+in either checkout is changed apart from the benchmark's own
+perfbench/out/.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import statistics
 import subprocess
 import sys
@@ -29,6 +39,12 @@ from pathlib import Path
 
 # the seed a gain is claimed on; runs on other seeds confirm it
 CLAIM_SEED = 7
+# what a set-up worker reports, unscaled
+SETUP_KEYS = ("import_s", "gen_s", "ref_ms")
+# single-threaded BLAS, as perfbench/run.py starts its workers
+WORKER_ENV = {"PYTHONHASHSEED": "0", **{v: "1" for v in (
+    "OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "NUMEXPR_NUM_THREADS",
+    "VECLIB_MAXIMUM_THREADS")}}
 
 
 def run_once(root: Path, workload: str, seed: int, seconds: int) -> dict:
@@ -41,6 +57,28 @@ def run_once(root: Path, workload: str, seed: int, seconds: int) -> dict:
         raise RuntimeError(f"{root}: exit {proc.returncode}: {proc.stderr.strip()[-2000:]}")
     record = root / "perfbench" / "out" / f"{workload}-seed{seed}-trace0.json"
     return dict(json.loads(lines[-1]), wall=json.loads(record.read_text())["wall"])
+
+
+def setup_once(root: Path, workload: str, seed: int) -> dict:
+    """One set-up worker's unscaled import_s, gen_s and ref_ms."""
+    cmd = [sys.executable, "perfbench/worker.py", "--workload", workload, "--seed", str(seed),
+           "--mode", "setup"]
+    proc = subprocess.run(cmd, cwd=root, env=dict(os.environ, **WORKER_ENV),
+                          capture_output=True, text=True)
+    lines = proc.stdout.strip().splitlines()
+    if proc.returncode != 0 or not lines:
+        raise RuntimeError(f"{root}: exit {proc.returncode}: {proc.stderr.strip()[-2000:]}")
+    return {k: json.loads(lines[-1])[k] for k in SETUP_KEYS}
+
+
+def alternate(n: int, once) -> dict:
+    """n results of once(side) for each side, the parent first in even rounds."""
+    runs = {"parent": [], "change": []}
+    for i in range(n):
+        for side in ("parent", "change") if i % 2 == 0 else ("change", "parent"):
+            runs[side].append(once(side))
+        print(f"round {i + 1}/{n} done", file=sys.stderr, flush=True)
+    return runs
 
 
 def quartiles(values: list) -> tuple:
@@ -78,43 +116,57 @@ def main(argv=None) -> int:
     ap.add_argument("--seed", type=int, required=True)
     ap.add_argument("--pairs", type=int, default=10)
     ap.add_argument("--seconds", type=int, default=30)
+    ap.add_argument("--setup-runs", type=int, default=0,
+                    help="set-up workers per side, timed unscaled")
     ap.add_argument("--json", type=Path, help="merge the summary into this file")
     args = ap.parse_args(argv)
     spec = json.loads((args.change / "BENCHMARK.json").read_text())
     better = {m["name"]: m["better"] for m in spec["end_to_end"]}
+    entry = {"seed": args.seed}
 
-    runs = {"parent": [], "change": []}
-    for i in range(args.pairs):
-        order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
-        for side in order:
-            runs[side].append(run_once(getattr(args, side), args.workload, args.seed, args.seconds))
-        print(f"pair {i + 1}/{args.pairs} done ({order[0]} first)", file=sys.stderr, flush=True)
-
-    metrics = summarize(runs, better)
-    failed = {side: [[r["failed"], r["attempted"]] for r in rs] for side, rs in runs.items()}
-    # unscaled seconds of train_chunk and of the rest of the harness, per pass
-    raw = {side: {k: [[p[k] for p in r["wall"]] for r in rs] for k in ("train_s", "harness_s")}
-           for side, rs in runs.items()}
-    print(f"{args.workload} seed {args.seed}, {args.pairs} pairs; "
-          f"median [q1, q3] per side, ratio change/parent, change wins")
-    for name, m in metrics.items():
-        p, c = m["parent"], m["change"]
-        print(f"{name:14s} {p['median']:>12.6g} [{p['q1']:.6g}, {p['q3']:.6g}]"
-              f"  ->  {c['median']:>12.6g} [{c['q1']:.6g}, {c['q3']:.6g}] {m['unit']:10s}"
-              f" x{m['ratio'] or float('nan'):.3f}  wins {m['wins']}/{args.pairs}"
-              f"{'  gap > parent IQR' if m['gap_exceeds_parent_iqr'] else ''}")
-    for side, rs in runs.items():
-        train = [t for passes in raw[side]["train_s"] for t in passes]
-        print(f"{side}: failed {sum(f for f, _ in failed[side])} of "
-              f"{sum(a for _, a in failed[side])} operations, "
-              f"checks passed in {sum(r['correct'] for r in rs)} of {len(rs)} runs, "
-              f"raw train seconds per pass median {statistics.median(train):.4g} "
-              f"[{min(train):.4g}, {max(train):.4g}]")
+    if args.pairs > 0:
+        runs = alternate(args.pairs, lambda side: run_once(
+            getattr(args, side), args.workload, args.seed, args.seconds))
+        metrics = summarize(runs, better)
+        failed = {side: [[r["failed"], r["attempted"]] for r in rs] for side, rs in runs.items()}
+        # unscaled seconds of train_chunk and of the rest of the harness, per pass
+        raw = {side: {k: [[p[k] for p in r["wall"]] for r in rs] for k in ("train_s", "harness_s")}
+               for side, rs in runs.items()}
+        print(f"{args.workload} seed {args.seed}, {args.pairs} pairs; "
+              f"median [q1, q3] per side, ratio change/parent, change wins")
+        for name, m in metrics.items():
+            p, c = m["parent"], m["change"]
+            print(f"{name:14s} {p['median']:>12.6g} [{p['q1']:.6g}, {p['q3']:.6g}]"
+                  f"  ->  {c['median']:>12.6g} [{c['q1']:.6g}, {c['q3']:.6g}] {m['unit']:10s}"
+                  f" x{m['ratio'] or float('nan'):.3f}  wins {m['wins']}/{args.pairs}"
+                  f"{'  gap > parent IQR' if m['gap_exceeds_parent_iqr'] else ''}")
+        for side, rs in runs.items():
+            train = [t for passes in raw[side]["train_s"] for t in passes]
+            print(f"{side}: failed {sum(f for f, _ in failed[side])} of "
+                  f"{sum(a for _, a in failed[side])} operations, "
+                  f"checks passed in {sum(r['correct'] for r in rs)} of {len(rs)} runs, "
+                  f"raw train seconds per pass median {statistics.median(train):.4g} "
+                  f"[{min(train):.4g}, {max(train):.4g}]")
+        entry.update(pairs=args.pairs, seconds=args.seconds, metrics=metrics,
+                     failed_attempted=failed, raw_wall_s=raw)
+    if args.setup_runs > 0:
+        runs = alternate(args.setup_runs, lambda side: setup_once(
+            getattr(args, side), args.workload, args.seed))
+        setup = {k: {side: {"median": statistics.median(r[k] for r in rs),
+                            "runs": [r[k] for r in rs]} for side, rs in runs.items()}
+                 for k in SETUP_KEYS}
+        print(f"{args.workload} seed {args.seed}, {args.setup_runs} set-up runs a side, "
+              f"unscaled medians [min, max]")
+        for k, sides in setup.items():
+            p, c = sides["parent"], sides["change"]
+            print(f"{k:8s} {p['median']:.4g} [{min(p['runs']):.4g}, {max(p['runs']):.4g}]"
+                  f"  ->  {c['median']:.4g} [{min(c['runs']):.4g}, {max(c['runs']):.4g}]"
+                  f"  x{c['median'] / p['median'] if p['median'] else float('nan'):.3f}")
+        entry["setup"] = dict(setup, runs=args.setup_runs)
     if args.json:
         store = json.loads(args.json.read_text()) if args.json.is_file() else {}
         key = args.workload if args.seed == CLAIM_SEED else f"{args.workload} (seed {args.seed})"
-        store[key] = {"seed": args.seed, "pairs": args.pairs, "seconds": args.seconds,
-                      "metrics": metrics, "failed_attempted": failed, "raw_wall_s": raw}
+        store[key] = dict(store.get(key, {}), **entry)
         args.json.write_text(json.dumps(store, indent=1) + "\n")
     return 0
 

@@ -231,9 +231,10 @@ def _range(f: Field, dims: ChainMap) -> tuple:
     return lo, math.inf if f.hi is None else dims[f.hi] if isinstance(f.hi, str) else f.hi
 
 
-@dataclass(eq=False)
+@dataclass(eq=False, slots=True)
 class Sample:
-    """One observation: feature vector, optional 1-based class label."""
+    """One observation: feature vector, optional 1-based class label.
+    Slotted: a sample takes no attributes besides these two."""
 
     x: np.ndarray
     label: Optional[int] = None

@@ -4,6 +4,15 @@ Streams are pure functions of their config and seed: the same seed gives
 a bit-identical sample sequence.  The CSV contract is a header row, u
 numeric feature columns, then one integer column named ``class`` with
 values 1..O.
+
+Both generators draw from ``np.random.default_rng(seed)`` in a fixed
+order, and work one block of ``_BLOCK`` rows at a time.  After the
+hyperplane weights, each block is one ``uniform`` call of ``_BLOCK`` x u
+values; then come the block's per-sample draws, in stream order: for
+each sample its mix draw (hyperplane, from ``drift_start`` on) and then
+its noise draw (when ``noise_frac`` > 0).  A SEA sample's draws follow
+the block that holds its kept candidate.  A generated ``Sample.x`` is a
+row view of its block's array (SEA: of the block's kept rows).
 """
 
 from __future__ import annotations
@@ -49,40 +58,51 @@ def sea_label(theta: float, x) -> int:
     return 2 if x[0] + x[1] < theta else 1
 
 
+def _margin(w, x):
+    """w . x of one row (u,) or of each row of a block (N, u), summed left
+    to right: the same IEEE operations for a row alone and in a block."""
+    x = np.asarray(x, dtype=float)
+    return sum((x[..., j] * w[j] for j in range(1, len(w))), x[..., 0] * w[0])
+
+
 def hyperplane_label(w, w0: float, x) -> int:
     """Class 1 strictly above the hyperplane, class 2 on or below it."""
-    return 1 if float(np.dot(w, x)) > w0 else 2
+    return 1 if _margin(w, x) > w0 else 2
 
 
 def gen_sea(cfg: SeaConfig) -> Iterator[Sample]:
     rng = np.random.default_rng(cfg.seed)
     segment = max(cfg.n_total // len(cfg.thresholds), 1)
-    buf = None
-    # x[0] + x[1] of each row of buf as Python floats: the same IEEE add
-    # as sea_label's, so a candidate is tested and labelled without
-    # touching its row, and only a kept row is copied out
-    sums = []
-    pos = 0
-    n2 = 0
-    for i in range(cfg.n_total):
-        k = min(i // segment, len(cfg.thresholds) - 1)
-        theta = cfg.thresholds[k]
-        force_minority = i > 0 and n2 / i < cfg.minority_frac
-        while True:
-            if pos >= len(sums):
-                buf = rng.uniform(0.0, 10.0, size=(_BLOCK, cfg.n_features))
-                sums = (buf[:, 0] + buf[:, 1]).tolist()
-                pos = 0
-            below = sums[pos] < theta
-            pos += 1
-            if not force_minority or below:
+    last = len(cfg.thresholds) - 1
+    i = n2 = k = 0
+    switch = segment  # the sample at which threshold k + 1 takes over
+    theta, force = cfg.thresholds[0], False
+    while i < cfg.n_total:
+        buf = rng.uniform(0.0, 10.0, size=(_BLOCK, cfg.n_features))
+        # x[0] + x[1] of each row of buf as Python floats: the same IEEE add
+        # as sea_label's, so a candidate is tested and labelled without
+        # touching its row, and only the kept rows are copied out
+        sums = (buf[:, 0] + buf[:, 1]).tolist()
+        kept, labels = [], []
+        for pos, total in enumerate(sums):
+            if i == cfg.n_total:
                 break
-        label = 2 if below else 1
-        if label == 2:
-            n2 += 1
-        if cfg.noise_frac > 0.0 and rng.random() < cfg.noise_frac:
-            label = 3 - label
-        yield Sample(buf[pos - 1].copy(), label)
+            below = total < theta
+            if force and not below:
+                continue  # a forced search goes on, into the next block if need be
+            kept.append(pos)
+            labels.append(2 if below else 1)
+            n2 += below
+            i += 1
+            if i == switch and k < last:
+                k += 1
+                theta = cfg.thresholds[k]
+                switch += segment
+            force = n2 / i < cfg.minority_frac
+        if cfg.noise_frac > 0.0:
+            flips = (rng.random(len(kept)) < cfg.noise_frac).tolist()
+            labels = [3 - y if f else y for y, f in zip(labels, flips)]
+        yield from map(Sample, buf[kept], labels)
 
 
 @dataclass
@@ -133,23 +153,26 @@ def gen_hyperplane(cfg: HyperplaneConfig) -> Iterator[Sample]:
     )
     w0 = cfg.w0 if cfg.w0 is not None else 0.5 * float(wb.sum())
     ramp = max(int(cfg.ramp_frac * cfg.n_total), 1)
-    buf = np.empty((0, cfg.n_features))
-    pos = 0
-    for i in range(cfg.n_total):
-        if pos >= len(buf):
-            buf = rng.uniform(0.0, 1.0, size=(_BLOCK, cfg.n_features))
-            pos = 0
-        x = buf[pos]
-        pos += 1
-        if i < cfg.drift_start:
-            w = wb
-        else:
-            mix_p = min((i - cfg.drift_start) / ramp, 1.0)
-            w = wa if rng.random() < mix_p else wb
-        label = hyperplane_label(w, w0, x)
-        if cfg.noise_frac > 0.0 and rng.random() < cfg.noise_frac:
-            label = 3 - label
-        yield Sample(x.copy(), label)
+    noisy = cfg.noise_frac > 0.0
+    for start in range(0, cfg.n_total, _BLOCK):
+        buf = rng.uniform(0.0, 1.0, size=(_BLOCK, cfg.n_features))
+        rows = buf[: cfg.n_total - start]
+        n = len(rows)
+        a = min(max(cfg.drift_start - start, 0), n)  # rows before the drift
+        # a row before the drift draws its noise only; a row after it draws
+        # its mix and then its noise
+        u = rng.random(n * noisy + n - a)
+        mix_u = u[a::2] if noisy else u
+        to_after = np.zeros(n, dtype=bool)
+        mix_p = np.minimum((np.arange(start + a, start + n) - cfg.drift_start) / ramp, 1.0)
+        to_after[a:] = mix_u < mix_p
+        m = _margin(wb, rows)
+        m[to_after] = _margin(wa, rows[to_after])
+        labels = np.where(m > w0, 1, 2)
+        if noisy:
+            flip = np.concatenate([u[:a], u[a + 1 :: 2]]) < cfg.noise_frac
+            labels[flip] = 3 - labels[flip]
+        yield from map(Sample, rows, labels.tolist())
 
 
 def write_csv(samples: Iterable[Sample], path) -> int:

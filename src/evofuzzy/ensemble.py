@@ -422,6 +422,7 @@ class Ensemble(State):
 
     # -- the chunk loop ----------------------------------------------------------
 
+    @np.errstate(over="raise", invalid="raise")
     def train_chunk(self, chunk: DataChunk, selectors: Selectors) -> ChunkReport:
         """Process one chunk: select, vote, adapt weights, detect drift, train.
 
@@ -436,7 +437,9 @@ class Ensemble(State):
         distance pass of its sample per member state; only rows past an
         accept are scored again, at most a block of them per accept.  The
         block starts at LOOKAHEAD rows and doubles over a run of rejects.
-        The first chunk trains on every sample, one row per block.
+        The first chunk trains on every sample, one row per block.  An
+        overflow or invalid operation raises FloatingPointError where it
+        happens instead of leaving an inf or a nan in the model.
         """
         if len(chunk) == 0:
             raise DataError("empty chunk")

@@ -158,6 +158,16 @@ class TestRunningStandardizer:
         assert np.array_equal(s.transform(x), s2.transform(x))
 
 
+
+class TestSample:
+    def test_label_can_be_set_but_no_other_attribute(self):
+        s = Sample(np.zeros(2), 1)
+        s.label = 2
+        assert s.label == 2
+        with pytest.raises(AttributeError):
+            s.weight = 0.5
+
+
 class TestChunks:
     def test_even_split(self):
         out = list(chunks(make_samples(10), 5))

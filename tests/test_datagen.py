@@ -4,8 +4,9 @@ import itertools
 import numpy as np
 import pytest
 
-from evofuzzy.core import ConfigError, DataError
+from evofuzzy.core import ConfigError, DataError, Sample
 from evofuzzy.datagen import (
+    _BLOCK,
     HyperplaneConfig,
     SeaConfig,
     csv_dims,
@@ -148,6 +149,159 @@ def test_generated_stream_is_pinned(name):
     h = hashlib.sha256(np.stack([s.x for s in samples]).astype("<f8").tobytes())
     h.update(np.array([s.label for s in samples], dtype="<i8").tobytes())
     assert h.hexdigest() == digest
+
+
+
+# -- per-sample oracles ---------------------------------------------------------
+#
+# The generators as they read one sample at a time: a block of candidates
+# is drawn when the previous one runs out, and every per-sample draw is
+# one rng.random() call at its place in the stream.  The block-at-a-time
+# generators must give the same rows, labels and RNG call order.
+
+
+def sea_oracle(cfg, crossings=None):
+    """Per-sample gen_sea; appends to crossings each sample whose forced
+    search ran off the end of a block."""
+    rng = np.random.default_rng(cfg.seed)
+    segment = max(cfg.n_total // len(cfg.thresholds), 1)
+    buf = np.empty((0, cfg.n_features))
+    pos = 0
+    n2 = 0
+    for i in range(cfg.n_total):
+        theta = cfg.thresholds[min(i // segment, len(cfg.thresholds) - 1)]
+        force_minority = i > 0 and n2 / i < cfg.minority_frac
+        searched = 0
+        while True:
+            if pos >= len(buf):
+                if searched and crossings is not None:
+                    crossings.append(i)
+                buf = rng.uniform(0.0, 10.0, size=(_BLOCK, cfg.n_features))
+                pos = 0
+            x = buf[pos]
+            pos += 1
+            searched += 1
+            label = sea_label(theta, x)
+            if not force_minority or label == 2:
+                break
+        if label == 2:
+            n2 += 1
+        if cfg.noise_frac > 0.0 and rng.random() < cfg.noise_frac:
+            label = 3 - label
+        yield Sample(x.copy(), label)
+
+
+def hyperplane_oracle(cfg):
+    """Per-sample gen_hyperplane."""
+    rng = np.random.default_rng(cfg.seed)
+    wb = rng.uniform(0.1, 1.0, size=cfg.n_features)
+    wb = wb / np.linalg.norm(wb)
+    wa = rng.uniform(0.1, 1.0, size=cfg.n_features)
+    wa = wa / np.linalg.norm(wa)
+    w0 = 0.5 * float(wb.sum())
+    ramp = max(int(cfg.ramp_frac * cfg.n_total), 1)
+    buf = np.empty((0, cfg.n_features))
+    pos = 0
+    for i in range(cfg.n_total):
+        if pos >= len(buf):
+            buf = rng.uniform(0.0, 1.0, size=(_BLOCK, cfg.n_features))
+            pos = 0
+        x = buf[pos]
+        pos += 1
+        if i < cfg.drift_start:
+            w = wb
+        else:
+            mix_p = min((i - cfg.drift_start) / ramp, 1.0)
+            w = wa if rng.random() < mix_p else wb
+        label = hyperplane_label(w, w0, x)
+        if cfg.noise_frac > 0.0 and rng.random() < cfg.noise_frac:
+            label = 3 - label
+        yield Sample(x.copy(), label)
+
+
+def assert_same_stream(got, want):
+    got, want = list(got), list(want)
+    assert len(got) == len(want)
+    for k, (g, w) in enumerate(zip(got, want)):
+        assert g.x.tobytes() == w.x.tobytes(), f"x differs at sample {k}"
+        assert g.label == w.label and type(g.label) is int, f"label differs at sample {k}"
+
+
+SEA_THRESHOLDS = (4.0, 7.0, 3.0, 8.0)  # 9,000 samples: switches at 2,250, 4,500, 6,750
+
+
+class TestGeneratorsMatchPerSampleOracles:
+    @pytest.mark.parametrize("n_total", [1, 4095, 4096, 4097, 9000])
+    @pytest.mark.parametrize("minority_frac", [0.25, 0.9])
+    @pytest.mark.parametrize("noise_frac", [0.0, 0.1])
+    def test_sea(self, n_total, minority_frac, noise_frac):
+        for seed, n_features in [(0, 2), (5, 3), (11, 6)]:
+            cfg = SeaConfig(n_total=n_total, thresholds=SEA_THRESHOLDS, seed=seed,
+                            minority_frac=minority_frac, noise_frac=noise_frac,
+                            n_features=n_features)
+            assert_same_stream(gen_sea(cfg), sea_oracle(cfg))
+
+    def test_sea_forced_searches_cross_block_edges(self):
+        cfg = SeaConfig(n_total=9000, thresholds=SEA_THRESHOLDS, seed=2, minority_frac=0.9)
+        crossings = []
+        assert_same_stream(gen_sea(cfg), sea_oracle(cfg, crossings))
+        assert len(crossings) >= 5
+
+    # a hyperplane stream needs 0 < drift_start < n_total, so it has at
+    # least 2 samples; drift starts before, at and after a block edge
+    @pytest.mark.parametrize(
+        "n_total, drift_start",
+        [(2, 1), (4095, 1365), (4095, 4094), (4096, 4095), (4097, 4096),
+         (9000, 3000), (9000, 4095), (9000, 4096), (9000, 4097), (9000, 8193)],
+    )
+    @pytest.mark.parametrize("noise_frac", [0.0, 0.1])
+    def test_hyperplane(self, n_total, drift_start, noise_frac):
+        for n_features in (2, 4, 6):
+            cfg = HyperplaneConfig(n_total=n_total, n_features=n_features,
+                                   drift_start=drift_start, ramp_frac=0.3,
+                                   noise_frac=noise_frac, seed=n_total % 7 + n_features)
+            assert_same_stream(gen_hyperplane(cfg), hyperplane_oracle(cfg))
+
+
+class CountingRng:
+    """A Generator that counts the values it hands out."""
+
+    def __init__(self, rng):
+        self.rng = rng
+        self.uniform_calls = 0
+        self.values = 0
+
+    def uniform(self, low, high, size):
+        self.uniform_calls += 1
+        self.values += int(np.prod(size))
+        return self.rng.uniform(low, high, size)
+
+    def random(self, size=None):
+        self.values += 1 if size is None else int(np.prod(size))
+        return self.rng.random(size)
+
+
+class TestLaziness:
+    @pytest.mark.parametrize("noise_frac", [0.0, 0.1])
+    def test_first_samples_of_a_huge_stream_need_one_block(self, monkeypatch, noise_frac):
+        made = []
+        real = np.random.default_rng
+        monkeypatch.setattr(np.random, "default_rng", lambda seed: made.append(
+            CountingRng(real(seed))) or made[-1])
+        streams = {
+            "sea": (gen_sea(SeaConfig(n_total=10**9, noise_frac=noise_frac)), 3, 0),
+            "hyperplane": (gen_hyperplane(HyperplaneConfig(n_total=10**9,
+                                                           noise_frac=noise_frac)), 4, 8),
+        }
+        for name, (stream, u, weights) in streams.items():
+            first = list(itertools.islice(stream, 10))
+            rng = made[-1]
+            assert len(first) == 10, name
+            # the weights, then one block of rows and at most two draws a row
+            assert rng.uniform_calls == 1 + (weights > 0) * 2, name
+            assert rng.values <= weights + _BLOCK * (u + 2), name
+            # each x is a row view of the block, not a copy of its own
+            assert first[0].x.base is not None and first[0].x.base is first[9].x.base, name
 
 
 class TestCsv:

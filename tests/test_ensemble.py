@@ -904,6 +904,29 @@ class TestFrozenOverflow:
             assert ens.score_sample([[5.0, 5.0, 5.0], [1e150, 5.0, 5.0]])[1].shape == (2,)
 
 
+
+class TestTrainingOverflow:
+    """Raw values reach training only through the standardizer, which
+    keeps them bounded; with it passing values through, a huge one
+    overflows the distance pass of train_chunk, and that must raise
+    there instead of leaving an inf or a nan in the model."""
+
+    @pytest.mark.parametrize("kind", ["axis_parallel", "multivariate"])
+    def test_overflow_in_training_raises_floating_point_error(self, monkeypatch, kind):
+        cfg = base_cfg(chunk_size=50, base_kind=kind)
+        ens, sel = Ensemble(cfg), Selectors(cfg)
+        monkeypatch.setattr(ens.standardizer, "fit_transform",
+                            lambda x: np.asarray(x, dtype=float))
+        x = np.random.default_rng(0).normal(size=(100, 2))
+        first, second = chunks([Sample(a, 1 + int(a.sum() > 0)) for a in x], 50)
+        ens.train_chunk(first, sel)
+        second.samples[0].x = np.array([1e200, 0.0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(FloatingPointError, match="overflow|invalid"):
+                ens.train_chunk(second, sel)
+
+
 def two_region_stream(rng, u, lengths, far=6.0):
     """Alternating regions: near the origin the label is the sign of
     x1 + x2; at (far, ..., far) it is flipped, so each switch is a drift."""
