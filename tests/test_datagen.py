@@ -286,8 +286,12 @@ class TestLaziness:
     def test_first_samples_of_a_huge_stream_need_one_block(self, monkeypatch, noise_frac):
         made = []
         real = np.random.default_rng
-        monkeypatch.setattr(np.random, "default_rng", lambda seed: made.append(
-            CountingRng(real(seed))) or made[-1])
+
+        def counting_rng(seed):
+            made.append(CountingRng(real(seed)))
+            return made[-1]
+
+        monkeypatch.setattr(np.random, "default_rng", counting_rng)
         streams = {
             "sea": (gen_sea(SeaConfig(n_total=10**9, noise_frac=noise_frac)), 3, 0),
             "hyperplane": (gen_hyperplane(HyperplaneConfig(n_total=10**9,
