@@ -14,13 +14,9 @@ functions and C functions called from Python).  It reports two counts:
                 sample
 
 The streams run twice: once profiled whole, and once with only each
-train_chunk call profiled; the rest is the difference.  The streams
-have the shapes of the benchmark's workloads of the same names: four
-SEA streams of 50 stamps of 250 train / 250 test with axis-parallel
-rules, four hyperplane streams of 10 stamps of 1000 / 250 with
-multivariate rules and a drift at sample 3750, and two 12-channel
-sensor streams of 2000 samples through 5-fold CV with a feature budget
-of 6.  Stream j of seed N has seed 1000 N + j.
+train_chunk call profiled; the rest is the difference.  The streams and
+the settings are the benchmark's own: perfbench/worker.py's WORKLOADS,
+sub_seed and build.
 
 A count is a work measure that needs no quiet machine: it is the same
 on every run of the same code.  Each workload is counted twice, and the
@@ -39,51 +35,35 @@ import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "perfbench"))
 
-SEA = dict(streams=4, stamps=50, train=250, test=250, chunk=250)
-HYP = dict(streams=4, stamps=10, train=1000, test=250, chunk=1000)
-SENSOR = dict(streams=2, n=2000, folds=5, chunk=100, budget=6, change=800,
-              before=(6, 7, 8), after=(9, 10, 11))
-WORKLOADS = ("sea-axis", "hyperplane-mv", "sensor-ofs-cv")
+import worker  # noqa: E402  (the benchmark's workloads; puts src/ on the path)
+
+WORKLOADS = tuple(worker.WORKLOADS)
 
 
 def stream_runs(workload: str, seed: int) -> list:
-    """(zero-argument harness call, samples it scores) per stream of the workload."""
-    import numpy as np
-
+    """(zero-argument harness call, samples it scores) per stream of the
+    workload, with the settings perfbench/worker.py runs it with."""
     import evofuzzy as ef
     from evofuzzy.evaluate import run_cv, run_holdout
 
+    p = worker.WORKLOADS[workload]
     runs = []
-    if workload == "sensor-ofs-cv":
-        p = SENSOR
-        for j in range(p["streams"]):
-            rng = np.random.default_rng(1000 * seed + j)
-            x = rng.normal(size=(p["n"], 12))
-            samples = [ef.Sample(x[i].copy(), 1 if x[i, list(p["before"] if i < p["change"]
-                                                             else p["after"])].sum() > 0 else 2)
-                       for i in range(p["n"])]
-            cfg = ef.StreamConfig(n_features=12, n_classes=2, chunk_size=p["chunk"],
-                                  seed=1000 * seed + j, ofs_b=p["budget"])
-            runs.append((lambda s=samples, c=cfg: run_cv(s, c, folds=p["folds"]), p["n"]))
-        return runs
-    p = SEA if workload == "sea-axis" else HYP
-    proto = ef.EvalProtocol("holdout", train_per_stamp=p["train"], test_per_stamp=p["test"],
-                            stamps=p["stamps"])
-    for j in range(p["streams"]):
-        s = 1000 * seed + j
-        n = p["stamps"] * (p["train"] + p["test"])
-        if workload == "sea-axis":
-            samples = list(ef.gen_sea(ef.SeaConfig(n_total=n, thresholds=(4.0,), seed=s)))
-            cfg = ef.StreamConfig(n_features=3, n_classes=2, chunk_size=p["chunk"], seed=s)
-        else:
-            w_before, w_after = (0.9, 0.6, 0.3, 0.1), (0.1, 0.3, 0.6, 0.9)
-            samples = list(ef.gen_hyperplane(ef.HyperplaneConfig(
-                n_total=n, n_features=4, drift_start=3750, ramp_frac=0.1, seed=s,
-                w_before=w_before, w_after=w_after, w0=0.5 * sum(w_before))))
-            cfg = ef.StreamConfig(n_features=4, n_classes=2, chunk_size=p["chunk"], seed=s,
-                                  delta_rel=0.5, base_kind="multivariate")
-        runs.append((lambda s=samples, c=cfg: run_holdout(s, c, proto), p["stamps"] * p["test"]))
+    for j, samples in enumerate(worker.build(workload, seed, ef)):
+        s = worker.sub_seed(seed, j)
+        if workload == "sensor-ofs-cv":
+            cfg = ef.StreamConfig(n_features=12, n_classes=2, chunk_size=p["chunk"], seed=s,
+                                  ofs_b=p["budget"])
+            runs.append((lambda x=samples, c=cfg: run_cv(x, c, folds=p["folds"]), len(samples)))
+            continue
+        sea = workload == "sea-axis"
+        cfg = ef.StreamConfig(n_features=3 if sea else 4, n_classes=2, chunk_size=p["chunk"],
+                              seed=s, delta_rel=p["delta_rel"],
+                              base_kind="axis_parallel" if sea else "multivariate")
+        proto = ef.EvalProtocol("holdout", train_per_stamp=p["train"], test_per_stamp=p["test"],
+                                stamps=p["stamps"])
+        runs.append((lambda x=samples, c=cfg: run_holdout(x, c, proto), p["stamps"] * p["test"]))
     return runs
 
 
@@ -125,7 +105,6 @@ def main(argv=None) -> int:
     ap.add_argument("--one", choices=WORKLOADS, help=argparse.SUPPRESS)
     args = ap.parse_args(argv)
     if args.one:
-        sys.path.insert(0, str(ROOT / "src"))
         print(json.dumps(count(args.one, args.seed)))
         return 0
 

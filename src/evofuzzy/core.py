@@ -118,6 +118,23 @@ class State:
                 parts.append(f"{key}={v if v is None else how(v)!r};".encode())
         return parts
 
+    def copy(self):
+        """A new instance of the class that shares nothing training
+        changes: each attribute, derived and private ones included, is
+        copied by type, an array with its copy, a section with its copy
+        and a list of sections as a new list of their copies.  A scalar
+        or None is immutable and shared; any other value raises TypeError."""
+        new = self.__class__.__new__(self.__class__)
+        for key, v in self.__dict__.items():
+            if isinstance(v, (np.ndarray, State)):
+                v = v.copy()
+            elif isinstance(v, list):
+                v = [s.copy() for s in v]
+            elif not (v is None or isinstance(v, (*SCALARS, np.generic))):
+                raise TypeError(f"{type(self).__name__}.{key}: cannot copy a {type(v).__name__}")
+            new.__dict__[key] = v
+        return new
+
     @classmethod
     def from_snapshot(cls, state: dict):
         return _load(cls, state, cls.SECTION, ChainMap())

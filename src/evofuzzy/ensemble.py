@@ -11,7 +11,7 @@ mutual information loss are merged, keeping the more accurate one.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -233,17 +233,18 @@ class EnsembleMember(State):
     SECTION = "member"
 
 
-@dataclass
+@dataclass(frozen=True)
 class ChunkReport:
-    """What happened in one chunk; the learner holds the state at its end."""
+    """What happened in one chunk; the learner holds the state at its end.
+    Built once, at the end of the chunk, and frozen, so a forked learner
+    can share the reports of the chunks it has in common."""
 
     accepted: int = 0
-    correct: int = 0
     drifts: int = 0
     warnings: int = 0
     merges: int = 0
-    mask: list = field(default_factory=list)
-    mask_activations: list = field(default_factory=list)
+    mask: tuple = ()
+    mask_activations: tuple = ()
 
 
 # The drift detector's window, in chunks.
@@ -446,11 +447,10 @@ class Ensemble(State):
         cold_start = not self.members
         if cold_start:
             self._new_member()
-        rep = ChunkReport()
+        accepted = drifts = warnings = 0
         mci = MciState(self.voters(), self.cfg.n_classes)
         activations = np.zeros(self.cfg.n_features)
         zs = self.standardizer.fit_transform([s.x for s in chunk.samples])
-        labels = np.array([0 if s.label is None else s.label for s in chunk.samples])
         first_look = 1 if cold_start else LOOKAHEAD
         k, look = 0, first_look
         while k < len(zs):
@@ -469,7 +469,6 @@ class Ensemble(State):
                 pairs = enumerate(zip(p_in.tolist(), p_out.tolist()))
                 r = next((i for i, (a, b) in pairs if selectors.al.decide(a, b)), None)
             n = len(block) if r is None else r + 1
-            rep.correct += int(np.count_nonzero(cls[:n] == labels[k : k + n]))
             k += n
             if r is None:
                 look *= 2
@@ -482,17 +481,17 @@ class Ensemble(State):
             d2s = {m: d2[r] for m, d2 in d2s.items()}
             member_scores = [sc[r] for sc, _ in votes]
             preds = [c[r] for _, c in votes]
-            rep.accepted += 1
+            accepted += 1
             t = onehot(label, self.cfg.n_classes)
             self.reward_penalize(preds, label)
             mci.update(member_scores, preds, label, t)
             phase = self.detector.step(0.0 if cls == label else 1.0)
             if phase == "drift":
-                rep.drifts += 1
+                drifts += 1
                 m = self._new_member(bootstrapping=True)
                 d2s[m] = m.model.mahalanobis_sq(z, mask)
             elif phase == "warning":
-                rep.warnings += 1
+                warnings += 1
             else:
                 v = self.select_winner(mci)
                 m = mci.voters[v]
@@ -510,10 +509,9 @@ class Ensemble(State):
                 # trained only while it bootstraps, so its samples are its rde count
                 if m.model.rde.count >= BOOTSTRAP_MIN_SAMPLES or m.bootstrap_chunks >= 2:
                     m.bootstrapping = False
-        rep.merges = len(self.merge_check(mci))
-        rep.mask = [int(v) for v in selectors.mask_active]
-        rep.mask_activations = [int(v) for v in activations]
-        return rep
+        return ChunkReport(accepted, drifts, warnings, len(self.merge_check(mci)),
+                           tuple(int(v) for v in selectors.mask_active),
+                           tuple(int(v) for v in activations))
 
     def snapshot_hash(self) -> str:
         """The digest of the snapshot fields; scoring must leave it as it is."""

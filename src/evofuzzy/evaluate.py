@@ -10,7 +10,6 @@ identical before and after scoring.
 
 from __future__ import annotations
 
-import copy
 import itertools
 import json
 import time
@@ -113,12 +112,13 @@ def _train_and_score(ens, sel, cfg, train, test, where: tuple, reports=None, for
 
     Training resumes at chunk len(reports) of train's own chunk sequence,
     so chunk indices and DataError texts are the whole block's; with
-    fork_at, a deep copy of (ens, sel, reports) is taken once that many
-    chunks are trained.  The test block is scored a chunk at a time,
+    fork_at, the fork (State.copy of ens and of sel, and a new list of
+    the frozen reports, which both share) is taken once that many chunks
+    are trained.  The test block is scored a chunk at a time,
     one score_sample call per chunk, so no distance array grows past one
     chunk of rows.  where holds (name, at) of the train and the test block.
     Returns (chunk reports, correct test predictions, seconds of learning
-    plus scoring, the copy or None).  Scoring must leave the digests of
+    plus scoring, the fork or None).  Scoring must leave the digests of
     the learner and the selectors, whose mask the scorer reads, unchanged.
     """
     train_block, test_block = where
@@ -128,7 +128,7 @@ def _train_and_score(ens, sel, cfg, train, test, where: tuple, reports=None, for
     t0 = time.perf_counter()
     for i in range(len(reports), -(-len(train) // size)):
         if i == fork_at:
-            fork = copy.deepcopy((ens, sel, reports))
+            fork = ens.copy(), sel.copy(), list(reports)
         ch = DataChunk(train[i * size:(i + 1) * size], i)
         try:
             reports.append(ens.train_chunk(ch, sel))
@@ -240,9 +240,10 @@ def run_cv(dataset, cfg: StreamConfig, folds: int = 10):
 
     Bin f is held out for testing while the remaining bins are streamed
     in their original order into a learner.  Folds f and f+1 train on the
-    same bins 0..f-1 first, in the same order, so fold f+1 starts from a
-    deep copy of fold f's learner, selectors and chunk reports, taken
-    once fold f has trained the whole chunks of those bins.  The learner
+    same bins 0..f-1 first, in the same order, so fold f+1 starts from
+    State.copy() of fold f's learner and selectors, taken once fold f
+    has trained the whole chunks of those bins, and shares fold f's
+    reports of those chunks, which are frozen.  The learner
     is deterministic, so every record equals that of a fresh learner per
     fold, rt excepted: ts, drifts, merges and mask activations include
     the shared chunks, and rt counts each of them once, in the fold that

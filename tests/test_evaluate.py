@@ -1,4 +1,5 @@
 import copy
+import dataclasses
 import json
 
 import numpy as np
@@ -47,7 +48,7 @@ class ConstantLearner:
         self.total_rules = 0
 
     def train_chunk(self, chunk, selectors):
-        return ChunkReport(mask_activations=[0] * self.cfg.n_features)
+        return ChunkReport(mask_activations=(0,) * self.cfg.n_features)
 
     def score_sample(self, x, mask=None):
         rows = np.shape(x)[:-1]
@@ -233,6 +234,27 @@ class TestSharedPrefix:
         series, fresh = cv_fresh_per_fold(stream, cfg, folds)
         assert without_rt(metrics.series) == without_rt(series)
         assert ens.digest() == fresh.digest()
+
+    def test_forks_without_a_deep_copy(self, stream, monkeypatch):
+        """A fold starts from State.copy of the learner and the selectors
+        and shares the frozen reports: no deep copy is taken."""
+
+        def deepcopy(*args, **kwargs):
+            raise AssertionError("copy.deepcopy called")
+
+        monkeypatch.setattr(copy, "deepcopy", deepcopy)
+        cfg = StreamConfig(n_features=4, n_classes=2, chunk_size=37, ofs_b=2)
+        metrics, _ = run_cv(stream, cfg, folds=5)
+        assert metrics.stamps == 5
+
+    def test_a_chunk_report_is_frozen(self, stream):
+        cfg = StreamConfig(n_features=4, n_classes=2, chunk_size=100, ofs_b=2)
+        reports, _, _, _ = _train_and_score(Ensemble(cfg), Selectors(cfg), cfg, stream[:300],
+                                            stream[300:400], ("train", "test"))
+        for field in ("accepted", "mask", "mask_activations"):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(reports[-1], field, reports[-1].accepted)
+        assert isinstance(reports[-1].mask, tuple) and len(reports[-1].mask_activations) == 4
 
     def test_five_folds_train_fourteen_bins(self, stream, monkeypatch):
         # 1000 samples, 5 bins of 4 chunks of 50: (5-1)(5+2)/2 = 14 bins,

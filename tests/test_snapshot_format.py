@@ -189,6 +189,73 @@ def test_digest_is_sha256_of_the_documented_layout(run):
     assert ens.digest() == digest
 
 
+def arrays(state, path=()):
+    """(path, array) of every array a state holds, derived and private
+    ones included, walked over its attributes and sections."""
+    for key, v in vars(state).items():
+        if isinstance(v, np.ndarray):
+            yield path + (key,), v
+        elif isinstance(v, list):
+            for i, s in enumerate(v):
+                yield from arrays(s, path + (key, i))
+        elif hasattr(v, "FIELDS"):
+            yield from arrays(v, path + (key,))
+
+
+def states_of(run):
+    if run == "trained":
+        return trained_sea_with_two_members()
+    return (Ensemble.from_snapshot(fixture()[run]["ensemble"]),
+            Selectors.from_snapshot(fixture()[run]["selectors"]))
+
+
+@pytest.mark.parametrize("run", ["sea-axis", "hyperplane-ofs", "trained"])
+def test_copy_holds_every_array_and_shares_none(run):
+    """A copy has the original's digest, and every array, derived and
+    private ones included, equal in dtype, shape and values, in memory of
+    its own."""
+    for state in states_of(run):
+        dup = state.copy()
+        assert type(dup) is type(state) and dup.digest() == state.digest()
+        mine, theirs = list(arrays(state)), list(arrays(dup))
+        assert [p for p, _ in mine] == [p for p, _ in theirs]
+        if isinstance(state, Ensemble):
+            assert {"_cum", "_eps", "volumes", "log_purity"} <= {p[-1] for p, _ in mine}
+        for (path, a), (_, b) in zip(mine, theirs):
+            assert a.dtype == b.dtype and np.array_equal(a, b), path
+            assert not np.may_share_memory(a, b), path
+
+
+@pytest.mark.parametrize("run", ["sea-axis", "hyperplane-ofs", "trained"])
+def test_changing_a_copy_leaves_the_original(run):
+    """Every array of the copy changed in place and a member appended to
+    it: the original's digest is what it was."""
+    ens, sel = states_of(run)
+    before = ens.digest(), sel.digest()
+    ens_copy, sel_copy = ens.copy(), sel.copy()
+    for _, a in list(arrays(ens_copy)) + list(arrays(sel_copy)):
+        a += 1
+    ens_copy._new_member()
+    assert (ens.digest(), sel.digest()) == before
+    assert (ens_copy.digest(), sel_copy.digest()) != before
+
+
+def test_a_copy_trains_as_the_original():
+    """The copy and the original, trained on the same chunks, stay equal."""
+    ens, sel = trained_sea_with_two_members()
+    ens_copy, sel_copy = ens.copy(), sel.copy()
+    for ch in chunks(gen_sea(SeaConfig(n_total=300, seed=4, thresholds=(3.0,))), 50):
+        assert ens.train_chunk(ch, sel) == ens_copy.train_chunk(ch, sel_copy)
+    assert (ens.digest(), sel.digest()) == (ens_copy.digest(), sel_copy.digest())
+
+
+def test_copy_rejects_a_value_it_cannot_copy():
+    ens, _ = trained_sea_with_two_members()
+    ens.members[0].model.rules.extra = {"a": 1}
+    with pytest.raises(TypeError, match="RuleBank.extra: cannot copy a dict"):
+        ens.copy()
+
+
 def loads_of_a_trained_ensemble():
     cfg = StreamConfig(n_features=3, n_classes=2, chunk_size=100, ofs_b=2)
     ens, sel = Ensemble(cfg), Selectors(cfg)
