@@ -162,25 +162,25 @@ class DriftDetector(State):
         return "warning" if diff >= math.sqrt(scale * self._ln_w) else "stable"
 
 
-def compression_index(v1: float, v2: float, cov: float) -> float:
-    """Information loss when one of two series is dropped.
+def compression_index(v1, v2, cov):
+    """Information loss when one of two series is dropped, elementwise.
 
     xi = ((v1 + v2) - sqrt((v1 + v2)^2 - 4 v1 v2 (1 - rho^2))) / 2
 
     Zero means one series is an affine image of the other (nothing is
     lost); the maximum (v1 + v2) / 2 is reached for uncorrelated series
     of equal variance.  A zero-variance series is fully compressible by
-    convention.  Bounded by 0 <= xi <= (v1 + v2) / 2 for all inputs.
+    convention.  Bounded by 0 <= xi <= (v1 + v2) / 2 for all inputs.  A
+    float for scalars, an array for arrays.
     """
-    if v1 < 0 or v2 < 0:
+    if np.any(v1 < 0) or np.any(v2 < 0):
         raise ValueError("variances must be nonnegative")
     prod = v1 * v2
-    if prod == 0.0:
-        return 0.0
-    rho_sq = min((cov * cov) / prod, 1.0)
+    rho_sq = np.divide(cov * cov, prod, out=np.zeros(np.shape(prod)), where=prod != 0.0)
     s = v1 + v2
-    disc = s * s - 4.0 * prod * (1.0 - rho_sq)
-    return 0.5 * (s - math.sqrt(max(disc, 0.0)))
+    disc = s * s - 4.0 * prod * (1.0 - np.minimum(rho_sq, 1.0))
+    xi = np.where(prod == 0.0, 0.0, 0.5 * (s - np.sqrt(np.maximum(disc, 0.0))))
+    return float(xi) if xi.ndim == 0 else xi
 
 
 class MciState:
@@ -245,6 +245,18 @@ class ChunkReport:
     merges: int = 0
     mask: tuple = ()
     mask_activations: tuple = ()
+
+
+def chunk_labels(samples: list, n_classes: int) -> list:
+    """The samples' labels, each None or an int (not a bool) in 1..n_classes,
+    which train_chunk checks first; a DataError names the first bad row."""
+    labels = [s.label for s in samples]
+    ok = {None, *range(1, n_classes + 1)}
+    if set(map(type, labels)) <= {int, type(None)} and set(labels) <= ok:
+        return labels
+    k = next(k for k, y in enumerate(labels) if type(y) not in (int, type(None)) or y not in ok)
+    raise DataError(f"row {k} of the chunk: label {labels[k]!r} is not None or an int in "
+                    f"1..{n_classes}", k)
 
 
 # The drift detector's window, in chunks.
@@ -399,21 +411,14 @@ class Ensemble(State):
         n = stats.count
         if n < 2:
             return []
-        candidates = []
-        for i in range(len(stats.voters)):
-            for j in range(i + 1, len(stats.voters)):
-                v1, v2, cov = stats.com[i, i] / n, stats.com[j, j] / n, stats.com[i, j] / n
-                xi = float(
-                    np.mean(
-                        [compression_index(a, b, c) for a, b, c in zip(v1, v2, cov)]
-                    )
-                )
-                vbar = 0.5 * float(v1.mean() + v2.mean())
-                if xi <= self.cfg.delta_rel * vbar:
-                    candidates.append((xi, i, j))
-        if not candidates:
+        var = np.diagonal(stats.com).T / n
+        xi = compression_index(var[:, None], var[None, :], stats.com / n).mean(axis=2)
+        vm = var.mean(axis=1)
+        qualifying = np.triu(xi <= self.cfg.delta_rel * (0.5 * (vm[:, None] + vm[None, :])), 1)
+        if not qualifying.any():
             return []
-        _, i, j = min(candidates)
+        # row-major argmin: the least xi, then the least i, then the least j
+        i, j = divmod(int(np.where(qualifying, xi, np.inf).argmin()), len(xi))
         keep, drop = (i, j) if stats.correct[i] > stats.correct[j] else (j, i)
         survivor, dropped = stats.voters[keep], stats.voters[drop]
         survivor.beta = min(survivor.beta + dropped.beta, 1.0)
@@ -444,6 +449,7 @@ class Ensemble(State):
         """
         if len(chunk) == 0:
             raise DataError("empty chunk")
+        labels = chunk_labels(chunk.samples, self.cfg.n_classes)
         cold_start = not self.members
         if cold_start:
             self._new_member()
@@ -474,9 +480,9 @@ class Ensemble(State):
                 look *= 2
                 continue
             look = first_look
-            label = chunk.samples[k - 1].label
+            label = labels[k - 1]
             if label is None:
-                raise DataError("accepted a sample without a label")
+                raise DataError(f"row {k - 1} of the chunk: accepted an unlabeled sample", k - 1)
             z, cls = block[r], cls[r]
             d2s = {m: d2[r] for m, d2 in d2s.items()}
             member_scores = [sc[r] for sc, _ in votes]

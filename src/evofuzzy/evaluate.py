@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import operator
 import time
 from dataclasses import dataclass, field, fields
 from statistics import mean, pstdev
@@ -20,7 +21,7 @@ from typing import Iterable, Optional
 import numpy as np
 
 from .core import ConfigError, DataChunk, DataError, StreamConfig, chunks
-from .ensemble import Ensemble
+from .ensemble import Ensemble, chunk_labels
 from .selection import Selectors
 
 
@@ -140,13 +141,12 @@ def _train_and_score(ens, sel, cfg, train, test, where: tuple, reports=None, for
     correct = 0
     for ch in chunks(test, size):
         try:
+            labels = chunk_labels(ch.samples, cfg.n_classes)
             _, cls = ens.score_sample([s.x for s in ch.samples], sel.mask)
         except DataError as exc:
             raise _located(exc, *test_block, ch, size) from None
-        # an unlabeled sample reads as class 0, which is never predicted: a miss
-        labels = np.fromiter((0 if s.label is None else s.label for s in ch.samples),
-                             np.int64, len(ch))
-        correct += int(np.count_nonzero(cls == labels))
+        # an unlabeled sample, None, equals no class: a miss
+        correct += sum(map(operator.eq, cls.tolist(), labels))
     seconds += time.perf_counter() - t0
     if (ens.snapshot_hash(), sel.digest()) != before:
         raise RuntimeError(f"{test_block[0]} mutated the model")

@@ -591,10 +591,9 @@ class RuleClassifier(State):
         """Raise AssertionError if any structural invariant is violated."""
         for b in (self.rules, self.archive):
             assert np.all(b.class_support >= 0) and np.all(b.supports >= 1)
-            for inv, psi in zip(b.inv, b.rls_cov):
-                eig = inv if b.diagonal else np.linalg.eigvalsh(0.5 * (inv + inv.T))
-                assert eig.min() > -tol
-                assert np.linalg.eigvalsh(0.5 * (psi + psi.T))[0] > -tol
+            eig = b.inv if b.diagonal else np.linalg.eigvalsh(0.5 * (b.inv + b.inv.swapaxes(1, 2)))
+            psi = np.linalg.eigvalsh(0.5 * (b.rls_cov + b.rls_cov.swapaxes(1, 2)))
+            assert np.all(eig > -tol) and np.all(psi[:, 0] > -tol)
             for name, col in b._derive(b.inv, b.class_support).items():
                 assert np.array_equal(getattr(b, name), col), f"{name} out of step"
 

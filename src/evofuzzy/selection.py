@@ -117,12 +117,9 @@ def consequent_output(models: Sequence[RuleClassifier], x, d2s, mask=None) -> np
 
 
 def _output(models: Sequence[RuleClassifier], lam: np.ndarray, x_e: np.ndarray) -> np.ndarray:
-    # accumulated rule by rule, in the flat order of the firings
-    weights = (w for m in models for w in m.rules.weights)
-    scores = np.zeros(models[0].n_classes)
-    for f, w in zip(lam, weights):
-        scores += f * (x_e @ w)
-    return scores
+    # summed a rule at a time, in the flat order of the firings
+    weights = np.concatenate([m.rules.weights for m in models])
+    return (lam[:, None] * (x_e @ weights)).sum(axis=0)
 
 
 def consequent_gradients(models: Sequence[RuleClassifier], x, t_onehot, d2s, mask=None) -> list:
@@ -130,9 +127,8 @@ def consequent_gradients(models: Sequence[RuleClassifier], x, t_onehot, d2s, mas
     outer(x_e, y - t) for rule i: one (R, u+1, O) array per model."""
     lam = firings(np.concatenate(d2s))
     x_e = extended_input(x, mask)
-    g = np.outer(x_e, _output(models, lam, x_e) - t_onehot)
-    splits = np.cumsum([len(m.rules) for m in models])[:-1]
-    return [f[:, None, None] * g for f in np.split(lam, splits)]
+    g = lam[:, None, None] * np.outer(x_e, _output(models, lam, x_e) - t_onehot)
+    return np.split(g, np.cumsum([len(m.rules) for m in models])[:-1])
 
 
 def sgd_step(models: Sequence[RuleClassifier], x, t_onehot, d2s, mask=None) -> None:
@@ -148,10 +144,10 @@ def sgd_step(models: Sequence[RuleClassifier], x, t_onehot, d2s, mask=None) -> N
         weights = m.rules.weights
         weights *= 1.0 - OFS_RATE * OFS_REG
         weights -= OFS_RATE * g
-        for w in weights:
-            norm = float(np.linalg.norm(w))
-            if norm > radius:
-                w *= radius / norm
+        # one (1, n) @ (n, 1) product per rule, equal to np.linalg.norm's dot bit for bit
+        flat = weights.reshape(len(weights), 1, math.prod(weights.shape[1:]))
+        norms = np.sqrt(flat @ flat.swapaxes(1, 2))
+        weights *= np.divide(radius, norms, out=np.ones_like(norms), where=norms > radius)
 
 
 def feature_scores(models: Sequence[RuleClassifier], n_features: int) -> np.ndarray:
@@ -161,10 +157,8 @@ def feature_scores(models: Sequence[RuleClassifier], n_features: int) -> np.ndar
     the intercept row is excluded.  All-zero weights give the uniform
     vector.
     """
-    total = np.zeros(n_features)
-    for m in models:
-        for w in m.rules.weights:
-            total += np.abs(w[1:, :]).sum(axis=1)
+    weights = np.concatenate([m.rules.weights for m in models])
+    total = np.abs(weights[:, 1:, :]).sum(axis=2).sum(axis=0)
     z = total.sum()
     if z <= 0.0:
         return np.full(n_features, 1.0 / n_features)

@@ -356,6 +356,24 @@ class TestDriftDetectorOracle:
         if w > 4:  # four errors are too few for any Hoeffding test to pass
             assert {"stable", "warning", "drift"} <= set(phases)
 
+    def test_a_pinned_cut_slides_out_of_a_full_window(self, monkeypatch):
+        # at the default levels a cut at 1 never holds (w[0] + eps(1) exceeds
+        # mean(w) + eps(n) for every window), so the levels are loosened here
+        monkeypatch.setattr(ensemble_module, "ALPHA_DRIFT", 0.2)
+        monkeypatch.setattr(ensemble_module, "ALPHA_WARN", 0.3)
+        w = 8
+        det, oracle = DriftDetector(max_window=w), WindowOracle(0.3, 0.2, max_window=w)
+        slides, phases = 0, set()
+        for e in drifting_errors(3, 3 * w, 2000):
+            slides += len(det) == w and det.cut == 1
+            phase = det.step(e)
+            assert phase == oracle.step(e)
+            assert (det.cut, det.streak) == (oracle.cut, oracle.streak)
+            assert np.array_equal(det.window, oracle.window)
+            phases.add(phase)
+        assert slides >= 1
+        assert {"stable", "warning", "drift"} <= phases
+
     def test_roundtrip_right_after_a_compaction(self):
         w = 64
         det, oracle = DriftDetector(max_window=w), WindowOracle(max_window=w)

@@ -1,11 +1,12 @@
 import copy
 import dataclasses
 import json
+import re
 
 import numpy as np
 import pytest
 
-from evofuzzy.core import ConfigError, DataError, Sample, StreamConfig
+from evofuzzy.core import ConfigError, DataChunk, DataError, Sample, StreamConfig
 from evofuzzy.datagen import HyperplaneConfig, SeaConfig, gen_hyperplane, gen_sea
 from evofuzzy.ensemble import ChunkReport, Ensemble
 from evofuzzy.evaluate import (
@@ -195,12 +196,13 @@ def cv_fresh_per_fold(samples, cfg, folds):
     other bins in stream order: the records (rt 0) and the last learner."""
     series = []
     for f, held in enumerate(np.array_split(np.arange(len(samples)), folds)):
-        held = set(held.tolist())
-        train = [s for i, s in enumerate(samples) if i not in held]
-        test = [s for i, s in enumerate(samples) if i in held]
+        lo, hi = int(held[0]), int(held[-1]) + 1
+        train, test = samples[:lo] + samples[hi:], samples[lo:hi]
         ens, sel = Ensemble(cfg), Selectors(cfg)
         reports, correct, _, _ = _train_and_score(
-            ens, sel, cfg, train, test, (f"train bins of fold {f}", f"test bin {f}")
+            ens, sel, cfg, train, test,
+            ((f"train bins of fold {f}", lambda i: i if i < lo else i + hi - lo),
+             (f"test bin {f}", lambda i: lo + i)),
         )
         series.append(_record(f, ens, sel, reports, correct / len(test), 0.0))
     return series, ens
@@ -250,7 +252,8 @@ class TestSharedPrefix:
     def test_a_chunk_report_is_frozen(self, stream):
         cfg = StreamConfig(n_features=4, n_classes=2, chunk_size=100, ofs_b=2)
         reports, _, _, _ = _train_and_score(Ensemble(cfg), Selectors(cfg), cfg, stream[:300],
-                                            stream[300:400], ("train", "test"))
+                                            stream[300:400],
+                                            (("train", lambda i: i), ("test", lambda i: 300 + i)))
         for field in ("accepted", "mask", "mask_activations"):
             with pytest.raises(dataclasses.FrozenInstanceError):
                 setattr(reports[-1], field, reports[-1].accepted)
@@ -314,6 +317,19 @@ class TestMetricsIo:
         path = tmp_path / "broken.jsonl"
         path.write_text('{"record": "chunk", "n": 0}\n')
         with pytest.raises(DataError):
+            read_metrics(path)
+
+    def test_blank_lines_are_skipped(self, tmp_path):
+        path = tmp_path / "blank.jsonl"
+        path.write_text('\n{"record": "chunk", "n": 0}\n   \n{"record": "summary", "cr": 1.0}\n\n')
+        records, summary = read_metrics(path)
+        assert records == [{"record": "chunk", "n": 0}]
+        assert summary == {"record": "summary", "cr": 1.0}
+
+    def test_bad_json_line_is_named(self, tmp_path):
+        path = tmp_path / "bad.jsonl"
+        path.write_text('{"record": "chunk", "n": 0}\n\n{"record": \n')
+        with pytest.raises(DataError, match=f"^{re.escape(str(path))}:3: "):
             read_metrics(path)
 
 
@@ -381,6 +397,67 @@ class TestChunkedScoring:
         ) as exc:
             run_cv(samples, small_cfg(chunk_size=100), folds=4)
         assert exc.value.row == 870
+
+
+# labels that are neither None nor an int (not a bool) in 1..2
+BAD_LABELS = [7, -1, 0, 2.5, 1.5, "2", True, np.int64(1)]
+
+
+class TestLabels:
+    """A label is None or an int (not a bool) in 1..n_classes; any other
+    value raises a DataError whose row is the sample's stream index."""
+
+    proto = EvalProtocol(mode="holdout", train_per_stamp=250, test_per_stamp=250, stamps=2)
+
+    @pytest.mark.parametrize("label", BAD_LABELS, ids=repr)
+    def test_in_a_train_block(self, label):
+        samples = list(gen_sea(SeaConfig(n_total=1000, seed=1)))
+        samples[500 + 130].label = label  # stamp 1, train row 130
+        with pytest.raises(DataError, match=(
+            r"^train block of stamp 1 \(samples 100-149\): row 30 of the chunk: label "
+            + re.escape(repr(label)) + r" is not None or an int in 1\.\.2$"
+        )) as exc:
+            run_holdout(samples, small_cfg(chunk_size=50), self.proto)
+        assert exc.value.row == 630
+
+    @pytest.mark.parametrize("label", BAD_LABELS, ids=repr)
+    def test_in_a_test_block(self, label):
+        samples = list(gen_sea(SeaConfig(n_total=1000, seed=1)))
+        samples[750 + 120].label = label  # stamp 1, test row 120
+        with pytest.raises(DataError, match=(
+            r"^test block of stamp 1 \(samples 100-149\): row 20 of the chunk: label "
+            + re.escape(repr(label)) + r" is not None or an int in 1\.\.2$"
+        )) as exc:
+            run_holdout(samples, small_cfg(chunk_size=50), self.proto)
+        assert exc.value.row == 870
+
+    @pytest.mark.parametrize("label", BAD_LABELS, ids=repr)
+    def test_a_rejected_train_chunk_leaves_the_learner_as_it_was(self, label):
+        samples = list(gen_sea(SeaConfig(n_total=300, seed=1)))
+        cfg = small_cfg(chunk_size=100)
+        ens, sel = Ensemble(cfg), Selectors(cfg)
+        bad = DataChunk(samples[100:200], 1)
+        bad.samples[99] = Sample(bad.samples[99].x, label)
+        for trained in (False, True):
+            if trained:
+                ens.train_chunk(DataChunk(samples[:100], 0), sel)
+            before = ens.digest(), sel.digest()
+            with pytest.raises(DataError) as exc:
+                ens.train_chunk(bad, sel)
+            assert exc.value.row == 99
+            assert (ens.digest(), sel.digest()) == before
+
+    def test_an_accepted_sample_without_a_label_names_its_row(self):
+        # the first chunk trains on every sample: fold 0 trains bins 1-3,
+        # samples 250-999, and its first chunk is samples 250-349
+        samples = list(gen_sea(SeaConfig(n_total=1000, seed=1)))
+        samples[260].label = None
+        with pytest.raises(DataError, match=(
+            r"^train bins of fold 0 \(samples 0-99\): row 10 of the chunk: accepted an "
+            r"unlabeled sample$"
+        )) as exc:
+            run_cv(samples, small_cfg(chunk_size=100), folds=4)
+        assert exc.value.row == 260
 
 
 def nudge(a, index):

@@ -296,6 +296,31 @@ def set_rde_mean(ens, sel):
     return Ensemble, ens
 
 
+def set_members(ens, sel):
+    ens["members"] = {"0": ens["members"][0]}
+    return Ensemble, ens
+
+
+def set_bool_count(ens, sel):
+    ens["standardizer"]["count"] = True
+    return Ensemble, ens
+
+
+def set_model_n_features(ens, sel):
+    ens["members"][0]["model"]["n_features"] = 5
+    return Ensemble, ens
+
+
+def set_ragged_mean(ens, sel):
+    ens["standardizer"]["mean"] = [[0.0], [0.0, 1.0], [0.0]]
+    return Ensemble, ens
+
+
+def set_string_mean(ens, sel):
+    ens["standardizer"]["mean"] = ["0", "1", "2"]
+    return Ensemble, ens
+
+
 @pytest.mark.parametrize("edit, match", [
     (set_m2, r"'standardizer' has m2 of shape \(1,\), expected \(3,\)$"),
     (set_count, r"'standardizer' has count -5 outside \[0, inf\]$"),
@@ -303,8 +328,14 @@ def set_rde_mean(ens, sel):
     (set_ofs_b, r"'selectors' has n_features -2 outside \[1, inf\]$"),
     (set_beta, r"'member' has beta nan outside \[0\.0, 1\.0\]$"),
     (set_rde_mean, r"'rde' has mean of shape \(1,\), expected \(3,\)$"),
+    (set_members, r"'ensemble' has members of type dict, expected list$"),
+    (set_bool_count, r"'standardizer' has count of type bool, expected int$"),
+    (set_model_n_features, r"'model' has n_features 5, which does not fit u = 3$"),
+    (set_ragged_mean, r"'standardizer' has mean that is not an array of floats$"),
+    (set_string_mean, r"'standardizer' has mean that is not an array of floats$"),
 ], ids=["standardizer-m2", "standardizer-count", "selectors-mask", "selectors-ofs_b",
-        "member-beta", "rde-mean"])
+        "member-beta", "rde-mean", "members-not-a-list", "count-a-bool", "model-n_features",
+        "ragged-mean", "string-mean"])
 def test_load_hole_is_data_error_naming_section_and_field(edit, match):
     ens, sel = loads_of_a_trained_ensemble()
     cls, state = edit(ens, sel)
