@@ -11,9 +11,12 @@ For every end-to-end metric it prints each side's median and quartiles,
 the ratio of the medians, the change's wins (ties count for neither,
 "better" as BENCHMARK.json of CHANGE_DIR says) and whether the gap
 between the medians exceeds the parent's interquartile range, and for
-each side the raw (unscaled) train seconds per pass, which the run
-leaves in perfbench/out/.  With --json PATH the summary, the raw train
-and harness seconds of every pass included, is stored in PATH under
+each side the raw (unscaled) train and test seconds per pass, test
+being the harness seconds less the train seconds, which the run leaves
+in perfbench/out/.  A faster test path moves the scaled train_sps too
+(both share the reference-job scaling), so a test-path claim reads the
+raw figures beside it.  With --json PATH the summary, the raw train,
+harness and test seconds of every pass included, is stored in PATH under
 the workload's name, with "(seed N)" after it for a seed other than
 CLAIM_SEED, next to what the file already holds.
 
@@ -129,9 +132,12 @@ def main(argv=None) -> int:
             getattr(args, side), args.workload, args.seed, args.seconds))
         metrics = summarize(runs, better)
         failed = {side: [[r["failed"], r["attempted"]] for r in rs] for side, rs in runs.items()}
-        # unscaled seconds of train_chunk and of the rest of the harness, per pass
+        # unscaled seconds of train_chunk, of the whole harness and of the rest, per pass
         raw = {side: {k: [[p[k] for p in r["wall"]] for r in rs] for k in ("train_s", "harness_s")}
                for side, rs in runs.items()}
+        for sides in raw.values():
+            sides["test_s"] = [[h - t for h, t in zip(*pair)]
+                               for pair in zip(sides["harness_s"], sides["train_s"])]
         print(f"{args.workload} seed {args.seed}, {args.pairs} pairs; "
               f"median [q1, q3] per side, ratio change/parent, change wins")
         for name, m in metrics.items():
@@ -141,12 +147,14 @@ def main(argv=None) -> int:
                   f" x{m['ratio'] or float('nan'):.3f}  wins {m['wins']}/{args.pairs}"
                   f"{'  gap > parent IQR' if m['gap_exceeds_parent_iqr'] else ''}")
         for side, rs in runs.items():
-            train = [t for passes in raw[side]["train_s"] for t in passes]
+            spans = []
+            for k in ("train_s", "test_s"):
+                v = [t for passes in raw[side][k] for t in passes]
+                spans.append(f"{k[:-2]} {statistics.median(v):.4g} [{min(v):.4g}, {max(v):.4g}]")
             print(f"{side}: failed {sum(f for f, _ in failed[side])} of "
                   f"{sum(a for _, a in failed[side])} operations, "
                   f"checks passed in {sum(r['correct'] for r in rs)} of {len(rs)} runs, "
-                  f"raw train seconds per pass median {statistics.median(train):.4g} "
-                  f"[{min(train):.4g}, {max(train):.4g}]")
+                  f"raw seconds per pass median [min, max]: {', '.join(spans)}")
         entry.update(pairs=args.pairs, seconds=args.seconds, metrics=metrics,
                      failed_attempted=failed, raw_wall_s=raw)
     if args.setup_runs > 0:

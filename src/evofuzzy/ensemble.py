@@ -450,13 +450,14 @@ class Ensemble(State):
         if len(chunk) == 0:
             raise DataError("empty chunk")
         labels = chunk_labels(chunk.samples, self.cfg.n_classes)
+        # standardized first: a chunk it rejects leaves no member behind
+        zs = self.standardizer.fit_transform([s.x for s in chunk.samples])
         cold_start = not self.members
         if cold_start:
             self._new_member()
         accepted = drifts = warnings = 0
         mci = MciState(self.voters(), self.cfg.n_classes)
         activations = np.zeros(self.cfg.n_features)
-        zs = self.standardizer.fit_transform([s.x for s in chunk.samples])
         first_look = 1 if cold_start else LOOKAHEAD
         k, look = 0, first_look
         while k < len(zs):

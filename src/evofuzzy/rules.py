@@ -214,14 +214,25 @@ class RuleBank(State):
         """Squared Mahalanobis distance from x to every rule center: (R,)
         for one vector x (u,), (N, R) for a block (N, u).
 
-        Masked-out features contribute zero to the distance.
+        Masked-out features contribute zero to the distance.  Multivariate
+        rules are evaluated rule-major: a block's differences form one
+        C-ordered (R, u, N) array and its result is a C-ordered (N, R)
+        copy.  That is the sample-major (N, R, u) form bit for bit, but for
+        a 2-row block at u = 2, whose rows get the bits of a larger block.
         """
-        diff = x[..., None, :] - self.centers
-        if mask is not None:
-            diff = diff * mask
         if self.diagonal:
+            diff = x[..., None, :] - self.centers
+            if mask is not None:
+                diff = diff * mask
             return np.einsum("...rj,rj->...r", diff * diff, self.inv)
-        return np.einsum("...ri,rij,...rj->...r", diff, self.inv, diff)
+        # diff is (R, u) for one vector and (R, u, N), one column per sample, for a block
+        block = x.ndim == 2
+        diff = np.subtract(x.T, self.centers[..., None] if block else self.centers, order="C")
+        if mask is not None:
+            diff *= mask[:, None] if block else mask
+        d2 = np.einsum("ri...,rij,rj...->r...", diff, self.inv, diff)
+        # a copy, not a view: firings' row sums differ over a transposed view
+        return np.ascontiguousarray(d2.T) if block else d2
 
 
 def weighted_rls_update(
@@ -346,11 +357,14 @@ class RuleClassifier(State):
         scores_o = sum_i lam_i * (x_e @ W_i)_o; the predicted class is the
         argmax with the lowest index winning ties, so a classifier without
         rules sums to zero scores and predicts class 1.  For a block x
-        (N, u) with d2 (N, R) both come back per row.  Pure: no state change.
+        (N, u) with d2 (N, R) both come back per row.  The consequents are
+        summed over a contiguous (u+1, R, O) copy, bit for bit the sum over
+        the (R, u+1, O) bank.  Pure: no state change.
         """
         lam = firings(d2)
         x_e = extended_input(x, mask)
-        per_rule = np.einsum("...e,reo->...ro", x_e, self.rules.weights)
+        weights = np.ascontiguousarray(self.rules.weights.transpose(1, 0, 2))
+        per_rule = np.einsum("...e,ero->...ro", x_e, weights)
         scores = (lam[..., None, :] @ per_rule)[..., 0, :]
         return scores, classes(scores)
 

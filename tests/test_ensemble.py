@@ -708,6 +708,25 @@ class TestTrainChunk:
         with pytest.raises(Exception):
             Ensemble(cfg).train_chunk(DataChunk([], 0), Selectors(cfg))
 
+    def test_a_rejected_first_chunk_leaves_no_member(self):
+        cfg = StreamConfig(n_features=2, n_classes=2, chunk_size=10)
+        rng = np.random.default_rng(0)
+        good = [Sample(rng.normal(size=2), i % 2 + 1) for i in range(10)]
+        bad = list(good)
+        bad[3] = Sample(np.array([np.nan, 0.0]), good[3].label)
+        ens, sel = Ensemble(cfg), Selectors(cfg)
+        with pytest.raises(DataError, match="row 3") as exc:
+            ens.train_chunk(DataChunk(bad, 0), sel)
+        assert exc.value.row == 3
+        assert ens.members == [] and ens.next_uid == 0
+        assert ens.digest() == Ensemble(cfg).digest()
+        # the same chunk without the nan is still the cold start
+        rep = ens.train_chunk(DataChunk(good, 0), sel)
+        fresh, fresh_sel = Ensemble(cfg), Selectors(cfg)
+        assert rep == fresh.train_chunk(DataChunk(good, 0), fresh_sel)
+        assert rep.accepted == 10 and len(ens.members) == 1
+        assert ens.digest() == fresh.digest()
+
 
 class TestEnsembleSnapshot:
     def test_roundtrip_preserves_predictions_and_hash(self):

@@ -1,8 +1,9 @@
-"""The accept-path kernels against their earlier forms.
+"""The accept-path and scoring kernels against their earlier forms.
 
-Each kernel was rewritten to make fewer numpy and Python calls; the
-earlier form is kept here, and the two must agree bit for bit on rule
-banks of both kinds, trained with a feature mask and without.
+Each kernel was rewritten to make fewer numpy and Python calls or to walk
+contiguous operands; the earlier form is kept here, and the two must
+agree bit for bit on rule banks of both kinds, trained or random, with a
+feature mask and without.
 """
 
 import copy
@@ -19,6 +20,7 @@ from evofuzzy.rules import (
     RdeState,
     RuleBank,
     RuleClassifier,
+    classes,
     firings,
     weighted_rls_update,
 )
@@ -30,6 +32,23 @@ CASES = [(kind, mask) for kind in KINDS for mask in MASKS]
 
 
 # -- the earlier forms --------------------------------------------------------
+
+
+def old_mahalanobis_sq(bank, x, mask):
+    diff = x[..., None, :] - bank.centers
+    if mask is not None:
+        diff = diff * mask
+    if bank.diagonal:
+        return np.einsum("...rj,rj->...r", diff * diff, bank.inv)
+    return np.einsum("...ri,rij,...rj->...r", diff, bank.inv, diff)
+
+
+def old_infer(model, x, d2, mask):
+    lam = firings(d2)
+    x_e = rules_module.extended_input(x, mask)
+    per_rule = np.einsum("...e,reo->...ro", x_e, model.rules.weights)
+    scores = (lam[..., None, :] @ per_rule)[..., 0, :]
+    return scores, classes(scores)
 
 
 def old_weighted_rls_update(psi, weights, lam, x_e, target, decay_strength):
@@ -134,6 +153,22 @@ def states(kind, mask, seed, n=120):
         model.train_sample(x, label, d2, model.infer(x, d2, mask)[0], mask)
 
 
+def random_model(kind, u, n_rules, rng):
+    """A 3-class model with n_rules random rules.  A multivariate inverse
+    dispersion is (q * w) @ q.T, the form _repair_spd returns when it
+    floors an eigenvalue, which is not exactly symmetric."""
+    model = RuleClassifier(u, 3, kind=kind)
+    for _ in range(n_rules):
+        w = np.exp(rng.uniform(-3.0, 3.0, u))
+        q = np.linalg.qr(rng.normal(size=(u, u)))[0]
+        model.rules.append(
+            centers=rng.normal(0.0, 2.0, u), inv=w if model.rules.diagonal else (q * w) @ q.T,
+            weights=rng.normal(0.0, 1.0, (u + 1, 3)), rls_cov=np.eye(u + 1),
+            class_support=[1, 0, 0], activity=0.0, peak_potential=0.0, age=0,
+        )
+    return model
+
+
 def same_bank(a: RuleBank, b: RuleBank) -> bool:
     names = [f.key for f in RuleBank.FIELDS] + list(RuleBank.DERIVED)
     return all(np.array_equal(getattr(a, k), getattr(b, k)) for k in names)
@@ -236,3 +271,67 @@ def test_prune_check(kind, mask):
         checked += 1
         pruned += bool(got)
     assert checked > 100 and pruned > 10
+
+
+# one vector (None) and blocks of these many rows
+ROWS = (None, 0, 1, 2, 3, 8, 250)
+
+
+def assert_scoring_kernels(model, x, mask):
+    """Distances and scores of x on model equal the earlier forms'."""
+    d2 = model.mahalanobis_sq(x, mask)
+    assert d2.shape == x.shape[:-1] + (len(model.rules),) and d2.flags.c_contiguous
+    want = old_mahalanobis_sq(model.rules, x, mask)
+    if not model.rules.diagonal and x.shape == (2, 2):
+        # the one case the rule-major form changes: a 2-row block at u = 2
+        # gets the bits its rows have in a block of three or more rows
+        want = old_mahalanobis_sq(model.rules, np.vstack([x, x[:1]]), mask)[:2]
+    assert np.array_equal(d2, want)
+    scores, cls = model.infer(x, d2, mask)
+    old_scores, old_cls = old_infer(model, x, d2, mask)
+    assert np.array_equal(scores, old_scores) and np.array_equal(cls, old_cls)
+
+
+@pytest.mark.parametrize("u", range(1, 13))
+@pytest.mark.parametrize("kind", KINDS)
+def test_scoring_kernels_on_random_banks(kind, u):
+    rng = np.random.default_rng(11 + u)
+    asymmetric = 0
+    for n_rules in (0, 1, 2, 5):
+        model = random_model(kind, u, n_rules, rng)
+        inv = model.rules.inv
+        asymmetric += inv.ndim == 3 and not np.array_equal(inv, inv.swapaxes(1, 2))
+        for mask in (None, (rng.random(u) < 0.6).astype(float)):
+            for rows in ROWS:
+                x = rng.normal(0.0, 3.0, u if rows is None else (rows, u))
+                assert_scoring_kernels(model, x, mask)
+    assert kind == "axis_parallel" or u == 1 or asymmetric
+
+
+@pytest.mark.parametrize("kind, mask", CASES)
+def test_scoring_kernels_on_trained_banks(kind, mask):
+    rng = np.random.default_rng(12)
+    checked = 0
+    for model, x, _, _ in states(kind, MASKS[mask], seed=13):
+        block = rng.normal(0.0, 3.0, (int(rng.integers(0, 9)), 3))
+        for z in (x, block):
+            assert_scoring_kernels(model, z, MASKS[mask])
+            checked += 1
+    assert checked == 240
+
+
+def test_two_rows_at_two_features():
+    """At u = 2 the earlier form sums a row of a 1- or 2-row block in
+    another order than a row of a larger block; the rule-major form moves
+    the 2-row block to the larger blocks' order and keeps the rest."""
+    rng = np.random.default_rng(14)
+    moved = 0
+    for _ in range(300):
+        model = random_model("multivariate", 2, int(rng.integers(1, 6)), rng)
+        block = rng.normal(0.0, 3.0, (3, 2))
+        larger = old_mahalanobis_sq(model.rules, block, None)
+        assert np.array_equal(model.mahalanobis_sq(block[:2]), larger[:2])
+        for x in (block[0], block[:1]):
+            assert np.array_equal(model.mahalanobis_sq(x), old_mahalanobis_sq(model.rules, x, None))
+        moved += not np.array_equal(larger[:2], old_mahalanobis_sq(model.rules, block[:2], None))
+    assert moved > 0
