@@ -5,10 +5,12 @@
 
 Writes to stdout the `_CHI2_95` literal: chi2.ppf(0.95, df) for df =
 1..64, computed as 2 * gammaincinv(df / 2, 0.95), the expression that
-`_chi2_quantile` falls back to, at repr precision, five values per
-line.  Paste it over the table in rules.py.  tests/test_rules.py checks
-every entry against scipy.stats.chi2.ppf bit for bit, so regenerate the
-table only when its size or quantile changes.
+chi2.ppf evaluates, at repr precision, five values per line.  Paste it
+over the table in rules.py.  The novelty gate reads only this table,
+so its length is the most features a stream may have (MAX_FEATURES in
+core.py).  tests/test_rules.py checks every entry against
+scipy.stats.chi2.ppf bit for bit, so regenerate the table only when
+its size or quantile changes.  Needs scipy, which the package does not.
 """
 
 import sys

@@ -35,6 +35,11 @@ _GENERATORS = {
 }
 
 
+# the keys of each record kind that the report prints: the table, the summary line
+_REPORT_KEYS = {"chunk": ("n", "cr", "fr", "bc", "np", "ts"),
+                "summary": ("cr", "cr_std", "fr", "bc", "ts", "rt")}
+
+
 def thresholds(text: str) -> tuple:
     """A comma-separated threshold schedule, such as 4,7,4,7."""
     return tuple(float(v) for v in text.split(","))
@@ -147,7 +152,7 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_report(args) -> int:
-    records, summary = read_metrics(args.metrics)
+    records, summary = read_metrics(args.metrics, _REPORT_KEYS)
     if args.summary:
         for key in sorted(summary):
             if key != "record":

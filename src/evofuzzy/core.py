@@ -23,6 +23,11 @@ import numpy as np
 # instead of dividing by zero.
 STD_FLOOR = 1e-8
 
+# Most features a stream may have: the rules' novelty gate reads its
+# chi-square threshold, one per count of active features, from a table of
+# 64 (rules._CHI2_95).
+MAX_FEATURES = 64
+
 # The active-learning threshold starts at THETA_INIT, moves by this factor
 # per decision and stays within [THETA_MIN, THETA_MAX].
 THETA_INIT = 0.7
@@ -292,6 +297,8 @@ class StreamConfig(State):
     def __post_init__(self):
         if self.n_features < 1:
             raise ConfigError("n_features must be >= 1")
+        if self.n_features > MAX_FEATURES:
+            raise ConfigError(f"n_features must be <= {MAX_FEATURES}")
         if self.n_classes < 2:
             raise ConfigError("n_classes must be >= 2")
         if self.chunk_size < 1:

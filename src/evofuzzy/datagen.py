@@ -53,21 +53,11 @@ class SeaConfig:
             raise ConfigError(f"seed must be >= 0, got {self.seed}")
 
 
-def sea_label(theta: float, x) -> int:
-    """Class 2 when the first two features sum below the threshold."""
-    return 2 if x[0] + x[1] < theta else 1
-
-
 def _margin(w, x):
     """w . x of one row (u,) or of each row of a block (N, u), summed left
     to right: the same IEEE operations for a row alone and in a block."""
     x = np.asarray(x, dtype=float)
     return sum((x[..., j] * w[j] for j in range(1, len(w))), x[..., 0] * w[0])
-
-
-def hyperplane_label(w, w0: float, x) -> int:
-    """Class 1 strictly above the hyperplane, class 2 on or below it."""
-    return 1 if _margin(w, x) > w0 else 2
 
 
 def gen_sea(cfg: SeaConfig) -> Iterator[Sample]:
@@ -80,7 +70,7 @@ def gen_sea(cfg: SeaConfig) -> Iterator[Sample]:
     while i < cfg.n_total:
         buf = rng.uniform(0.0, 10.0, size=(_BLOCK, cfg.n_features))
         # x[0] + x[1] of each row of buf as Python floats: the same IEEE add
-        # as sea_label's, so a candidate is tested and labelled without
+        # as on the row alone, so a candidate is tested and labelled without
         # touching its row, and only the kept rows are copied out
         sums = (buf[:, 0] + buf[:, 1]).tolist()
         kept, labels = [], []

@@ -171,7 +171,7 @@ def compression_index(v1, v2, cov):
     lost); the maximum (v1 + v2) / 2 is reached for uncorrelated series
     of equal variance.  A zero-variance series is fully compressible by
     convention.  Bounded by 0 <= xi <= (v1 + v2) / 2 for all inputs.  A
-    float for scalars, an array for arrays.
+    0-d array for scalars, an array for arrays.
     """
     if np.any(v1 < 0) or np.any(v2 < 0):
         raise ValueError("variances must be nonnegative")
@@ -179,8 +179,7 @@ def compression_index(v1, v2, cov):
     rho_sq = np.divide(cov * cov, prod, out=np.zeros(np.shape(prod)), where=prod != 0.0)
     s = v1 + v2
     disc = s * s - 4.0 * prod * (1.0 - np.minimum(rho_sq, 1.0))
-    xi = np.where(prod == 0.0, 0.0, 0.5 * (s - np.sqrt(np.maximum(disc, 0.0))))
-    return float(xi) if xi.ndim == 0 else xi
+    return np.where(prod == 0.0, 0.0, 0.5 * (s - np.sqrt(np.maximum(disc, 0.0))))
 
 
 class MciState:

@@ -76,18 +76,9 @@ def count_parameters(ens: Ensemble) -> int:
     """Stored parameters: center + dispersion + consequent per rule, plus
     one voting weight per member.  Diagonal dispersions count u entries,
     full ones count the upper triangle u(u+1)/2."""
-    total = 0
-    for m in ens.members:
-        u = m.model.n_features
-        o = m.model.n_classes
-        per_rule = u + (u + 1) * o
-        if m.model.kind == "axis_parallel":
-            per_rule += u
-        else:
-            per_rule += u * (u + 1) // 2
-        total += per_rule * len(m.model.rules)
-    total += len(ens.members)
-    return total
+    u, o = ens.cfg.n_features, ens.cfg.n_classes
+    dispersion = u if ens.cfg.base_kind == "axis_parallel" else u * (u + 1) // 2
+    return (u + dispersion + (u + 1) * o) * ens.total_rules + len(ens.members)
 
 
 def _take(it, n: int, what: str, stamp: int) -> list:
@@ -175,22 +166,12 @@ def _record(n: int, ens, sel, reports, cr: float, rt: float) -> dict:
 
 
 def _summarize(series: list, offered: int, rt: float) -> RunMetrics:
-    crs, frs, bcs, nps = ([rec[k] for rec in series] for k in ("cr", "fr", "bc", "np"))
-    return RunMetrics(
-        cr=mean(crs),
-        fr=mean(frs),
-        bc=mean(bcs),
-        np=mean(nps),
-        ts=sum(rec["ts"] for rec in series),
-        rt=rt,
-        cr_std=pstdev(crs),
-        fr_std=pstdev([float(v) for v in frs]),
-        bc_std=pstdev([float(v) for v in bcs]),
-        np_std=pstdev([float(v) for v in nps]),
-        stamps=len(series),
-        offered=offered,
-        series=series,
-    )
+    stats = {}
+    for k in ("cr", "fr", "bc", "np"):
+        values = [rec[k] for rec in series]
+        stats[k], stats[f"{k}_std"] = mean(values), pstdev([float(v) for v in values])
+    return RunMetrics(**stats, ts=sum(rec["ts"] for rec in series), rt=rt, stamps=len(series),
+                      offered=offered, series=series)
 
 
 def run_holdout(
@@ -288,8 +269,11 @@ def write_metrics(path, metrics: RunMetrics) -> None:
         fh.write(json.dumps({"record": "summary", **summary}, sort_keys=True) + "\n")
 
 
-def read_metrics(path):
-    """Returns (chunk records, summary dict)."""
+def read_metrics(path, keys: Optional[dict] = None):
+    """Returns (chunk records, summary dict).  Every record must be a JSON
+    object; keys, if given, maps "chunk" and "summary" to the keys each
+    record of that kind must hold.  A fault raises DataError naming the
+    line."""
     records = []
     summary = None
     with open(path) as fh:
@@ -301,7 +285,14 @@ def read_metrics(path):
                 rec = json.loads(line)
             except json.JSONDecodeError as exc:
                 raise DataError(f"{path}:{lineno}: {exc}") from None
-            if rec.get("record") == "summary":
+            if not isinstance(rec, dict):
+                raise DataError(f"{path}:{lineno}: a record must be a JSON object, "
+                                f"not {type(rec).__name__}")
+            kind = "summary" if rec.get("record") == "summary" else "chunk"
+            missing = [k for k in (keys or {}).get(kind, ()) if k not in rec]
+            if missing:
+                raise DataError(f"{path}:{lineno}: {kind} record lacks {', '.join(missing)}")
+            if kind == "summary":
                 summary = rec
             else:
                 records.append(rec)

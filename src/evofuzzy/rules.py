@@ -17,12 +17,11 @@ from __future__ import annotations
 
 import math
 from enum import Enum
-from functools import cache
 from typing import Optional
 
 import numpy as np
 
-from .core import DataError, Field, State, onehot
+from .core import MAX_FEATURES, DataError, Field, State, onehot
 
 # Eigenvalue floor used when repairing a dispersion matrix that lost
 # positive definiteness, and the variance floor for diagonal updates.
@@ -34,7 +33,7 @@ FIRING_EPS = 1e-6
 # Structure-learning thresholds.  The code reads them at call time, so a
 # test may monkeypatch them.
 ERR_GROW = 0.5  # prediction-error gate for growing (one-hot target space)
-NOVELTY_Q = 0.95  # chi-square quantile of the Mahalanobis novelty gate
+NOVELTY_Q = 0.95  # quantile of the novelty gate, whose chi-square table _CHI2_95 holds at 0.95
 DENSITY_SIGMAS = 2.0  # sigmas below the mean density that count as sparse
 VOLUME_CAP = 0.25  # share of the volume proxy 6^u a rule may fill before growth is forced
 PRUNE_FRAC = 0.1  # share of the mean activity below which a rule is inactive
@@ -108,10 +107,6 @@ class RdeState(State):
             return 1.0 / (1.0 + float(diff @ diff) + spread)
         # one (1, u) @ (u, 1) product per row, equal to diff @ diff bit for bit
         return 1.0 / (1.0 + (diff[:, None, :] @ diff[:, :, None])[:, 0, 0] + spread)
-
-    @property
-    def dens_std(self) -> float:
-        return math.sqrt(max(self.dens_var, 0.0))
 
 
 class RuleBank(State):
@@ -265,8 +260,8 @@ def weighted_rls_update(
         weights -= (2.0 * decay_strength) * (psi @ weights)
 
 
-# chi2.ppf(0.95, df) for df = 1..64, written by scripts/chi2_table.py, so
-# that the novelty gate reads its threshold without importing scipy.
+# chi2.ppf(0.95, df) for df = 1..64, written by scripts/chi2_table.py: the
+# novelty gate's threshold at df active features, so MAX_FEATURES is its length.
 _CHI2_95 = (
     3.841458820694124, 5.991464547107979, 7.814727903251179, 9.487729036781154, 11.070497693516351,
     12.591587243743977, 14.067140449340169, 15.50731305586545, 16.918977604620448, 18.307038053275146,
@@ -282,18 +277,6 @@ _CHI2_95 = (
     74.46832415930936, 75.62374846937608, 76.7778031560615, 77.93052380523042, 79.08194448784874,
     80.23209784876272, 81.3810151888991, 82.5287265414718, 83.67526074272097,
 )
-
-
-@cache
-def _chi2_quantile(q: float, df: int) -> float:
-    """Chi-square quantile: twice the inverse regularized lower incomplete
-    gamma function at df / 2, the same expression as chi2.ppf.  The 0.95
-    quantile up to df 64 comes from _CHI2_95; any other imports scipy."""
-    if q == 0.95 and 1 <= df <= len(_CHI2_95):
-        return _CHI2_95[df - 1]
-    from scipy.special import gammaincinv
-
-    return float(2.0 * gammaincinv(df / 2.0, q))
 
 
 def _repair_spd(m: np.ndarray) -> np.ndarray:
@@ -315,8 +298,8 @@ class RuleClassifier(State):
     """
 
     FIELDS = (
-        Field("n_features", int, lo=1), Field("n_classes", int, lo=2), Field("kind", str),
-        Field("age_min", int), Field("rde", RdeState), Field("rules", RuleBank),
+        Field("n_features", int, lo=1, hi=MAX_FEATURES), Field("n_classes", int, lo=2),
+        Field("kind", str), Field("age_min", int), Field("rde", RdeState), Field("rules", RuleBank),
         Field("archive", RuleBank),
     )
     SECTION = "model"
@@ -325,8 +308,8 @@ class RuleClassifier(State):
         self, n_features: int, n_classes: int, kind: str = "axis_parallel", age_min: int = 500
     ):
         self.kind = kind
-        self._complete()
         self.n_features = n_features
+        self._complete()
         self.n_classes = n_classes
         # minimum age (samples) before a rule may be pruned
         self.age_min = age_min
@@ -338,6 +321,8 @@ class RuleClassifier(State):
     def _complete(self) -> None:
         if self.kind not in ("axis_parallel", "multivariate"):
             raise ValueError("kind must be axis_parallel or multivariate")
+        if not 1 <= self.n_features <= MAX_FEATURES:
+            raise ValueError(f"n_features must be in [1, {MAX_FEATURES}]")
 
     @property
     def volume_cap(self) -> float:
@@ -409,10 +394,10 @@ class RuleClassifier(State):
         e = t_onehot - scores
         err = math.sqrt(float(e @ e))
         active = self.n_features if mask is None else int(np.count_nonzero(mask))
-        novel = d2[win] > _chi2_quantile(NOVELTY_Q, max(active, 1))
+        novel = d2[win] > _CHI2_95[max(active, 1) - 1]
         sparse = False
         if self.rde.count >= 2:
-            sparse = density < self.rde.dens_mean - DENSITY_SIGMAS * self.rde.dens_std
+            sparse = density < self.rde.dens_mean - DENSITY_SIGMAS * math.sqrt(self.rde.dens_var)
         if err > ERR_GROW and novel and sparse:
             return GrowDecision.GROW
         if self.rules.volumes[win] > self.volume_cap:
@@ -450,9 +435,14 @@ class RuleClassifier(State):
             w0 = np.zeros((u + 1, self.n_classes))
             sigma0 = min(INIT_SPREAD, sigma_cap)
         inv = np.full(u, 1.0 / (sigma0 * sigma0))
+        diagonal = self.rules.diagonal
+        # at sigma_cap the volume can round to just over the cap, where the
+        # rule would force growth when it wins: tighten it an ulp at a time
+        while self.rules.volume(inv if diagonal else np.diag(inv)) > self.volume_cap:
+            inv = np.nextafter(inv, np.inf)
         return self.rules.append(
             centers=x,
-            inv=inv if self.rules.diagonal else np.diag(inv),
+            inv=inv if diagonal else np.diag(inv),
             weights=w0,
             rls_cov=RLS_INIT * np.eye(u + 1),
             class_support=np.arange(1, self.n_classes + 1) == label,

@@ -70,9 +70,9 @@ def conflict_input(models: Sequence[RuleClassifier], d2s: Sequence[np.ndarray]):
     sum_i P(o | R_i) P(x | R_i) P(R_i) with P(R_i) the support prior,
     P(o | R_i) the Laplace-smoothed class share, and P(x | R_i) the
     Gaussian likelihood with the (2 pi V)^-1/2 volume normalizer.
-    Returns the largest normalized posterior, a float for one sample and
-    an array for a block; where all likelihoods underflow the posterior
-    is uninformative, 1 / n_classes.
+    Returns the largest normalized posterior, a 0-d array for one sample
+    and an array for a block; where all likelihoods underflow the
+    posterior is uninformative, 1 / n_classes.
     """
     n_classes = models[0].n_classes
     if len(models) == 1:
@@ -90,15 +90,15 @@ def conflict_input(models: Sequence[RuleClassifier], d2s: Sequence[np.ndarray]):
     z = evidence.sum(axis=-1)
     p = np.divide(evidence.max(axis=-1), z, out=np.full(np.shape(z), 1.0 / n_classes),
                   where=(z > 0.0) & (z < np.inf))
-    return float(p) if p.ndim == 0 else p
+    return p
 
 
 def conflict_output(sigma: np.ndarray):
     """Truncated preference degree between the two dominant outputs.
 
     conf = y1 / (y1 + y2) clamped to [0, 1]; a vanishing pair denotes
-    maximal conflict, 0.5.  A float for one score vector, an array for
-    a block (N, O).
+    maximal conflict, 0.5.  A 0-d array for one score vector, an array
+    for a block (N, O).
     """
     if sigma.shape[-1] < 2:
         raise ValueError("need at least two class scores")
@@ -106,8 +106,7 @@ def conflict_output(sigma: np.ndarray):
     y2, y1 = top2[..., -2], top2[..., -1]
     denom = y1 + y2
     conf = np.divide(y1, denom, out=np.full(np.shape(denom), 0.5), where=denom != 0.0)
-    np.minimum(np.maximum(conf, 0.0, out=conf), 1.0, out=conf)
-    return float(conf) if conf.ndim == 0 else conf
+    return np.minimum(np.maximum(conf, 0.0, out=conf), 1.0, out=conf)
 
 
 def consequent_output(models: Sequence[RuleClassifier], x, d2s, mask=None) -> np.ndarray:

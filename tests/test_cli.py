@@ -148,6 +148,15 @@ class TestRun:
                        "--test", "1") == 3
         assert f"data error: {data}: every label is 1" in capsys.readouterr().err
 
+    def test_csv_past_the_feature_bound_is_config_error(self, tmp_path, capsys):
+        data = tmp_path / "wide.csv"
+        header = ",".join(f"x{i + 1}" for i in range(65))
+        data.write_text(f"{header},class\n" + "".join(f"{'0.5,' * 65}{k % 2 + 1}\n"
+                                                      for k in range(4)))
+        assert run_cli("run", "--data", str(data), "--stamps", "1", "--train", "2",
+                       "--test", "2") == 2
+        assert "config error: n_features must be <= 64" in capsys.readouterr().err
+
     @pytest.mark.parametrize("bad", ["nan", "inf"])
     def test_nonfinite_csv_value_is_data_error(self, tmp_path, capsys, bad):
         data = tmp_path / "sea.csv"
@@ -369,6 +378,24 @@ class TestReport:
 
     def test_missing_metrics_file(self, tmp_path):
         assert run_cli("report", "--metrics", str(tmp_path / "nope.jsonl")) == 3
+
+    @pytest.mark.parametrize("line, fault", [
+        ("[1, 2]", "a record must be a JSON object, not list"),
+        ('{"record": "chunk", "cr": 0.5, "fr": 1, "bc": 1, "np": 9, "ts": 3}',
+         "chunk record lacks n"),
+    ], ids=["not-an-object", "chunk-without-n"])
+    def test_malformed_record_is_data_error_naming_its_line(self, tmp_path, capsys, line, fault):
+        metrics_path = tmp_path / "m.jsonl"
+        run_cli(
+            "run", "--gen", "sea", "--n", "1000", "--stamps", "2",
+            "--train", "250", "--test", "250", "--metrics", str(metrics_path),
+        )
+        lines = metrics_path.read_text().splitlines()
+        lines.insert(1, line)
+        metrics_path.write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        assert run_cli("report", "--metrics", str(metrics_path)) == 3
+        assert capsys.readouterr().err == f"data error: {metrics_path}:2: {fault}\n"
 
 
 class TestSameMetrics:

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from evofuzzy.core import (
+    MAX_FEATURES,
     ConfigError,
     DataError,
     RunningStandardizer,
@@ -210,6 +211,14 @@ class TestStreamConfig:
     def test_ofs_b_range(self):
         with pytest.raises(ConfigError):
             StreamConfig(n_features=3, n_classes=2, ofs_b=5)
+
+    def test_n_features_bound(self):
+        """The novelty gate has a chi-square threshold for at most 64
+        active features, so a wider stream is a configuration error."""
+        assert MAX_FEATURES == 64
+        assert StreamConfig(n_features=MAX_FEATURES, n_classes=2).ofs_b == 64
+        with pytest.raises(ConfigError, match="^n_features must be <= 64$"):
+            StreamConfig(n_features=MAX_FEATURES + 1, n_classes=2)
 
 
 class TestOnehot:

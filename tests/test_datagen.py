@@ -9,15 +9,24 @@ from evofuzzy.datagen import (
     _BLOCK,
     HyperplaneConfig,
     SeaConfig,
+    _margin,
     csv_dims,
     csv_line,
     gen_hyperplane,
     gen_sea,
-    hyperplane_label,
     load_csv,
-    sea_label,
     write_csv,
 )
+
+
+def sea_label(theta: float, x) -> int:
+    """Class 2 when the first two features sum below the threshold."""
+    return 2 if x[0] + x[1] < theta else 1
+
+
+def hyperplane_label(w, w0: float, x) -> int:
+    """Class 1 strictly above the hyperplane, class 2 on or below it."""
+    return 1 if _margin(w, x) > w0 else 2
 
 
 class TestSeaLabelRule:

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 import evofuzzy.ensemble as ensemble_module
 import evofuzzy.rules as rules_module
-from evofuzzy.core import DataChunk, DataError, Sample, StreamConfig, chunks
+from evofuzzy.core import MAX_FEATURES, DataChunk, DataError, Sample, StreamConfig, chunks
 from evofuzzy.datagen import HyperplaneConfig, SeaConfig, gen_hyperplane, gen_sea
 from evofuzzy.ensemble import (
     DriftDetector,
@@ -19,7 +19,7 @@ from evofuzzy.ensemble import (
     compression_index,
 )
 from evofuzzy.evaluate import EvalProtocol, run_holdout
-from evofuzzy.rules import RdeState, RuleClassifier, classes
+from evofuzzy.rules import GrowDecision, RdeState, RuleClassifier, classes
 from evofuzzy.selection import ActiveLearnState, Selectors, conflict_input, conflict_output
 
 
@@ -916,7 +916,7 @@ class TestBlockScoring:
         assert 0.5 < p_in[:-1].min() and p_in[:-1].max() < 1.0
         for r in range(31):
             one = conflict_input(models, [d2[r] for d2 in d2s])
-            assert type(one) is float and one == p_in[r]
+            assert one.shape == () and one == p_in[r]
         d2v = {m: m.model.mahalanobis_sq(z[:-1], mask) for m in ens.voters()}
         sigma = np.vstack([ens.predict(z[:-1], d2v, mask)[0], np.zeros(2), [1.5, -0.5]])
         p_out = conflict_output(sigma)
@@ -1098,3 +1098,49 @@ class TestDegenerateStreams:
             mask = sel.mask
             for v in rng.normal(size=(20, u)):
                 assert np.all(np.isfinite(ens.score_sample(v, mask)[0]))
+
+
+def train_stream(cfg, x, labels) -> Ensemble:
+    """An ensemble trained on the rows of x, chunk by chunk, with every
+    member's invariants checked after each chunk."""
+    ens, sel = Ensemble(cfg), Selectors(cfg)
+    for ch in chunks(map(Sample, x, labels), cfg.chunk_size):
+        ens.train_chunk(ch, sel)
+        for m in ens.members:
+            m.model.check_invariants()
+    return ens
+
+
+class TestWideStreams:
+    @pytest.mark.parametrize("u", [28, 40])
+    def test_births_at_the_cap_force_no_growth(self, u, monkeypatch):
+        """2,000 samples x ~ N(0, I), labelled by the sign of x1 + x2, with
+        multivariate rules.  A rule born at the volume cap whose volume
+        rounded to just over it forced growth each time it won, and the
+        next birth did the same: 21 rules at u = 28 and 379 at u = 40,
+        almost all of them volume-forced."""
+        decisions = []
+        grow_check = RuleClassifier.grow_check
+
+        def counted(self, *args):
+            decisions.append(grow_check(self, *args))
+            return decisions[-1]
+
+        monkeypatch.setattr(RuleClassifier, "grow_check", counted)
+        x = np.random.default_rng(1).normal(size=(2000, u))
+        labels = np.where(x[:, 0] + x[:, 1] > 0, 1, 2).tolist()
+        cfg = StreamConfig(n_features=u, n_classes=2, chunk_size=250, base_kind="multivariate")
+        ens = train_stream(cfg, x, labels)
+        assert len(decisions) > 500 and GrowDecision.VOLUME_FORCED not in decisions
+        assert ens.total_rules <= 3
+
+    @pytest.mark.parametrize("kind", ["axis_parallel", "multivariate"])
+    def test_the_widest_stream_trains(self, kind):
+        """u = 64, the most features the novelty gate's table covers."""
+        rng = np.random.default_rng(4)
+        x = rng.normal(size=(300, MAX_FEATURES))
+        labels = np.where(x[:, 0] - x[:, 63] > 0, 1, 2).tolist()
+        cfg = StreamConfig(n_features=MAX_FEATURES, n_classes=2, chunk_size=100, base_kind=kind)
+        ens = train_stream(cfg, x, labels)
+        assert ens.total_rules >= 1
+        assert np.all(np.isfinite(ens.score_sample(rng.normal(size=(20, MAX_FEATURES)))[0]))

@@ -8,14 +8,13 @@ from hypothesis import strategies as st
 from scipy.stats import chi2
 
 import evofuzzy.rules as rules_module
-from evofuzzy.core import DataError
+from evofuzzy.core import MAX_FEATURES, DataError
 from evofuzzy.rules import (
     GrowDecision,
     RdeState,
     RuleBank,
     RuleClassifier,
     _CHI2_95,
-    _chi2_quantile,
     extended_input,
     firings,
     weighted_rls_update,
@@ -248,22 +247,16 @@ class TestBankLoad:
 
 
 class TestChi2Quantile:
-    def test_matches_scipy_stats_exactly(self):
-        for q in (0.5, 0.9, 0.95, 0.99, 0.999):
-            for df in range(1, 60):
-                assert _chi2_quantile(q, df) == float(chi2.ppf(q, df))
-
     def test_table_equals_scipy_stats_bit_for_bit(self):
-        assert len(_CHI2_95) == 64
-        for df in range(1, 65):
-            assert _CHI2_95[df - 1].hex() == float(chi2.ppf(0.95, df)).hex()
-
-    def test_quantile_past_the_table_falls_back_to_scipy(self):
-        assert _chi2_quantile(0.95, 65) == float(chi2.ppf(0.95, 65))
+        """The table holds the NOVELTY_Q quantile for every count of
+        active features up to the feature bound."""
+        assert len(_CHI2_95) == MAX_FEATURES == 64
+        for df in range(1, MAX_FEATURES + 1):
+            assert _CHI2_95[df - 1].hex() == float(chi2.ppf(rules_module.NOVELTY_Q, df)).hex()
 
     def test_package_import_leaves_scipy_stats_out(self):
-        """Neither the import nor a short SEA run (u = 3, so the novelty
-        gate reads the table) loads any part of scipy."""
+        """Neither the import nor a short SEA run, whose novelty gate
+        reads the table, loads any part of scipy."""
         import os
         import subprocess
         import sys
@@ -274,17 +267,37 @@ class TestChi2Quantile:
         env = dict(os.environ, PYTHONPATH=str(Path(evofuzzy.__file__).parents[1]))
         code = (
             "import sys, evofuzzy as ef\n"
-            "from evofuzzy.rules import _chi2_quantile\n"
             "print('scipy' in sys.modules)\n"
+            "gates = []\n"
+            "grow_check = ef.RuleClassifier.grow_check\n"
+            "def counted(self, density, t, d2, scores, win, mask=None):\n"
+            "    gates.append(win is not None)\n"
+            "    return grow_check(self, density, t, d2, scores, win, mask)\n"
+            "ef.RuleClassifier.grow_check = counted\n"
             "proto = ef.EvalProtocol('holdout', 250, 250, stamps=4)\n"
             "cfg = ef.StreamConfig(n_features=3, n_classes=2, chunk_size=250)\n"
             "ef.run_holdout(ef.gen_sea(ef.SeaConfig(n_total=2000, seed=1)), cfg, proto)\n"
-            "print(_chi2_quantile.cache_info().currsize > 0, 'scipy' in sys.modules)\n"
+            "print(sum(gates) > 0, 'scipy' in sys.modules)\n"
         )
         out = subprocess.run(
             [sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env
         )
         assert out.stdout.split() == ["False", "True", "False"]
+
+
+class TestFeatureBound:
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_at_most_64_features(self, kind):
+        assert RuleClassifier(MAX_FEATURES, 2, kind).n_features == 64
+        with pytest.raises(ValueError, match=r"^n_features must be in \[1, 64\]$"):
+            RuleClassifier(MAX_FEATURES + 1, 2, kind)
+
+    def test_snapshot_past_the_bound_is_data_error(self):
+        state = json.loads(json.dumps(RuleClassifier(3, 2).snapshot()))
+        state["n_features"] = MAX_FEATURES + 1
+        with pytest.raises(DataError, match=r"^snapshot section 'model' has n_features 65 "
+                                            r"outside \[1, 64\]$"):
+            RuleClassifier.from_snapshot(state)
 
 
 class TestInfer:
@@ -460,6 +473,37 @@ class TestGrowCheck:
 
 
 class TestAddRule:
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_a_birth_at_the_cap_stays_within_it(self, kind):
+        """A rule born far from the others takes the spread sigma_cap,
+        whose volume can round to just over the cap: for 24 of u = 1..64
+        with each kind.  Such a birth is tightened by a few ulps to within
+        the cap, so it does not force growth when it next wins; every
+        other birth keeps the spread 1 / sigma_cap^2 to the bit."""
+        t = np.array([1.0, 0.0])
+        over = 0
+        for u in range(1, MAX_FEATURES + 1):
+            model = RuleClassifier(u, 2, kind)
+            model.add_rule(np.zeros(u), t, None)
+            model.add_rule(np.full(u, 1e6), t, 0)
+            b = model.rules
+            sigma_cap = model.volume_cap ** (1.0 / (2.0 * u))
+            spread = np.full(u, 1.0 / (sigma_cap * sigma_cap))
+            inv = b.inv[1] if b.diagonal else np.diagonal(b.inv[1])
+            assert b.diagonal or np.array_equal(b.inv[1], np.diag(inv))
+            if b.volume(spread if b.diagonal else np.diag(spread)) > model.volume_cap:
+                over += 1
+                assert np.all(inv == inv[0]) and inv[0] > spread[0]
+                assert inv[0] <= spread[0] * (1.0 + 1e-14)
+            else:
+                assert np.array_equal(inv, spread)
+            assert b.volumes[1] <= model.volume_cap
+            x = b.centers[1]
+            d2, scores = passes(model, x)
+            assert model.winner(d2, 1) == 1
+            assert model.grow_check(1.0, t, d2, scores, 1) is GrowDecision.UPDATE
+        assert over > 0
+
     def test_first_rule_fields(self):
         model = RuleClassifier(2, 2)
         model.add_rule(np.array([0.0, 0.0]), np.array([1.0, 0.0]), None)

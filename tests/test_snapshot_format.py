@@ -386,3 +386,11 @@ def test_sections_that_disagree_are_data_error_naming_ensemble(section, key, val
     state[section][key] = value
     with pytest.raises(DataError, match=match):
         Ensemble.from_snapshot(state)
+
+
+def test_a_snapshot_past_the_feature_bound_is_data_error_naming_cfg():
+    """A snapshot of more than 64 features fails where its cfg loads."""
+    state = fixture()["sea-axis"]["ensemble"]
+    state["cfg"]["n_features"] = 65
+    with pytest.raises(DataError, match=r"^snapshot section 'cfg': n_features must be <= 64$"):
+        Ensemble.from_snapshot(state)
