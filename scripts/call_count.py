@@ -10,7 +10,7 @@ functions and C functions called from Python).  It reports two counts:
 
     train path  calls inside Ensemble.train_chunk, per offered sample
     the rest    every other call of the harness: scoring the test
-                blocks, the audit digests and the records, per scored
+                blocks, the audit and the records, per scored
                 sample
 
 The streams run twice: once profiled whole, and once with only each

@@ -35,9 +35,11 @@ _GENERATORS = {
 }
 
 
-# the keys of each record kind that the report prints: the table, the summary line
-_REPORT_KEYS = {"chunk": ("n", "cr", "fr", "bc", "np", "ts"),
-                "summary": ("cr", "cr_std", "fr", "bc", "ts", "rt")}
+# the keys of each record kind that the report prints, with their types:
+# the table, the summary line
+_REPORT_KEYS = {"chunk": {"n": int, "cr": float, "fr": int, "bc": int, "np": int, "ts": int},
+                "summary": {"cr": float, "cr_std": float, "fr": float, "bc": float, "ts": int,
+                            "rt": float}}
 
 
 def thresholds(text: str) -> tuple:

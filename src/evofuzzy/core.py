@@ -104,10 +104,16 @@ class State:
         return out
 
     def digest(self) -> str:
-        """SHA-256 over each key, each array's dtype, shape and bytes and a
-        canonical form of each scalar, so np.float64 and float agree.  One
-        pass collects the parts, which one hash update takes joined."""
-        return hashlib.sha256(b"".join(self._digest_parts([]))).hexdigest()
+        """SHA-256 of state_bytes(): each key, each array's dtype, shape
+        and bytes and a canonical form of each scalar, so np.float64 and
+        float agree."""
+        return hashlib.sha256(self.state_bytes()).hexdigest()
+
+    def state_bytes(self) -> bytes:
+        """The bytes digest() hashes, which one pass collects and joins.
+        Two states with equal bytes have equal digests, so comparing the
+        bytes is at least as strict as comparing the digests."""
+        return b"".join(self._digest_parts([]))
 
     def _digest_parts(self, parts: list) -> list:
         for key, how in self.PLAN:
@@ -412,8 +418,8 @@ class RunningStandardizer(State):
             raise DataError(
                 f"expected vector of length {self.n_features}, got shape {x.shape}"
             )
-        finite = np.isfinite(x).all(axis=-1)
-        if not finite.all():
+        if not np.isfinite(x).all():  # one pass over the block; rows only on a fault
+            finite = np.isfinite(x).all(axis=-1)
             raise _row_error(x, int(np.argmin(finite)), noun, "feature values must be finite")
         return x
 

@@ -368,9 +368,8 @@ class Ensemble(State):
         with np.errstate(over="ignore", invalid="ignore"):
             d2s = {m: m.model.mahalanobis_sq(z, mask) for m in self.voters()}
             sigma, cls, _ = self.predict(z, d2s, mask)
-        finite = np.isfinite(sigma).all(axis=-1)
-        if not finite.all():
-            row = int(np.argmin(finite)) if z.ndim == 2 else None
+        if not np.isfinite(sigma).all():  # one pass over the block; rows only on a fault
+            row = int(np.argmin(np.isfinite(sigma).all(axis=-1))) if z.ndim == 2 else None
             where = "the sample" if row is None else f"row {row} of the block"
             raise DataError(f"{where} scores non-finite values (a feature value is too large)", row)
         return sigma, cls
@@ -519,6 +518,7 @@ class Ensemble(State):
                            tuple(int(v) for v in selectors.mask_active),
                            tuple(int(v) for v in activations))
 
-    def snapshot_hash(self) -> str:
-        """The digest of the snapshot fields; scoring must leave it as it is."""
-        return self.digest()
+    def snapshot_hash(self) -> bytes:
+        """The bytes digest() hashes (State.state_bytes), which scoring
+        must leave as they are; callers compare them for equality."""
+        return self.state_bytes()

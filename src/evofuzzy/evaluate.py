@@ -3,9 +3,9 @@
 Hold-out alternates labeled training blocks with frozen test blocks; CV
 bins the data contiguously (stream order preserved inside bins) and
 rotates the held-out bin.  Wall-clock time covers learning and scoring
-only, never data generation.  Test blocks are audited: the digests of
-the model and the selectors, each one pass over every field, must be
-identical before and after scoring.
+only, never data generation.  Test blocks are audited: the bytes that
+the digests of the model and of the selectors hash (State.state_bytes),
+each one pass over every field, must be equal before and after scoring.
 """
 
 from __future__ import annotations
@@ -17,8 +17,6 @@ import time
 from dataclasses import dataclass, field, fields
 from statistics import mean, pstdev
 from typing import Iterable, Optional
-
-import numpy as np
 
 from .core import ConfigError, DataChunk, DataError, StreamConfig, chunks
 from .ensemble import Ensemble, chunk_labels
@@ -110,8 +108,11 @@ def _train_and_score(ens, sel, cfg, train, test, where: tuple, reports=None, for
     one score_sample call per chunk, so no distance array grows past one
     chunk of rows.  where holds (name, at) of the train and the test block.
     Returns (chunk reports, correct test predictions, seconds of learning
-    plus scoring, the fork or None).  Scoring must leave the digests of
-    the learner and the selectors, whose mask the scorer reads, unchanged.
+    plus scoring, the fork or None).  Scoring must leave the learner and
+    the selectors, whose mask the scorer reads, as they were: the bytes
+    their digests hash (ens.snapshot_hash() and sel.state_bytes()) are
+    compared before and after the test block, which is at least as strict
+    as comparing the digests and spares the two hashes per side.
     """
     train_block, test_block = where
     size = cfg.chunk_size
@@ -127,7 +128,7 @@ def _train_and_score(ens, sel, cfg, train, test, where: tuple, reports=None, for
         except DataError as exc:
             raise _located(exc, *train_block, ch, size) from None
     seconds = time.perf_counter() - t0
-    before = ens.snapshot_hash(), sel.digest()
+    before = ens.snapshot_hash(), sel.state_bytes()
     t0 = time.perf_counter()
     correct = 0
     for ch in chunks(test, size):
@@ -139,7 +140,7 @@ def _train_and_score(ens, sel, cfg, train, test, where: tuple, reports=None, for
         # an unlabeled sample, None, equals no class: a miss
         correct += sum(map(operator.eq, cls.tolist(), labels))
     seconds += time.perf_counter() - t0
-    if (ens.snapshot_hash(), sel.digest()) != before:
+    if (ens.snapshot_hash(), sel.state_bytes()) != before:
         raise RuntimeError(f"{test_block[0]} mutated the model")
     return reports, correct, seconds, fork
 
@@ -159,9 +160,8 @@ def _record(n: int, ens, sel, reports, cr: float, rt: float) -> dict:
         "merges": sum(r.merges for r in reports),
         "theta": sel.al.theta,
         "mask": [int(v) for v in sel.mask_active],
-        "mask_activations": [
-            int(v) for v in np.sum([r.mask_activations for r in reports], axis=0)
-        ],
+        # summed as Python ints: np.sum would first convert the tuples to an array
+        "mask_activations": [sum(col) for col in zip(*(r.mask_activations for r in reports))],
     }
 
 
@@ -272,8 +272,9 @@ def write_metrics(path, metrics: RunMetrics) -> None:
 def read_metrics(path, keys: Optional[dict] = None):
     """Returns (chunk records, summary dict).  Every record must be a JSON
     object; keys, if given, maps "chunk" and "summary" to the keys each
-    record of that kind must hold.  A fault raises DataError naming the
-    line."""
+    record of that kind must hold, each with the type of its value: int,
+    or float, which admits an int (a bool is neither).  A fault raises
+    DataError naming the line."""
     records = []
     summary = None
     with open(path) as fh:
@@ -289,9 +290,15 @@ def read_metrics(path, keys: Optional[dict] = None):
                 raise DataError(f"{path}:{lineno}: a record must be a JSON object, "
                                 f"not {type(rec).__name__}")
             kind = "summary" if rec.get("record") == "summary" else "chunk"
-            missing = [k for k in (keys or {}).get(kind, ()) if k not in rec]
+            want = (keys or {}).get(kind, {})
+            missing = [k for k in want if k not in rec]
             if missing:
                 raise DataError(f"{path}:{lineno}: {kind} record lacks {', '.join(missing)}")
+            for k, t in want.items():
+                v = rec[k]
+                if isinstance(v, bool) or not isinstance(v, (int, float) if t is float else t):
+                    raise DataError(f"{path}:{lineno}: {kind} record has {k} {json.dumps(v)}, "
+                                    f"which is not {'a number' if t is float else 'an int'}")
             if kind == "summary":
                 summary = rec
             else:

@@ -288,6 +288,13 @@ def _repair_spd(m: np.ndarray) -> np.ndarray:
     return (v * w) @ v.T
 
 
+def _clear_of_floors(p: np.ndarray, det: float) -> bool:
+    """Whether the explicit path would floor no eigenvalue of the inverse
+    dispersion p nor of its covariance, and its volume 1/det is finite."""
+    w = np.linalg.eigvalsh(p)
+    return EIG_FLOOR < w[0] and w[-1] < 1.0 / EIG_FLOOR and 0.0 < det and 1.0 / det < math.inf
+
+
 class RuleClassifier(State):
     """An evolving bank of fuzzy rules plus a bank of pruned (archived) ones.
 
@@ -488,11 +495,14 @@ class RuleClassifier(State):
         a rank-one step, so a multivariate rule without a feature mask
         updates its stored inverse P by Sherman-Morrison:
         P <- N/(N-1) (P - v v'/(N + d'v)) with v = P d.  That result is
-        kept only where neither eigenvalue floor of the explicit path could
-        bind: trace(P) < 1/EIG_FLOOR bounds the covariance's eigenvalues
-        from below, det(P)/trace(P)^(u-1) > EIG_FLOOR those of P.
-        Otherwise, and under a partial mask, the covariance is inverted,
-        updated and repaired explicitly from the old P.
+        kept only where neither eigenvalue floor of the explicit path binds.
+        Two bounds decide first: trace(P) < 1/EIG_FLOOR bounds the
+        covariance's eigenvalues from below, det(P)/trace(P)^(u-1) >
+        EIG_FLOOR those of P.  The second is low by up to u^(u-1) for an
+        isotropic P, so past u = 9 it fails on most updates; where a bound
+        fails, P's eigenvalues decide (_clear_of_floors).  Otherwise, and
+        under a partial mask, the covariance is inverted, updated and
+        repaired explicitly from the old P.
         """
         b = self.rules
         n = b.count(win, label)
@@ -514,7 +524,11 @@ class RuleClassifier(State):
                 v = p @ d_old
                 p_new = (p - v[:, None] * v / (n + float(d_old @ v))) * (n / (n - 1))
                 tr, det = float(p_new.trace()), float(np.linalg.det(p_new))
-                if tr < 1.0 / EIG_FLOOR and det / tr ** (self.n_features - 1) > EIG_FLOOR:
+                try:
+                    bounded = det / tr ** (self.n_features - 1) > EIG_FLOOR
+                except OverflowError:  # trace^(u-1) past the float range: the bound fails
+                    bounded = False
+                if tr < 1.0 / EIG_FLOOR and bounded or _clear_of_floors(p_new, det):
                     b.set_inv(win, p_new, 1.0 / det)  # 1/det is volume(p_new)
                     return
             active = np.ones(self.n_features, dtype=bool) if mask is None else mask > 0

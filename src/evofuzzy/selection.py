@@ -21,7 +21,8 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .core import THETA_INIT, THETA_MAX, THETA_MIN, THETA_STEP, Field, State, StreamConfig
+from .core import (MAX_FEATURES, THETA_INIT, THETA_MAX, THETA_MIN, THETA_STEP, Field, State,
+                   StreamConfig)
 from .rules import RuleClassifier, extended_input, firings
 
 # Step size and L2 weight of the feature-selection SGD.
@@ -180,7 +181,7 @@ class Selectors(State):
     """Selection state carried across chunks: threshold, mask, sensitivities."""
 
     FIELDS = (
-        Field("n_features", int, lo=1), Field("ofs_b", int, lo=1, hi="u"),
+        Field("n_features", int, lo=1, hi=MAX_FEATURES), Field("ofs_b", int, lo=1, hi="u"),
         Field("al", ActiveLearnState),
         Field("mask_active", float, ("u",), lo=0.0, hi=1.0),
         Field("mask_scores", float, ("u",), lo=0.0),

@@ -383,7 +383,13 @@ class TestReport:
         ("[1, 2]", "a record must be a JSON object, not list"),
         ('{"record": "chunk", "cr": 0.5, "fr": 1, "bc": 1, "np": 9, "ts": 3}',
          "chunk record lacks n"),
-    ], ids=["not-an-object", "chunk-without-n"])
+        ('{"record": "chunk", "n": 0, "cr": "x", "fr": 1, "bc": 1, "np": 9, "ts": 3}',
+         'chunk record has cr "x", which is not a number'),
+        ('{"record": "chunk", "n": 0, "cr": null, "fr": 1, "bc": 1, "np": 9, "ts": 3}',
+         "chunk record has cr null, which is not a number"),
+        ('{"record": "chunk", "n": 0, "cr": 0.5, "fr": 1, "bc": 1, "np": 9, "ts": 2.5}',
+         "chunk record has ts 2.5, which is not an int"),
+    ], ids=["not-an-object", "chunk-without-n", "cr-a-string", "cr-null", "ts-a-float"])
     def test_malformed_record_is_data_error_naming_its_line(self, tmp_path, capsys, line, fault):
         metrics_path = tmp_path / "m.jsonl"
         run_cli(

@@ -69,6 +69,19 @@ class TestRunningStandardizer:
             s.transform(np.array([[0.5, 0.5], [0.5, bad]]))
         assert s.snapshot() == before
 
+    def test_the_first_nonfinite_row_is_named(self):
+        s = RunningStandardizer(2)
+        s.fit_transform(np.array([[1.0, 2.0], [3.0, -1.0]]))
+        x = np.ones((6, 2))
+        x[2, 1], x[4, 0] = np.inf, np.nan
+        with pytest.raises(DataError, match="^row 2 of the block: feature values must be finite$"
+                           ) as exc:
+            s.transform(x)
+        assert exc.value.row == 2
+        with pytest.raises(DataError, match="^feature values must be finite$") as exc:
+            s.transform(x[4])
+        assert exc.value.row is None
+
     def test_overflow_rejected_without_update(self):
         s = RunningStandardizer(2)
         for v in ([1.0, 2.0], [3.0, -1.0]):

@@ -56,7 +56,7 @@ class ConstantLearner:
         return np.zeros(rows + (2,)), np.full(rows, self.cls)
 
     def snapshot_hash(self):
-        return "constant"
+        return b"constant"
 
 
 def small_cfg(**kw):
@@ -475,6 +475,10 @@ MUTATIONS = {
     "rule-center": lambda ens, mask: nudge(ens.members[0].model.rules.centers, (0, 0)),
     "archive-row": move_archive_row,
     "density": lambda ens, mask: nudge(ens.members[0].model.rde.mean, 0),
+    "density-count": lambda ens, mask: setattr(
+        ens.members[0].model.rde, "count", ens.members[0].model.rde.count + 1
+    ),
+    "consequent-weight": lambda ens, mask: nudge(ens.members[0].model.rules.weights, (0, 0, 0)),
     "member-weight": lambda ens, mask: setattr(
         ens.members[0], "beta", float(np.nextafter(ens.members[0].beta, 0.0))
     ),

@@ -633,6 +633,45 @@ class TestUpdateWinner:
         model.check_invariants()
         assert np.linalg.eigvalsh(model.rules.inv[0])[0] > 0.0
 
+    @pytest.mark.parametrize("u, scale", [(12, 1.0), (24, 1.0), (64, 1e4)])
+    def test_rank_one_update_past_the_determinant_bound(self, monkeypatch, u, scale):
+        """Past u = 9 the det/trace bound fails for a well-conditioned P,
+        so its eigenvalues decide: the Sherman-Morrison result is kept and
+        matches the explicit path, while a P with an eigenvalue near
+        1/EIG_FLOOR still takes the explicit path with both repairs.  At
+        u = 64 both traces put trace^(u-1) past the float range, which
+        the bound takes as failing."""
+        repairs = []
+        repair = rules_module._repair_spd
+        monkeypatch.setattr(rules_module, "_repair_spd", lambda m: repairs.append(1) or repair(m))
+        rng = np.random.default_rng(u)
+        a = rng.normal(size=(u, u))
+        p = scale * np.linalg.inv(a @ a.T / u + np.eye(u))
+        model = RuleClassifier(u, 2, kind="multivariate")
+        model.rules.append(**make_rule(np.zeros(u), p, support=9, diagonal=False))
+        x = rng.normal(size=u)
+        model.update_winner(x, 1, 0)
+        n = 10
+        cov = (n - 1) / n * (np.linalg.inv(p) + np.outer(x, x) / n)
+        oracle = np.linalg.inv(cov)
+        tr, det = oracle.trace(), np.linalg.det(oracle)
+        # the bound alone rejects it
+        assert math.log(det) - (u - 1) * math.log(tr) <= math.log(rules_module.EIG_FLOOR)
+        assert not repairs
+        got = model.rules.inv[0]
+        assert np.linalg.norm(got - oracle) <= 1e-9 * np.linalg.norm(oracle)
+        assert model.rules.volumes[0] == pytest.approx(1.0 / det, rel=1e-9)
+        model.check_invariants()
+
+        near = np.eye(u)
+        near[0, 0] = 0.9 / rules_module.EIG_FLOOR
+        model.rules.append(**make_rule(np.zeros(u), near, support=1, diagonal=False))
+        x = np.full(u, 0.5)
+        x[0] = 0.0  # the step scales that eigenvalue by n/(n-1) = 2, past the floor
+        model.update_winner(x, 1, 1)
+        assert len(repairs) == 2
+        model.check_invariants()
+
 
 class TestWeightedRls:
     def test_matches_closed_form_least_squares(self):

@@ -182,7 +182,8 @@ def test_digest_is_sha256_of_the_documented_layout(run):
         sel = Selectors.from_snapshot(fixture()[run]["selectors"])
     for state in (ens, sel):
         assert state.digest() == reference_digest(state)
-    assert ens.snapshot_hash() == ens.digest()
+    assert ens.snapshot_hash() == ens.state_bytes()
+    assert hashlib.sha256(ens.snapshot_hash()).hexdigest() == ens.digest()
     # scalars are hashed in a canonical form, so numpy scalars agree
     digest = ens.digest()
     ens.members[0].beta, ens.next_uid = np.float64(ens.members[0].beta), np.int64(ens.next_uid)
@@ -325,7 +326,7 @@ def set_string_mean(ens, sel):
     (set_m2, r"'standardizer' has m2 of shape \(1,\), expected \(3,\)$"),
     (set_count, r"'standardizer' has count -5 outside \[0, inf\]$"),
     (set_mask, r"'selectors' has mask_active of shape \(1,\), expected \(3,\)$"),
-    (set_ofs_b, r"'selectors' has n_features -2 outside \[1, inf\]$"),
+    (set_ofs_b, r"'selectors' has n_features -2 outside \[1, 64\]$"),
     (set_beta, r"'member' has beta nan outside \[0\.0, 1\.0\]$"),
     (set_rde_mean, r"'rde' has mean of shape \(1,\), expected \(3,\)$"),
     (set_members, r"'ensemble' has members of type dict, expected list$"),
@@ -394,3 +395,16 @@ def test_a_snapshot_past_the_feature_bound_is_data_error_naming_cfg():
     state["cfg"]["n_features"] = 65
     with pytest.raises(DataError, match=r"^snapshot section 'cfg': n_features must be <= 64$"):
         Ensemble.from_snapshot(state)
+
+
+def test_a_selectors_snapshot_past_the_feature_bound_is_data_error():
+    """A selectors snapshot of 65 features, each array 65 wide, fails on
+    its n_features, which no StreamConfig admits."""
+    state = fixture()["sea-axis"]["selectors"]
+    state["n_features"] = state["ofs_b"] = 65
+    state["mask_active"], state["mask_scores"] = [1.0] * 65, [1.0 / 65] * 65
+    with pytest.raises(DataError, match=r"'selectors' has n_features 65 outside \[1, 64\]$"):
+        Selectors.from_snapshot(state)
+    state["n_features"] = state["ofs_b"] = 64
+    state["mask_active"], state["mask_scores"] = [1.0] * 64, [1.0 / 64] * 64
+    assert Selectors.from_snapshot(state).n_features == 64
