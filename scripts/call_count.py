@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Count the Python calls of the learner's train path and of the rest of the harness.
 
-    python3 scripts/call_count.py [--workload W ...] [--seed N]
+    python3 scripts/call_count.py [--workload W ...] [--seed N] [--top N]
 
 Each workload (sea-axis, hyperplane-mv, sensor-ofs-cv by default) runs
 its seeded streams through the public harness under cProfile, in a
@@ -22,6 +22,16 @@ A count is a work measure that needs no quiet machine: it is the same
 on every run of the same code.  Each workload is counted twice, and the
 script exits 1 if the two counts differ.  --json PATH writes the
 counts to PATH.
+
+--top N also prints two tables of the train path, per accepted sample:
+the N functions with the most calls, and the N with the most own
+seconds (time inside the function less its callees, under cProfile, so
+inflated by the profiler's cost per call).  Each row gives both
+figures.  The accepted samples are those the profiled train_chunk
+calls report, so a CV fold prefix that several folds share counts once
+(the JSON's "accepted" sums the records' ts, which count it once per
+fold).  The call table repeats exactly; the seconds table is one
+timing of the first of the two counts and is left out of the check.
 """
 
 from __future__ import annotations
@@ -67,21 +77,42 @@ def stream_runs(workload: str, seed: int) -> list:
     return runs
 
 
-def count(workload: str, seed: int) -> dict:
+def label(func: tuple) -> str:
+    """module.py:line(name) for a Python function, cProfile's name for a C one."""
+    path, line, name = func
+    return name if path == "~" else f"{Path(path).name}:{line}({name})"
+
+
+def top_rows(stats: dict, accepted: int, n: int) -> dict:
+    """The n train-path functions with the most calls and with the most
+    own seconds, as [label, calls, own µs] per accepted sample."""
+    rows = [(label(f), nc / accepted, tt / accepted * 1e6) for f, (_, nc, tt, *_) in stats.items()
+            if "_lsprof.Profiler" not in f[2]]
+    return dict(top_accepted=accepted, top_calls=sorted(rows, key=lambda r: (-r[1], r[0]))[:n],
+                top_self=sorted(rows, key=lambda r: (-r[2], r[0]))[:n])
+
+
+def count(workload: str, seed: int, top: int = 0) -> dict:
     """Profile the workload's harness calls in this interpreter."""
     from evofuzzy.ensemble import Ensemble
 
     runs = stream_runs(workload, seed)
     train = cProfile.Profile()
-    inner = Ensemble.train_chunk
-    Ensemble.train_chunk = lambda ens, chunk, sel: train.runcall(inner, ens, chunk, sel)
+    inner, reports = Ensemble.train_chunk, []
+
+    def profiled(ens, chunk, sel):
+        reports.append(train.runcall(inner, ens, chunk, sel))
+        return reports[-1]
+
+    Ensemble.train_chunk = profiled
     try:
         for run, _ in runs:
             run()
     finally:
         Ensemble.train_chunk = inner
+    stats = pstats.Stats(train).stats
     # runcall counts one call of the profiler's own disable per chunk
-    train_calls = sum(nc for (_, _, name), (_, nc, *_) in pstats.Stats(train).stats.items()
+    train_calls = sum(nc for (_, _, name), (_, nc, *_) in stats.items()
                       if "_lsprof.Profiler" not in name)
     whole = cProfile.Profile()
     offered = accepted = scored = 0
@@ -93,7 +124,21 @@ def count(workload: str, seed: int) -> dict:
     rest_calls = pstats.Stats(whole).total_calls - train_calls
     return dict(train_calls=train_calls, rest_calls=rest_calls, offered=offered,
                 accepted=accepted, scored=scored, train_per_offered=train_calls / offered,
-                rest_per_scored=rest_calls / scored)
+                rest_per_scored=rest_calls / scored,
+                **(top_rows(stats, sum(r.accepted for r in reports), top) if top else {}))
+
+
+def counted(c: dict) -> dict:
+    """A count without its timings, which differ from run to run."""
+    return dict(c, top_self=None, top_calls=[row[:2] for row in c.get("top_calls", ())])
+
+
+def print_top(c: dict) -> None:
+    """The two --top tables of one workload's count."""
+    for key, title in (("top_calls", "most calls"), ("top_self", "most own time")):
+        print(f"  train path, {title}, per accepted sample ({c['top_accepted']:,d} accepted):")
+        for name, calls, own_us in c[key]:
+            print(f"    {calls:9.2f} calls {own_us:9.2f} µs  {name}")
 
 
 def main(argv=None) -> int:
@@ -102,26 +147,31 @@ def main(argv=None) -> int:
                     help="a workload to count (repeatable; default all three)")
     ap.add_argument("--seed", type=int, default=1)
     ap.add_argument("--json", type=Path, help="write the counts to this file")
+    ap.add_argument("--top", type=int, default=0, metavar="N",
+                    help="print the N train-path functions with the most calls and own time")
     ap.add_argument("--one", choices=WORKLOADS, help=argparse.SUPPRESS)
     args = ap.parse_args(argv)
     if args.one:
-        print(json.dumps(count(args.one, args.seed)))
+        print(json.dumps(count(args.one, args.seed, args.top)))
         return 0
 
     out, status = {}, 0
     for w in args.workload or WORKLOADS:
         counts = []
         for _ in range(2):
-            cmd = [sys.executable, __file__, "--one", w, "--seed", str(args.seed)]
+            cmd = [sys.executable, __file__, "--one", w, "--seed", str(args.seed),
+                   "--top", str(args.top)]
             proc = subprocess.run(cmd, capture_output=True, text=True, check=True)
             counts.append(json.loads(proc.stdout.strip().splitlines()[-1]))
         c = counts[0]
-        same = counts[0] == counts[1]
+        same = counted(counts[0]) == counted(counts[1])
         status |= not same
         print(f"{w:14s} train path {c['train_calls']:>10,d} calls  {c['offered']:>7,d} offered  "
               f"{c['train_per_offered']:7.1f}/offered   rest {c['rest_calls']:>9,d} calls  "
               f"{c['scored']:>6,d} scored  {c['rest_per_scored']:6.1f}/scored  "
               f"{'repeats' if same else 'DIFFERS: %s then %s' % (counts[0], counts[1])}")
+        if args.top:
+            print_top(c)
         out[w] = dict(seed=args.seed, **c, repeats=same)
     if args.json:
         args.json.write_text(json.dumps(out, indent=1) + "\n")

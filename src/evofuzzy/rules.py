@@ -514,10 +514,11 @@ class RuleClassifier(State):
         if b.diagonal:
             live = d_old != 0.0
             if live.any():
-                var = 1.0 / b.inv[win]
-                upd = ((n - 1) * var[live] + d_old[live] ** 2 * (n - 1) / n) / n
-                var[live] = np.maximum(upd, EIG_FLOOR)
-                b.set_inv(win, 1.0 / var)
+                inv = b.inv[win]
+                # frozen variances read 0 and are never divided, so they cannot overflow
+                var = np.divide(1.0, inv, out=np.zeros(self.n_features), where=live)
+                upd = np.maximum(((n - 1) * var + d_old ** 2 * (n - 1) / n) / n, EIG_FLOOR)
+                b.set_inv(win, np.where(live, 1.0 / upd, inv))
         elif d_old.any():
             p = b.inv[win]
             if mask is None or mask.all():

@@ -10,13 +10,16 @@ tracks the stream.
 Feature selection runs over the same flattened rule set viewed as one
 model: consequents are nudged by projected stochastic gradient descent
 on misclassified samples, feature sensitivities are read off the weight
-magnitudes, and the B most sensitive features stay active.  Dropped
-features are re-scored every sample, so nothing is forgotten for good.
+magnitudes, and the B most sensitive features stay active.  Every
+accepted sample re-scores all features, dropped ones included, but a
+dropped feature's input is zeroed under the mask, so its weights hardly
+grow and in practice it does not come back.
 """
 
 from __future__ import annotations
 
 import math
+from itertools import accumulate
 from typing import Optional, Sequence
 
 import numpy as np
@@ -63,6 +66,11 @@ def accepts(theta: float, p_input: float, p_output: float) -> bool:
     return p_input <= theta and p_output <= theta
 
 
+def _joined(arrays: Sequence[np.ndarray], axis: int = 0) -> np.ndarray:
+    """The models' arrays as one: the lone array itself, or their concatenation."""
+    return arrays[0] if len(arrays) == 1 else np.concatenate(arrays, axis=axis)
+
+
 def conflict_input(models: Sequence[RuleClassifier], d2s: Sequence[np.ndarray]):
     """Winning-class posterior over the flattened rule set.
 
@@ -75,21 +83,16 @@ def conflict_input(models: Sequence[RuleClassifier], d2s: Sequence[np.ndarray]):
     and an array for a block; where all likelihoods underflow the
     posterior is uninformative, 1 / n_classes.
     """
-    n_classes = models[0].n_classes
-    if len(models) == 1:
-        b, (d2,) = models[0].rules, d2s
-        supports, pur, norms = b.supports, b.purity, b.norms
-    else:
-        supports, pur, norms = (np.concatenate([getattr(m.rules, k) for m in models])
-                                for k in ("supports", "purity", "norms"))
-        d2 = np.concatenate(d2s, axis=-1)
+    supports, pur, norms = map(_joined, zip(*[(m.rules.supports, m.rules.purity, m.rules.norms)
+                                              for m in models]))
+    d2 = _joined(d2s, axis=-1)
     prior = supports / supports.sum()
     like = np.exp(-d2) / norms
     # one (1, R) @ (R, O) product per sample, so a block row is
     # computed exactly as the sample alone
     evidence = ((like * prior)[..., None, :] @ pur)[..., 0, :]
     z = evidence.sum(axis=-1)
-    p = np.divide(evidence.max(axis=-1), z, out=np.full(np.shape(z), 1.0 / n_classes),
+    p = np.divide(evidence.max(axis=-1), z, out=np.full(np.shape(z), 1.0 / pur.shape[-1]),
                   where=(z > 0.0) & (z < np.inf))
     return p
 
@@ -113,22 +116,23 @@ def conflict_output(sigma: np.ndarray):
 def consequent_output(models: Sequence[RuleClassifier], x, d2s, mask=None) -> np.ndarray:
     """Output of all rules of all models viewed as one flat consequent
     model; d2s holds each model's mahalanobis_sq of x, in model order."""
-    return _output(models, firings(np.concatenate(d2s)), extended_input(x, mask))
+    return _output(models, firings(_joined(d2s)), extended_input(x, mask))
 
 
 def _output(models: Sequence[RuleClassifier], lam: np.ndarray, x_e: np.ndarray) -> np.ndarray:
     # summed a rule at a time, in the flat order of the firings
-    weights = np.concatenate([m.rules.weights for m in models])
+    weights = _joined([m.rules.weights for m in models])
     return (lam[:, None] * (x_e @ weights)).sum(axis=0)
 
 
 def consequent_gradients(models: Sequence[RuleClassifier], x, t_onehot, d2s, mask=None) -> list:
     """Gradient of E = 0.5 ||t - y||^2 for the flat model, lam_i
     outer(x_e, y - t) for rule i: one (R, u+1, O) array per model."""
-    lam = firings(np.concatenate(d2s))
+    lam = firings(_joined(d2s))
     x_e = extended_input(x, mask)
-    g = lam[:, None, None] * np.outer(x_e, _output(models, lam, x_e) - t_onehot)
-    return np.split(g, np.cumsum([len(m.rules) for m in models])[:-1])
+    outer = x_e[:, None] * (_output(models, lam, x_e) - t_onehot)  # np.outer's own arithmetic
+    sizes = [len(m.rules) for m in models]
+    return [lam[hi - n:hi, None, None] * outer for n, hi in zip(sizes, accumulate(sizes))]
 
 
 def sgd_step(models: Sequence[RuleClassifier], x, t_onehot, d2s, mask=None) -> None:
@@ -147,7 +151,8 @@ def sgd_step(models: Sequence[RuleClassifier], x, t_onehot, d2s, mask=None) -> N
         # one (1, n) @ (n, 1) product per rule, equal to np.linalg.norm's dot bit for bit
         flat = weights.reshape(len(weights), 1, math.prod(weights.shape[1:]))
         norms = np.sqrt(flat @ flat.swapaxes(1, 2))
-        weights *= np.divide(radius, norms, out=np.ones_like(norms), where=norms > radius)
+        if norms.max(initial=0.0) > radius:  # most steps stay inside the ball
+            weights *= np.divide(radius, norms, out=np.ones_like(norms), where=norms > radius)
 
 
 def feature_scores(models: Sequence[RuleClassifier], n_features: int) -> np.ndarray:
@@ -157,7 +162,7 @@ def feature_scores(models: Sequence[RuleClassifier], n_features: int) -> np.ndar
     the intercept row is excluded.  All-zero weights give the uniform
     vector.
     """
-    weights = np.concatenate([m.rules.weights for m in models])
+    weights = _joined([m.rules.weights for m in models])
     total = np.abs(weights[:, 1:, :]).sum(axis=2).sum(axis=0)
     z = total.sum()
     if z <= 0.0:
@@ -171,7 +176,7 @@ def apply_mask(scores: np.ndarray, b: int) -> np.ndarray:
     if not 1 <= b <= u:
         raise ValueError("b must be in [1, n_features]")
     # stable: sort by (-score, index) so ties resolve to the lowest index
-    order = np.lexsort((np.arange(u), -scores))
+    order = (-scores).argsort(kind="stable")
     active = np.zeros(u)
     active[order[:b]] = 1.0
     return active

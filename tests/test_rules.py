@@ -594,6 +594,65 @@ class TestUpdateWinner:
         assert model.rules.centers[0, 1] == 5.0
         assert model.rules.inv[0, 1] == before
 
+    @staticmethod
+    def boolean_index_update(inv, d_old, n):
+        """The diagonal recurrence as a gather over the live features and a scatter back."""
+        live = d_old != 0.0
+        var = 1.0 / inv
+        upd = ((n - 1) * var[live] + d_old[live] ** 2 * (n - 1) / n) / n
+        var[live] = np.maximum(upd, rules_module.EIG_FLOOR)
+        return 1.0 / var
+
+    @given(st.integers(0, 2**32 - 1))
+    @settings(max_examples=50, deadline=None)
+    def test_diagonal_update_equals_the_boolean_index_form(self, seed):
+        """Under a partial mask and with exact-zero displacements, frozen
+        features keep their inv bits, and live ones equal the boolean-index
+        recurrence bit for bit."""
+        rng = np.random.default_rng(seed)
+        u = int(rng.integers(2, 13))
+        # a step past 1 / (1 / inv), so a frozen entry that went through
+        # a reciprocal twice would show
+        inv = np.nextafter(rng.uniform(0.05, 20.0, u), np.inf)
+        center = rng.normal(size=u)
+        model = RuleClassifier(u, 2, kind="axis_parallel")
+        support = int(rng.integers(1, 50))
+        model.rules.append(**make_rule(center, np.diag(inv), support=support))
+        x = rng.normal(size=u)
+        hit = rng.random(u) < 0.3
+        x[hit] = center[hit]
+        mask = (rng.random(u) < 0.6).astype(float)
+        mask[int(rng.integers(u))] = 1.0
+        model.update_winner(x, 1, 0, mask)
+        d_old = (x - center) * mask
+        live = d_old != 0.0
+        got = model.rules.inv[0]
+        assert np.array_equal(got[~live].view(np.int64), inv[~live].view(np.int64))
+        oracle = self.boolean_index_update(inv.copy(), d_old, support + 1)
+        assert np.array_equal(got[live], oracle[live])
+
+    def test_diagonal_update_at_extreme_variances(self):
+        """With floating-point errors raising, a frozen variance whose
+        recurrence would overflow leaves the update quiet, and a live one
+        that overflows raises as the boolean-index form does."""
+        n = 10**9
+        inv = np.array([1e-300, 1.0, 4.0])
+        mask = np.array([0.0, 1.0, 1.0])
+        model = RuleClassifier(3, 2, kind="axis_parallel")
+        model.rules.append(**make_rule(np.zeros(3), np.diag(inv), support=n - 1))
+        x = np.array([3.0, 0.5, 0.0])
+        with np.errstate(over="raise", invalid="raise"):
+            model.update_winner(x, 1, 0, mask)
+            oracle = self.boolean_index_update(inv.copy(), x * mask, n)
+        got = model.rules.inv[0]
+        assert got[0] == inv[0] and got[2] == inv[2] and got[1] == oracle[1]
+        model.check_invariants()
+        x = np.array([0.0, 1e200, 0.0])
+        with np.errstate(over="raise", invalid="raise"):
+            with pytest.raises(FloatingPointError):
+                self.boolean_index_update(model.rules.inv[0].copy(), x, n + 1)
+            with pytest.raises(FloatingPointError):
+                model.update_winner(x, 1, 0, mask)
 
     def test_rank_one_update_matches_explicit_inverse(self, monkeypatch):
         """2,000 unmasked multivariate updates take the Sherman-Morrison

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from evofuzzy import selection
 from evofuzzy.core import THETA_INIT, THETA_MIN, StreamConfig
-from evofuzzy.rules import RuleClassifier, extended_input
+from evofuzzy.rules import RuleClassifier, extended_input, firings
 from evofuzzy.selection import (
     OFS_REG,
     ActiveLearnState,
@@ -222,6 +222,30 @@ class TestVirtualModel:
                 fd = (up - down) / (2 * h)
                 assert g[idx] == pytest.approx(fd, rel=1e-4, abs=1e-8)
 
+    @pytest.mark.parametrize("rule_counts", [(3,), (0,), (2, 5), (4, 0, 1), (1, 3, 2)],
+                             ids=lambda c: "rules-" + "-".join(map(str, c)))
+    @pytest.mark.parametrize("masked", [False, True], ids=["unmasked", "masked"])
+    def test_gradients_equal_the_split_form(self, rule_counts, masked):
+        """Each model's gradient is, bit for bit, its slice of the flat
+        (R, u+1, O) gradient that np.split cut at the rule offsets."""
+        rng = np.random.default_rng(sum(rule_counts) + 10 * masked)
+        u = 3
+        models = [model_with_rules([(rng.normal(size=u), rng.uniform(0.5, 2.0, u), [2, 1],
+                                     rng.normal(size=(u + 1, 2))) for _ in range(r)], u=u)
+                  for r in rule_counts]
+        x, t = rng.normal(size=u), np.array([0.0, 1.0])
+        mask = np.array([1.0, 0.0, 1.0]) if masked else None
+        d2s = distances(models, x)
+        lam = firings(np.concatenate(d2s))
+        x_e = extended_input(x, mask)
+        y = (lam[:, None] * (x_e @ np.concatenate([m.rules.weights for m in models]))).sum(axis=0)
+        flat = lam[:, None, None] * np.outer(x_e, y - t)
+        oracle = np.split(flat, np.cumsum(rule_counts)[:-1])
+        grads = consequent_gradients(models, x, t, d2s, mask)
+        assert len(grads) == len(oracle)
+        for g, o in zip(grads, oracle):
+            assert g.shape == o.shape and np.array_equal(g, o)
+
     @given(st.integers(0, 2**32 - 1))
     @settings(max_examples=25, deadline=None)
     def test_weights_stay_inside_ball(self, seed):
@@ -294,6 +318,21 @@ class TestApplyMask:
     def test_budget_range_checked(self):
         with pytest.raises(ValueError):
             apply_mask(np.array([0.5, 0.5]), 0)
+
+    @given(st.one_of(
+        st.lists(st.sampled_from([0.0, 0.125, 0.25, 0.5]), min_size=1, max_size=16),
+        st.integers(1, 16).flatmap(lambda u: st.sampled_from([[0.0] * u, [1.0 / u] * u])),
+        st.lists(st.floats(0.0, 1.0), min_size=1, max_size=16)),
+        st.data())
+    @settings(max_examples=200)
+    def test_order_equals_the_lexsort_order(self, scores, data):
+        """The b features kept are the first b of the (-score, index)
+        lexsort order, ties and all-equal scores included."""
+        scores = np.array(scores)
+        b = data.draw(st.integers(1, len(scores)))
+        oracle = np.zeros(len(scores))
+        oracle[np.lexsort((np.arange(len(scores)), -scores))[:b]] = 1.0
+        assert np.array_equal(apply_mask(scores, b), oracle)
 
 
 class TestConfigStubs:
